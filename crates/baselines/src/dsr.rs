@@ -19,7 +19,7 @@
 use morph_cache::slice::Entry;
 use morph_cache::{
     CacheEventSink, CacheParams, CoreId, LatencyParams, Line, MemorySubsystem, ReplacementKind,
-    Slice,
+    Slice, MAX_CORES,
 };
 
 /// The learned role of a private slice.
@@ -202,6 +202,11 @@ impl DsrSystem {
     pub const GROUPING_LABEL: &'static str = "DSR private";
 
     /// Builds a DSR system with per-core private slices at L2 and L3.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_cores` exceeds [`MAX_CORES`]: the L1 slices store
+    /// line owners as 2-byte core ids.
     pub fn new(
         n_cores: usize,
         l1: CacheParams,
@@ -209,6 +214,10 @@ impl DsrSystem {
         l3_slice: CacheParams,
         latency: LatencyParams,
     ) -> Self {
+        assert!(
+            n_cores <= MAX_CORES,
+            "{n_cores} cores exceed MAX_CORES ({MAX_CORES})"
+        );
         Self {
             n_cores,
             l1: (0..n_cores)

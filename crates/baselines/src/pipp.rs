@@ -21,7 +21,7 @@
 use morph_cache::slice::Entry;
 use morph_cache::{
     CacheEventSink, CacheParams, CoreId, LatencyParams, Level, Line, MemorySubsystem,
-    ReplacementKind, Slice,
+    ReplacementKind, Slice, MAX_CORES,
 };
 use morphcache::Xoshiro256pp;
 
@@ -270,6 +270,11 @@ impl PippSystem {
     /// geometries into one shared cache per level (16 × 256 KB 8-way
     /// slices → one 4 MB 128-way shared L2, etc.), which is the paper's
     /// "(16:1:1) with PIPP at each level".
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_cores` exceeds [`MAX_CORES`]: the L1 slices store
+    /// line owners as 2-byte core ids.
     pub fn new(
         n_cores: usize,
         l1: CacheParams,
@@ -277,6 +282,10 @@ impl PippSystem {
         l3_slice: CacheParams,
         latency: LatencyParams,
     ) -> Self {
+        assert!(
+            n_cores <= MAX_CORES,
+            "{n_cores} cores exceed MAX_CORES ({MAX_CORES})"
+        );
         let latency = latency.paper_static();
         Self {
             n_cores,

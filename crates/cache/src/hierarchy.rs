@@ -19,7 +19,7 @@ use crate::params::{CacheParams, LatencyParams};
 use crate::replacement::ReplacementKind;
 use crate::slice::{CacheLevel, Entry, Slice};
 use crate::stats::LevelStats;
-use crate::{ConfigError, CoreId, Line};
+use crate::{ConfigError, CoreId, Line, MAX_CORES};
 
 /// Anything that can serve memory accesses for a set of cores.
 ///
@@ -163,7 +163,20 @@ pub struct Hierarchy {
 
 impl Hierarchy {
     /// Creates a hierarchy with all L2/L3 slices private.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.n_cores` exceeds [`MAX_CORES`]: the caches store
+    /// line owners as 2-byte core ids. Simulator runs reject such core
+    /// counts earlier, with a typed error from
+    /// `morph_system::SystemConfig::validate`; this check covers callers
+    /// that build a hierarchy directly.
     pub fn new(params: HierarchyParams) -> Self {
+        assert!(
+            params.n_cores <= MAX_CORES,
+            "{} cores exceed MAX_CORES ({MAX_CORES})",
+            params.n_cores
+        );
         Self {
             l1: (0..params.n_cores)
                 .map(|_| Slice::new(params.l1, ReplacementKind::Lru))
@@ -294,8 +307,9 @@ impl Hierarchy {
                 }
             }
         }
-        // The sweep above removed L2 entries through `slice_mut`, behind
-        // the back of the level's residency index.
+        // The sweep above removed L2 entries through
+        // `retain_slice_entries`, behind the back of the level's
+        // residency index (a no-op while the level keeps none).
         self.l2.rebuild_index();
         Ok(())
     }
@@ -754,6 +768,66 @@ mod tests {
         );
         assert_eq!(Hierarchy::span_factor(&[vec![0, 3], vec![1], vec![2]]), 2.0);
         assert!((Hierarchy::span_factor(&[vec![0, 1, 2], vec![3]]) - 4.0 / 3.0).abs() < 1e-12);
+    }
+
+    /// At 64 cores, 4-slice groups span 32 L2 / 64 L3 ways and stay on
+    /// the tag scan, while all-shared groups span 512 / 1,024 ways and
+    /// carry the residency index. Regrouping across the gate in both
+    /// directions, with traffic in between, must keep inclusion.
+    #[test]
+    fn residency_index_exists_only_while_a_group_is_wide() {
+        let mut h = Hierarchy::new(HierarchyParams::scaled_down(64));
+        let mut rng = morphcache::Xoshiro256pp::seed_from_u64(0x64);
+        let mut traffic = |h: &mut Hierarchy| {
+            for _ in 0..10_000 {
+                let core = rng.range_usize(0, 64);
+                let line = rng.range_u64(0, 1 << 16);
+                let write = rng.gen_bool(0.3);
+                h.access(core, line, write, &mut NoopSink);
+            }
+        };
+        let narrow = Grouping::contiguous(64, 4).unwrap();
+        let shared = Grouping::all_shared(64);
+        let indexed = |h: &Hierarchy| (h.l2().has_index(), h.l3().has_index());
+        traffic(&mut h);
+        h.set_l3_grouping(narrow.clone()).unwrap();
+        h.set_l2_grouping(narrow.clone()).unwrap();
+        h.check_inclusion().unwrap();
+        assert_eq!(indexed(&h), (false, false));
+        traffic(&mut h);
+        h.set_l3_grouping(shared.clone()).unwrap();
+        h.check_inclusion().unwrap();
+        assert_eq!(indexed(&h), (false, true));
+        h.set_l2_grouping(shared).unwrap();
+        h.check_inclusion().unwrap();
+        assert_eq!(indexed(&h), (true, true));
+        traffic(&mut h);
+        h.check_inclusion().unwrap();
+        h.set_l2_grouping(narrow.clone()).unwrap();
+        h.check_inclusion().unwrap();
+        assert_eq!(indexed(&h), (false, true));
+        h.set_l3_grouping(narrow).unwrap();
+        h.check_inclusion().unwrap();
+        assert_eq!(indexed(&h), (false, false));
+        traffic(&mut h);
+        h.check_inclusion().unwrap();
+    }
+
+    /// The paper's widest group — all 16 slices shared — spans 128 L2
+    /// and 256 L3 ways, so paper-geometry runs never build the index.
+    #[test]
+    fn paper_geometry_never_builds_the_index() {
+        let mut h = Hierarchy::new(HierarchyParams::paper(16));
+        h.set_l3_grouping(Grouping::all_shared(16)).unwrap();
+        h.set_l2_grouping(Grouping::all_shared(16)).unwrap();
+        assert!(!h.l2().has_index());
+        assert!(!h.l3().has_index());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed MAX_CORES")]
+    fn hierarchy_rejects_more_cores_than_owner_ids_hold() {
+        let _ = Hierarchy::new(HierarchyParams::scaled_down(MAX_CORES + 1));
     }
 
     #[test]

@@ -2,11 +2,17 @@
 //! ways) currently holding a copy.
 //!
 //! Merged groups concatenate set `i` across member slices, so the scan
-//! formulation of a group lookup walks one tag row per member — up to
-//! eight dependent host-cache misses per access on an all-shared level.
-//! The index answers the same question with a single open-addressing
-//! probe: one hash walk returns every `(slice, way)` copy of the line,
-//! after which only the rows that actually hold the line are touched.
+//! formulation of a group lookup walks one tag row per member. In the
+//! set-major layout those rows are one contiguous run of ways, which
+//! the scan streams cheaply while the group is narrow; on very wide
+//! groups (64 cores sharing a level: 512 or 1,024 ways per set) the run
+//! outgrows that. The index answers the same question with a single
+//! open-addressing probe: one hash walk returns every `(slice, way)`
+//! copy of the line, after which only the rows that actually hold the
+//! line are touched. Its price is a random-access update on every fill
+//! and eviction in every group of the level, so [`CacheLevel`] keeps one
+//! only while some group is wider than 256 ways (see
+//! `MAX_SCAN_GROUP_WAYS` in `slice.rs`); paper-geometry levels never do.
 //!
 //! The index is an *acceleration structure*, not the source of truth:
 //! the per-slice tag arrays remain authoritative, and [`CacheLevel`]

@@ -84,6 +84,11 @@ pub type CoreId = usize;
 /// Identifies a physical cache slice within one level (0-based).
 pub type SliceId = usize;
 
+/// Largest core (and per-level slice) count a cache structure accepts.
+/// The per-way owner arrays store core ids in 2 bytes, so every core id
+/// must be below `u16::MAX + 1`; constructors enforce this bound once.
+pub const MAX_CORES: usize = 1 << 16;
+
 /// Errors produced when configuring cache structures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {

@@ -13,7 +13,7 @@ use crate::index::{CopySet, LineIndex};
 use crate::params::CacheParams;
 use crate::replacement::{ReplacementKind, TreePlru};
 use crate::stats::{LevelStats, SliceStats};
-use crate::{ConfigError, CoreId, Line, SliceId};
+use crate::{ConfigError, CoreId, Line, SliceId, MAX_CORES};
 
 /// One resident cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,17 +31,33 @@ pub struct Entry {
 /// Sentinel marking an invalid way in the compact tag array.
 const NO_LINE: Line = Line::MAX;
 
+/// Widest merged group, in ways (member slices × ways per slice), that a
+/// [`CacheLevel`] serves by scanning tag rows. Only while some group is
+/// wider does the level keep a [`LineIndex`]: set `i` of a group is one
+/// contiguous run of ways, and up to this width the scan beats the
+/// index's random-access maintenance on every fill and eviction.
+const MAX_SCAN_GROUP_WAYS: usize = 256;
+
+/// Narrows a core id to the 2 bytes the per-way owner arrays store.
+/// Lossless: every owner is a core of a level or hierarchy whose
+/// constructor bounds the core count by [`MAX_CORES`].
+#[inline]
+fn owner_bits(core: CoreId) -> u16 {
+    debug_assert!(core < MAX_CORES, "core {core} exceeds MAX_CORES");
+    core as u16
+}
+
 use crate::prefetch;
 
 /// A physical cache slice: `sets × ways` of ways in struct-of-arrays
 /// layout.
 ///
-/// The hot probe path scans 8-byte line addresses (`tags`) contiguously;
-/// recency stamps, owners and dirty bits live in parallel arrays touched
-/// only by the paths that need them — merged groups scan up to 256 ways
-/// per lookup, which makes this the simulator's hottest loop, and an
-/// array-of-`Option<Entry>` layout would drag 32-byte slots (plus the
-/// discriminant branch) through the cache for every probed way. A way is
+/// A `Slice` backs each core's private L1 (and the baseline systems'
+/// per-core arrays); the groupable L2/L3 levels keep their ways in
+/// [`CacheLevel`]'s level-owned arrays instead. Every L1 access probes
+/// one `Slice`, so the probe path scans 8-byte line addresses (`tags`)
+/// contiguously, and recency stamps, owners and dirty bits live in
+/// parallel arrays touched only by the paths that need them. A way is
 /// valid iff its tag is not `NO_LINE`; invalid ways carry stamp
 /// `u64::MAX` so LRU scans skip them without a branch. [`Entry`] remains
 /// the exchange type at the API boundary (install/invalidate/iterate) and
@@ -51,7 +67,8 @@ pub struct Slice {
     params: CacheParams,
     tags: Vec<Line>,
     stamps: Vec<u64>,
-    owners: Vec<CoreId>,
+    /// Owning core of each way, narrowed with [`owner_bits`].
+    owners: Vec<u16>,
     /// Dirty bits, one per way slot, packed 64 per word.
     dirty: Vec<u64>,
     plru: Vec<TreePlru>,
@@ -113,7 +130,7 @@ impl Slice {
         debug_assert_ne!(self.tags[idx], NO_LINE, "entry_at on an invalid way");
         Entry {
             line: self.tags[idx],
-            owner: self.owners[idx],
+            owner: CoreId::from(self.owners[idx]),
             stamp: self.stamps[idx],
             dirty: self.dirty_bit(idx),
         }
@@ -276,7 +293,7 @@ impl Slice {
         let displaced = (self.tags[idx] != NO_LINE).then(|| self.entry_at(idx));
         self.tags[idx] = entry.line;
         self.stamps[idx] = entry.stamp;
-        self.owners[idx] = entry.owner;
+        self.owners[idx] = owner_bits(entry.owner);
         self.write_dirty_bit(idx, entry.dirty);
         displaced
     }
@@ -396,7 +413,9 @@ pub struct CacheLevel {
     /// Recency stamps; `u64::MAX` on invalid ways (see
     /// [`Slice::placement_scan`] for the invariant this buys).
     stamps: Vec<u64>,
-    owners: Vec<CoreId>,
+    /// Owning core of each way, narrowed with [`owner_bits`] (the level
+    /// has at most [`MAX_CORES`] slices, and owners are its cores).
+    owners: Vec<u16>,
     /// Dirty bits, one per way slot, packed 64 per word.
     dirty: Vec<u64>,
     /// One PLRU tree per `(slice, set)` at `slice * sets + set`; empty in
@@ -411,11 +430,10 @@ pub struct CacheLevel {
     /// every install/invalidate so multi-member group operations touch
     /// only the rows that actually hold the line (one probe-chain walk)
     /// instead of one tag row per member. Only materialized while the
-    /// grouping has at least one merged group: singleton lookups never
-    /// read it, so on an all-private level the per-fill maintenance would
-    /// be pure overhead. Also `None` when the level has more slices than
-    /// [`CopySet`] can describe. Without an index, all group operations
-    /// use the tag-scan formulation.
+    /// widest group spans more than [`MAX_SCAN_GROUP_WAYS`] ways, where
+    /// it beats the scan. Also `None` when the level has more slices
+    /// than [`CopySet`] can describe. Without an index, all group
+    /// operations use the tag-scan formulation.
     index: Option<LineIndex>,
     /// Access statistics for the level.
     pub stats: LevelStats,
@@ -423,12 +441,21 @@ pub struct CacheLevel {
 
 impl CacheLevel {
     /// Creates a level of `n_slices` identical private slices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_slices` exceeds [`MAX_CORES`]: the per-way owner
+    /// arrays could not hold every core id losslessly.
     pub fn new(
         level: Level,
         n_slices: usize,
         slice_params: CacheParams,
         kind: ReplacementKind,
     ) -> Self {
+        assert!(
+            n_slices <= MAX_CORES,
+            "a level of {n_slices} slices exceeds MAX_CORES ({MAX_CORES})"
+        );
         let slots = n_slices * slice_params.sets() * slice_params.ways();
         let plru = match kind {
             ReplacementKind::TreePlru => (0..n_slices * slice_params.sets())
@@ -451,7 +478,7 @@ impl CacheLevel {
             stamp: 0,
             rr: 0,
             // Levels start all-private; the index appears with the first
-            // merged grouping (see `set_grouping`).
+            // grouping wide enough to need it (see `set_grouping`).
             index: None,
             stats: LevelStats::new(n_slices),
         }
@@ -484,7 +511,7 @@ impl CacheLevel {
         debug_assert_ne!(self.tags[idx], NO_LINE, "entry_at on an invalid way");
         Entry {
             line: self.tags[idx],
-            owner: self.owners[idx],
+            owner: CoreId::from(self.owners[idx]),
             stamp: self.stamps[idx],
             dirty: self.dirty_bit(idx),
         }
@@ -561,7 +588,7 @@ impl CacheLevel {
         let displaced = (self.tags[idx] != NO_LINE).then(|| self.entry_at(idx));
         self.tags[idx] = entry.line;
         self.stamps[idx] = entry.stamp;
-        self.owners[idx] = entry.owner;
+        self.owners[idx] = owner_bits(entry.owner);
         self.write_dirty_bit(idx, entry.dirty);
         displaced
     }
@@ -667,15 +694,14 @@ impl CacheLevel {
                 self.n_slices
             )));
         }
-        // A grouping is a partition, so fewer groups than slices means at
-        // least one merged group — the only shape whose lookups read the
-        // residency index. Materialize it on the first merge (populated
-        // from the tag arrays, which may already hold lines mid-run) and
-        // drop it when the level goes back to all-private, so private
-        // phases pay no per-fill maintenance. Reconfiguration-rate path.
-        let merged = g.n_groups() < g.n_slices();
+        // Materialize the index when the widest group crosses
+        // MAX_SCAN_GROUP_WAYS (populated from the tag arrays, which may
+        // already hold lines mid-run) and drop it when every group is
+        // narrow again. Reconfiguration-rate path.
+        let widest = g.iter().map(<[SliceId]>::len).max().unwrap_or(1);
+        let wide = widest * self.params.ways() > MAX_SCAN_GROUP_WAYS;
         self.grouping = g;
-        match (&self.index, merged) {
+        match (&self.index, wide) {
             (None, true) => {
                 let lines = self.n_slices * self.params.lines();
                 self.index = LineIndex::for_level(self.n_slices, lines);
@@ -687,14 +713,21 @@ impl CacheLevel {
         Ok(())
     }
 
+    /// Whether the residency index is currently materialized.
+    #[cfg(test)]
+    pub(crate) fn has_index(&self) -> bool {
+        self.index.is_some()
+    }
+
     fn next_stamp(&mut self) -> u64 {
         self.stamp += 1;
         self.stamp
     }
 
     /// Hints the CPU to fetch what a [`Self::lookup`] of `line` by `core`
-    /// will read first: the home slice's tag row for a private group, the
-    /// residency-index probe chain otherwise. Issued by the hierarchy at
+    /// will read first: the residency-index probe chain for a merged group
+    /// while the level keeps an index, the member tag rows otherwise
+    /// (adjacent in the set-major layout). Issued by the hierarchy at
     /// access entry so the fetch overlaps the L1 probe that precedes the
     /// group scan.
     #[inline]
@@ -1290,5 +1323,67 @@ mod tests {
     fn grouping_size_mismatch_rejected() {
         let mut l = level(2);
         assert!(l.set_grouping(Grouping::private(3)).is_err());
+    }
+
+    /// Regrouping a 64-slice, 16-way level narrow → all-shared → narrow
+    /// moves it across the width gate both ways: 4-slice groups span 64
+    /// ways (tag scan), the all-shared group 1,024 (residency index,
+    /// rebuilt from the live tags mid-run). A twin level whose index is
+    /// dropped after every regroup replays the same traffic through the
+    /// scan path alone; every lookup, fill, back-invalidation and event
+    /// must match it, and every lookup must agree with a preceding peek.
+    #[test]
+    fn index_follows_group_width_and_matches_the_scan() {
+        let params = CacheParams::new(16, 16, 64).unwrap();
+        let mut l = CacheLevel::new(Level::L3, 64, params, ReplacementKind::Lru);
+        let mut scan = l.clone();
+        let (mut sink, mut scan_sink) = (RecordingSink::default(), RecordingSink::default());
+        let mut rng = morphcache::Xoshiro256pp::seed_from_u64(0x64);
+        let narrow = Grouping::contiguous(64, 4).unwrap();
+        for (g, wide) in [
+            (narrow.clone(), false),
+            (Grouping::all_shared(64), true),
+            (narrow, false),
+        ] {
+            l.set_grouping(g.clone()).unwrap();
+            scan.set_grouping(g).unwrap();
+            scan.index = None;
+            assert_eq!(l.has_index(), wide);
+            // Twice the all-shared capacity, so every phase evicts.
+            for i in 0..20_000 {
+                let core = rng.range_usize(0, 64);
+                let line = rng.range_u64(0, 32_768);
+                let seen = l.peek(core, line);
+                let hit = l.lookup(core, line, &mut sink);
+                assert_eq!(hit.is_some(), seen.is_some(), "peek/lookup on {line:#x}");
+                assert_eq!(hit, scan.lookup(core, line, &mut scan_sink));
+                if hit.is_none() {
+                    let d = l.insert(core, line, false, &mut sink);
+                    assert_eq!(d, scan.insert(core, line, false, &mut scan_sink));
+                } else if i % 3 == 0 {
+                    l.mark_dirty(core, line);
+                    scan.mark_dirty(core, line);
+                }
+                if i % 97 == 0 {
+                    let members = l.grouping().group_members(core).to_vec();
+                    assert_eq!(
+                        l.back_invalidate(&members, line, &mut sink),
+                        scan.back_invalidate(&members, line, &mut scan_sink)
+                    );
+                }
+            }
+            assert_eq!(l.occupancy(), scan.occupancy());
+        }
+        assert!(sink.evicted.len() > 1_000, "traffic must evict");
+        assert_eq!(sink.inserted, scan_sink.inserted);
+        assert_eq!(sink.evicted, scan_sink.evicted);
+        assert_eq!(sink.touched, scan_sink.touched);
+        let lazies = |l: &CacheLevel| {
+            (0..64)
+                .map(|s| l.slice_stats(s).lazy_invalidations)
+                .sum::<u64>()
+        };
+        assert!(lazies(&l) > 0, "the merge must expose duplicates");
+        assert_eq!(lazies(&l), lazies(&scan));
     }
 }

@@ -27,8 +27,8 @@ fn bench_files() -> Vec<(usize, String)> {
         out.push((n, text));
     }
     assert!(
-        out.len() >= 3,
-        "expected the BENCH_1..=BENCH_3 trajectory to exist"
+        out.len() >= 4,
+        "expected the BENCH_1..=BENCH_4 trajectory to exist"
     );
     out
 }
@@ -80,15 +80,15 @@ fn each_baseline_references_the_previous_total() {
 }
 
 /// The latest checkpoint's baseline values are pinned literally, so a
-/// regenerated BENCH_3 silently pointing elsewhere fails loudly.
+/// regenerated BENCH_4 silently pointing elsewhere fails loudly.
 #[test]
 fn latest_baseline_is_pinned() {
     let files = bench_files();
     let (n, text) = files.last().expect("at least one checkpoint");
-    assert_eq!(*n, 3, "new checkpoint added: extend the pinned values");
-    let report = BenchReport::from_json(text).expect("BENCH_3 validates");
-    let baseline = report.baseline.expect("BENCH_3 embeds a baseline");
-    assert_eq!(baseline.label, "PR 7 pinned host");
-    assert_eq!(baseline.accesses_per_sec, 3780997.388350106);
-    assert_eq!(baseline.cells_per_sec, 5.329384847525404);
+    assert_eq!(*n, 4, "new checkpoint added: extend the pinned values");
+    let report = BenchReport::from_json(text).expect("BENCH_4 validates");
+    let baseline = report.baseline.expect("BENCH_4 embeds a baseline");
+    assert_eq!(baseline.label, "BENCH_3.json");
+    assert_eq!(baseline.accesses_per_sec, 4062097.6393434573);
+    assert_eq!(baseline.cells_per_sec, 5.708148026489332);
 }

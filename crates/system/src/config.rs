@@ -1,6 +1,6 @@
 //! System-level run configuration.
 
-use morph_cache::HierarchyParams;
+use morph_cache::{HierarchyParams, MAX_CORES};
 use morph_cpu::CoreParams;
 use morphcache::MorphError;
 
@@ -105,8 +105,9 @@ impl SystemConfig {
 
     /// Rejects configurations the simulator cannot run: a zero-length
     /// epoch, a zero or epoch-exceeding scheduler quantum, no measured
-    /// epochs, a core/slice count that is zero or not a power of two
-    /// (buddy merging needs power-of-two groups), or cache geometry whose
+    /// epochs, a core/slice count that is zero, not a power of two
+    /// (buddy merging needs power-of-two groups) or above [`MAX_CORES`]
+    /// (caches store owners as 2-byte core ids), or cache geometry whose
     /// sets/ways/block size fail the power-of-two indexing invariants.
     ///
     /// # Errors
@@ -136,6 +137,9 @@ impl SystemConfig {
         let n = self.hierarchy.n_cores;
         if n == 0 || !n.is_power_of_two() {
             return field("n_cores", n as u64, "must be a nonzero power of two");
+        }
+        if n > MAX_CORES {
+            return field("n_cores", n as u64, "must not exceed 65536");
         }
         self.hierarchy.l1.validate("l1")?;
         self.hierarchy.l2_slice.validate("l2_slice")?;
@@ -207,5 +211,6 @@ mod tests {
         reject(&|c| c.n_epochs = 0, "n_epochs");
         reject(&|c| c.hierarchy.n_cores = 0, "n_cores");
         reject(&|c| c.hierarchy.n_cores = 3, "n_cores");
+        reject(&|c| c.hierarchy.n_cores = MAX_CORES * 2, "n_cores");
     }
 }
