@@ -23,7 +23,7 @@
 //!   `sum(2^p, p = 0..=ops) = 2^(ops+1) - 1` states — `2047` at 4
 //!   cells. A rename that became durable without its write leaves a
 //!   **torn** target file; resume must surface it as a typed
-//!   [`MorphError::Journal`]-style error or resume cleanly from intact
+//!   `MorphError::Journal`-style error or resume cleanly from intact
 //!   files — never silently cache corrupt data.
 //!
 //! The pass also checks the *source* against the model's assumptions

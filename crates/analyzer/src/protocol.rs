@@ -1,5 +1,5 @@
 //! The `epoch-protocol` pass: static conformance of the
-//! [`MemoryBackend`] epoch protocol (`crates/system/src/policy.rs`).
+//! `MemoryBackend` epoch protocol (`crates/system/src/policy.rs`).
 //!
 //! Two families of checks:
 //!

@@ -18,8 +18,7 @@
 
 use morph_cache::slice::Entry;
 use morph_cache::{
-    CacheEventSink, CacheParams, CoreId, LatencyParams, Line, MemorySubsystem, ReplacementKind,
-    Slice, MAX_CORES,
+    CacheEventSink, CacheParams, CoreId, LatencyParams, Line, MemorySubsystem, Slice, MAX_CORES,
 };
 
 /// The learned role of a private slice.
@@ -55,9 +54,7 @@ impl DsrLevel {
     fn new(n: usize, params: CacheParams) -> Self {
         Self {
             params,
-            slices: (0..n)
-                .map(|_| Slice::new(params, ReplacementKind::Lru))
-                .collect(),
+            slices: (0..n).map(|_| Slice::new(params)).collect(),
             psel: vec![0; n],
             rr: 0,
             stamp: 0,
@@ -121,14 +118,8 @@ impl DsrLevel {
     fn insert(&mut self, core: CoreId, line: Line) -> Vec<(Line, CoreId)> {
         self.stamp += 1;
         let set = self.params.set_index(line);
-        let way = self.slices[core]
-            .invalid_way(set)
-            .or_else(|| self.slices[core].lru_way(set).map(|(w, _)| w))
-            // morph-lint: allow(no-panic-in-lib, reason = "a validated geometry has ways >= 1, so a set always holds an invalid way or an LRU victim")
-            .expect("set has a victim");
-        let displaced = self.slices[core].install(
+        let displaced = self.slices[core].fill(
             set,
-            way,
             Entry {
                 line,
                 owner: core,
@@ -142,12 +133,7 @@ impl DsrLevel {
             if self.should_spill(core, set) {
                 if let Some(receiver) = self.pick_receiver(core) {
                     self.spills += 1;
-                    let rway = self.slices[receiver]
-                        .invalid_way(set)
-                        .or_else(|| self.slices[receiver].lru_way(set).map(|(w, _)| w))
-                        // morph-lint: allow(no-panic-in-lib, reason = "same ways >= 1 victim invariant as the local set above")
-                        .expect("receiver set has a victim");
-                    if let Some(dropped) = self.slices[receiver].install(set, rway, victim) {
+                    if let Some(dropped) = self.slices[receiver].fill(set, victim) {
                         gone.push((dropped.line, dropped.owner));
                     }
                     return gone;
@@ -220,9 +206,7 @@ impl DsrSystem {
         );
         Self {
             n_cores,
-            l1: (0..n_cores)
-                .map(|_| Slice::new(l1, ReplacementKind::Lru))
-                .collect(),
+            l1: (0..n_cores).map(|_| Slice::new(l1)).collect(),
             l1_params: l1,
             l2: DsrLevel::new(n_cores, l2_slice),
             l3: DsrLevel::new(n_cores, l3_slice),
@@ -263,14 +247,8 @@ impl DsrSystem {
     fn fill_l1(&mut self, core: CoreId, line: Line) {
         self.stamp += 1;
         let set = self.l1_params.set_index(line);
-        let way = self.l1[core]
-            .invalid_way(set)
-            .or_else(|| self.l1[core].lru_way(set).map(|(w, _)| w))
-            // morph-lint: allow(no-panic-in-lib, reason = "same ways >= 1 victim invariant; L1 geometry validated at construction")
-            .expect("L1 set has a victim");
-        self.l1[core].install(
+        self.l1[core].fill(
             set,
-            way,
             Entry {
                 line,
                 owner: core,

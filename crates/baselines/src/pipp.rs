@@ -20,8 +20,8 @@
 
 use morph_cache::slice::Entry;
 use morph_cache::{
-    CacheEventSink, CacheParams, CoreId, LatencyParams, Level, Line, MemorySubsystem,
-    ReplacementKind, Slice, MAX_CORES,
+    CacheEventSink, CacheParams, CoreId, LatencyParams, Level, Line, MemorySubsystem, Slice,
+    MAX_CORES,
 };
 use morphcache::Xoshiro256pp;
 
@@ -289,9 +289,7 @@ impl PippSystem {
         let latency = latency.paper_static();
         Self {
             n_cores,
-            l1: (0..n_cores)
-                .map(|_| Slice::new(l1, ReplacementKind::Lru))
-                .collect(),
+            l1: (0..n_cores).map(|_| Slice::new(l1)).collect(),
             l1_params: l1,
             l2: PippCache::new(l2_slice.sets(), l2_slice.ways() * n_cores, n_cores),
             l3: PippCache::new(l3_slice.sets(), l3_slice.ways() * n_cores, n_cores),
@@ -337,14 +335,8 @@ impl PippSystem {
     fn fill_l1(&mut self, core: CoreId, line: Line) {
         self.stamp += 1;
         let set = self.l1_params.set_index(line);
-        let way = self.l1[core]
-            .invalid_way(set)
-            .or_else(|| self.l1[core].lru_way(set).map(|(w, _)| w))
-            // morph-lint: allow(no-panic-in-lib, reason = "same ways >= 1 victim invariant; L1 geometry validated at construction")
-            .expect("L1 set has a victim");
-        self.l1[core].install(
+        self.l1[core].fill(
             set,
-            way,
             Entry {
                 line,
                 owner: core,

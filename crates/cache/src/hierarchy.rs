@@ -16,7 +16,6 @@
 use crate::events::{CacheEventSink, Level};
 use crate::group::Grouping;
 use crate::params::{CacheParams, LatencyParams};
-use crate::replacement::ReplacementKind;
 use crate::slice::{CacheLevel, Entry, Slice};
 use crate::stats::LevelStats;
 use crate::{ConfigError, CoreId, Line, MAX_CORES};
@@ -58,8 +57,6 @@ pub struct HierarchyParams {
     pub l3_slice: CacheParams,
     /// Access latencies.
     pub latency: LatencyParams,
-    /// Replacement policy for L2/L3 (L1 always uses exact LRU).
-    pub replacement: ReplacementKind,
 }
 
 /// Geometry for one preset cache level. Both presets ([`paper`] and
@@ -85,7 +82,6 @@ impl HierarchyParams {
             l2_slice: preset_geometry(256 * 1024, 8, 64),
             l3_slice: preset_geometry(1024 * 1024, 16, 64),
             latency: LatencyParams::paper(),
-            replacement: ReplacementKind::Lru,
         }
     }
 
@@ -98,7 +94,6 @@ impl HierarchyParams {
             l2_slice: preset_geometry(32 * 1024, 8, 64),
             l3_slice: preset_geometry(128 * 1024, 16, 64),
             latency: LatencyParams::paper(),
-            replacement: ReplacementKind::Lru,
         }
     }
 
@@ -178,21 +173,9 @@ impl Hierarchy {
             params.n_cores
         );
         Self {
-            l1: (0..params.n_cores)
-                .map(|_| Slice::new(params.l1, ReplacementKind::Lru))
-                .collect(),
-            l2: CacheLevel::new(
-                Level::L2,
-                params.n_cores,
-                params.l2_slice,
-                params.replacement,
-            ),
-            l3: CacheLevel::new(
-                Level::L3,
-                params.n_cores,
-                params.l3_slice,
-                params.replacement,
-            ),
+            l1: (0..params.n_cores).map(|_| Slice::new(params.l1)).collect(),
+            l2: CacheLevel::new(Level::L2, params.n_cores, params.l2_slice),
+            l3: CacheLevel::new(Level::L3, params.n_cores, params.l3_slice),
             l1_stats: LevelStats::new(params.n_cores),
             memory_writebacks: 0,
             params,
@@ -251,8 +234,9 @@ impl Hierarchy {
             for e in lost {
                 self.l1[core].stats.back_invalidations += 1;
                 if e.dirty {
-                    // Fold the dirty bit into the L2 copy if one survives
-                    // anywhere; otherwise it's a memory writeback.
+                    // Always a memory writeback, also when an L2 copy
+                    // survives in a slice outside the core's new group
+                    // (the dirty bit is not folded into that copy).
                     self.memory_writebacks += 1;
                 }
             }
@@ -445,14 +429,8 @@ impl Hierarchy {
 
     fn fill_l1(&mut self, core: CoreId, line: Line, dirty: bool, stamp: u64) {
         let set = self.params.l1.set_index(line);
-        // One fused stamp pass answers both the invalid-way and the LRU
-        // victim query (see `Slice::placement_scan`); L1 fills run on
-        // every L1 miss, so the saved tag pass is hot.
-        let (inv, lru, _) = self.l1[core].placement_scan(set);
-        let way = inv.unwrap_or(lru);
-        let displaced = self.l1[core].install(
+        let displaced = self.l1[core].fill(
             set,
-            way,
             Entry {
                 line,
                 owner: core,

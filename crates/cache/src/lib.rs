@@ -8,10 +8,11 @@
 //! L1 plus one *slice* of L2 and one slice of L3. Slices at a level can be
 //! dynamically *merged* into groups: merging two `n`-way slices of size `S`
 //! yields one `2n`-way shared slice of size `2S` (paper §2.2, footnote 1).
-//! This crate models exactly that: a [`Slice`] is a physical array of sets,
-//! a [`Grouping`] partitions the slices of a [`CacheLevel`] into shared
-//! groups, and group lookups treat set *i* as the concatenation of set *i*'s
-//! ways across all member slices.
+//! This crate models exactly that: a [`Slice`] is one physical array of
+//! sets (a private L1), a [`CacheLevel`] holds every slice of a groupable
+//! level, a [`Grouping`] partitions those slices into shared groups, and
+//! group lookups treat set *i* as the concatenation of set *i*'s ways
+//! across all member slices.
 //!
 //! The [`Hierarchy`] type composes private L1s with two groupable levels and
 //! enforces the paper's **inclusion** property (L1 ⊆ L2 ⊆ L3) via
@@ -51,16 +52,15 @@ pub use hierarchy::{Hierarchy, HierarchyParams, MemorySubsystem};
 pub use index::{CopySet, LineIndex};
 pub use mshr::MshrFile;
 pub use params::{CacheParams, LatencyParams};
-pub use replacement::{ReplacementKind, TreePlru};
+pub use replacement::TreePlru;
 pub use slice::{CacheLevel, Slice};
 pub use stats::{LevelStats, SliceStats};
 
 /// Hints the CPU to start fetching the cache line at `p`.
 ///
-/// Group scans walk one set row per member slice; the rows live in
-/// per-slice arrays far apart in memory, so an 8-member merged group
-/// takes up to eight dependent host-cache misses per lookup. Issuing all
-/// row prefetches before the first scan overlaps those misses. Purely a
+/// [`CacheLevel::prefetch_lookup`] issues it for the member tag rows (or
+/// the residency-index probe chain) an L2 group lookup will read, at
+/// access entry, so the host-cache misses overlap the L1 probe. Purely a
 /// hint: results are bit-identical with or without it, and on
 /// non-x86_64 targets it compiles to nothing.
 #[inline(always)]

@@ -1,22 +1,12 @@
-//! Replacement policies: exact LRU (via monotonic stamps) and the
-//! generalized tree pseudo-LRU of Robinson \[24\] that the paper discusses
-//! when merging slices (§2.2).
+//! The generalized tree pseudo-LRU of Robinson \[24\] that the paper
+//! discusses when merging slices (§2.2), as a standalone model.
 //!
-//! Exact LRU is the policy the paper uses for all MorphCache experiments
-//! ("MorphCache uses the LRU replacement policy for all applications",
-//! §6). Tree-PLRU is provided because §2.2 argues that merged tree-PLRU
-//! slices converge after a merge; [`TreePlru::merge`] implements the
-//! "merge the trees in any order" operation so that claim can be tested.
-
-/// Which replacement policy a cache level uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ReplacementKind {
-    /// Exact least-recently-used via per-line monotonic stamps.
-    #[default]
-    Lru,
-    /// Tree-based pseudo-LRU (binary decision tree per set).
-    TreePlru,
-}
+//! The caches themselves use exact LRU via monotonic stamps, the policy the
+//! paper uses for all MorphCache experiments ("MorphCache uses the LRU
+//! replacement policy for all applications", §6). Tree-PLRU is modeled
+//! because §2.2 argues that merged tree-PLRU slices converge after a
+//! merge; [`TreePlru::merge`] implements the "merge the trees in any
+//! order" operation so that claim can be tested.
 
 /// A binary-tree pseudo-LRU state machine for one cache set.
 ///

@@ -1,17 +1,24 @@
 //! Physical cache slices and groupable cache levels.
 //!
-//! A [`Slice`] is one physical set-associative array. A [`CacheLevel`] owns
-//! all slices of one level (L2 or L3) plus the current [`Grouping`]; lookups
-//! and insertions operate on the *group* of the requesting core's home
-//! slice, realizing the paper's merged-slice semantics: set `i` of a merged
-//! group is the concatenation of set `i`'s ways across member slices, with
-//! victim selection by global LRU over the whole group.
+//! A [`Slice`] is one physical set-associative array: a core's private L1,
+//! or one of the baseline systems' per-core arrays. A [`CacheLevel`] holds
+//! every slice of one groupable level (L2 or L3) plus the current
+//! [`Grouping`]; lookups and insertions operate on the *group* of the
+//! requesting core's home slice, realizing the paper's merged-slice
+//! semantics: set `i` of a merged group is the concatenation of set `i`'s
+//! ways across member slices, with victim selection by global LRU over the
+//! whole group.
+//!
+//! Both keep their ways in one private tag store, the only code that
+//! knows the array format. The store is a grid of rows of ways: a `Slice`
+//! keeps set `i` in row `i`, and a `CacheLevel` keeps set `i` of slice `s`
+//! in row `i * n_slices + s`.
 
 use crate::events::{CacheEventSink, Level};
 use crate::group::Grouping;
 use crate::index::{CopySet, LineIndex};
 use crate::params::CacheParams;
-use crate::replacement::{ReplacementKind, TreePlru};
+use crate::prefetch;
 use crate::stats::{LevelStats, SliceStats};
 use crate::{ConfigError, CoreId, Line, SliceId, MAX_CORES};
 
@@ -47,447 +54,44 @@ fn owner_bits(core: CoreId) -> u16 {
     core as u16
 }
 
-use crate::prefetch;
-
-/// A physical cache slice: `sets × ways` of ways in struct-of-arrays
-/// layout.
+/// `rows × ways` cache ways in struct-of-arrays layout.
 ///
-/// A `Slice` backs each core's private L1 (and the baseline systems'
-/// per-core arrays); the groupable L2/L3 levels keep their ways in
-/// [`CacheLevel`]'s level-owned arrays instead. Every L1 access probes
-/// one `Slice`, so the probe path scans 8-byte line addresses (`tags`)
-/// contiguously, and recency stamps, owners and dirty bits live in
-/// parallel arrays touched only by the paths that need them. A way is
-/// valid iff its tag is not `NO_LINE`; invalid ways carry stamp
-/// `u64::MAX` so LRU scans skip them without a branch. [`Entry`] remains
-/// the exchange type at the API boundary (install/invalidate/iterate) and
-/// is materialized from the arrays on demand.
+/// Way `w` of row `r` is flat slot `r * ways + w` of four parallel arrays:
+/// 8-byte line addresses (`tags`), recency stamps, 2-byte owners and
+/// packed dirty bits. Probes scan one row of `tags` contiguously and
+/// placement scans one row of `stamps`; owners and dirty bits are touched
+/// only by the paths that need them. A way is valid iff its tag is not
+/// [`NO_LINE`]. An invalid way carries stamp `u64::MAX`, which no
+/// installed entry carries, so validity is also readable from the stamps
+/// alone and [`Self::victim`] needs a single pass. [`Entry`] is the
+/// exchange type at the boundary, materialized from the arrays on demand.
 #[derive(Debug, Clone)]
-pub struct Slice {
-    params: CacheParams,
+struct TagStore {
+    ways: usize,
     tags: Vec<Line>,
     stamps: Vec<u64>,
     /// Owning core of each way, narrowed with [`owner_bits`].
     owners: Vec<u16>,
     /// Dirty bits, one per way slot, packed 64 per word.
     dirty: Vec<u64>,
-    plru: Vec<TreePlru>,
-    kind: ReplacementKind,
-    /// Access statistics for this slice.
-    pub stats: SliceStats,
 }
 
-impl Slice {
-    /// Creates an empty slice with the given geometry and replacement kind.
-    pub fn new(params: CacheParams, kind: ReplacementKind) -> Self {
-        let plru = match kind {
-            ReplacementKind::TreePlru => (0..params.sets())
-                .map(|_| TreePlru::new(params.ways()))
-                .collect(),
-            ReplacementKind::Lru => Vec::new(),
-        };
-        let slots = params.sets() * params.ways();
+impl TagStore {
+    fn new(rows: usize, ways: usize) -> Self {
+        let slots = rows * ways;
         Self {
-            params,
+            ways,
             tags: vec![NO_LINE; slots],
             stamps: vec![u64::MAX; slots],
             owners: vec![0; slots],
             dirty: vec![0; slots.div_ceil(64)],
-            plru,
-            kind,
-            stats: SliceStats::default(),
         }
     }
 
-    /// Geometry of this slice.
-    pub fn params(&self) -> &CacheParams {
-        &self.params
-    }
-
+    /// Flat slot of way 0 of `row`.
     #[inline]
-    fn base(&self, set: usize) -> usize {
-        set * self.params.ways()
-    }
-
-    #[inline]
-    fn dirty_bit(&self, idx: usize) -> bool {
-        (self.dirty[idx >> 6] >> (idx & 63)) & 1 != 0
-    }
-
-    #[inline]
-    fn write_dirty_bit(&mut self, idx: usize, d: bool) {
-        let mask = 1u64 << (idx & 63);
-        if d {
-            self.dirty[idx >> 6] |= mask;
-        } else {
-            self.dirty[idx >> 6] &= !mask;
-        }
-    }
-
-    /// Materializes the entry at flat index `idx`, which must be valid.
-    #[inline]
-    fn entry_at(&self, idx: usize) -> Entry {
-        debug_assert_ne!(self.tags[idx], NO_LINE, "entry_at on an invalid way");
-        Entry {
-            line: self.tags[idx],
-            owner: CoreId::from(self.owners[idx]),
-            stamp: self.stamps[idx],
-            dirty: self.dirty_bit(idx),
-        }
-    }
-
-    #[inline]
-    fn clear_slot(&mut self, idx: usize) {
-        self.tags[idx] = NO_LINE;
-        self.stamps[idx] = u64::MAX;
-        self.write_dirty_bit(idx, false);
-    }
-
-    /// Returns the way holding `line`, if resident.
-    #[inline]
-    pub fn probe(&self, line: Line) -> Option<usize> {
-        self.probe_in_set(self.params.set_index(line), line)
-    }
-
-    /// Hints the CPU to fetch the tag row of `set` ahead of a probe.
-    #[inline]
-    pub fn prefetch_tags(&self, set: usize) {
-        prefetch(&self.tags[self.base(set)]);
-    }
-
-    /// Hints the CPU to fetch the stamp row of `set` ahead of a
-    /// placement scan.
-    #[inline]
-    pub fn prefetch_stamps(&self, set: usize) {
-        prefetch(&self.stamps[self.base(set)]);
-    }
-
-    /// [`Self::probe`] with the set index precomputed by the caller.
-    ///
-    /// Group scans probe every member slice for the same line; all slices
-    /// of a level share one geometry, so the caller hoists the set-index
-    /// computation out of the member loop and passes it here.
-    #[inline]
-    pub fn probe_in_set(&self, set: usize, line: Line) -> Option<usize> {
-        let base = self.base(set);
-        let ways = self.params.ways();
-        self.tags[base..base + ways].iter().position(|&t| t == line)
-    }
-
-    /// The entry at `(set, way)`, materialized from the parallel arrays.
-    pub fn entry(&self, set: usize, way: usize) -> Option<Entry> {
-        let idx = self.base(set) + way;
-        (self.tags[idx] != NO_LINE).then(|| self.entry_at(idx))
-    }
-
-    /// The recency stamp at `(set, way)` (`u64::MAX` for an invalid way).
-    #[inline]
-    pub fn stamp(&self, set: usize, way: usize) -> u64 {
-        self.stamps[self.base(set) + way]
-    }
-
-    /// Marks the line at `(set, way)` dirty (no-op on an invalid way).
-    pub fn set_dirty(&mut self, set: usize, way: usize) {
-        let idx = self.base(set) + way;
-        if self.tags[idx] != NO_LINE {
-            self.write_dirty_bit(idx, true);
-        }
-    }
-
-    /// Records a hit on `(set, way)`: refreshes the recency stamp and the
-    /// PLRU tree (if in use).
-    #[inline]
-    pub fn touch(&mut self, set: usize, way: usize, stamp: u64) {
-        let idx = self.base(set) + way;
-        if self.tags[idx] != NO_LINE {
-            self.stamps[idx] = stamp;
-        }
-        if self.kind == ReplacementKind::TreePlru {
-            self.plru[set].touch(way);
-        }
-    }
-
-    /// First invalid way in `set`, if any.
-    #[inline]
-    pub fn invalid_way(&self, set: usize) -> Option<usize> {
-        let base = self.base(set);
-        self.tags[base..base + self.params.ways()]
-            .iter()
-            .position(|&t| t == NO_LINE)
-    }
-
-    /// The valid way with the smallest recency stamp in `set`, with that
-    /// stamp. `None` if the set is entirely invalid (invalid ways carry
-    /// stamp `u64::MAX`, so the strict `<` scan skips them for free).
-    #[inline]
-    pub fn lru_way(&self, set: usize) -> Option<(usize, u64)> {
-        let base = self.base(set);
-        let (mut best, mut best_stamp) = (None, u64::MAX);
-        for (w, &st) in self.stamps[base..base + self.params.ways()]
-            .iter()
-            .enumerate()
-        {
-            if st < best_stamp {
-                best_stamp = st;
-                best = Some(w);
-            }
-        }
-        best.map(|w| (w, best_stamp))
-    }
-
-    /// One fused pass over the recency stamps of `set`, returning the
-    /// first invalid way (if any), plus the first minimum-stamp valid way
-    /// and its stamp.
-    ///
-    /// Invalid ways carry stamp `u64::MAX` (established at construction
-    /// and restored by `clear_slot`) while live stamps are monotonic from
-    /// zero, so validity is decidable from the stamp array alone: the
-    /// placement scan touches one dense array per slice instead of a tag
-    /// pass per invalid-way query plus a stamp pass for the LRU victim.
-    /// When the set holds no valid way the returned victim defaults to
-    /// way 0 with stamp `u64::MAX`; callers take the invalid way in that
-    /// case.
-    #[inline]
-    pub fn placement_scan(&self, set: usize) -> (Option<usize>, usize, u64) {
-        let base = self.base(set);
-        let mut invalid = None;
-        let (mut best, mut best_stamp) = (0usize, u64::MAX);
-        for (w, &st) in self.stamps[base..base + self.params.ways()]
-            .iter()
-            .enumerate()
-        {
-            if st == u64::MAX {
-                if invalid.is_none() {
-                    invalid = Some(w);
-                }
-            } else if st < best_stamp {
-                best_stamp = st;
-                best = w;
-            }
-        }
-        (invalid, best, best_stamp)
-    }
-
-    /// The pseudo-LRU victim way for `set`.
-    ///
-    /// Debug builds assert this slice uses [`ReplacementKind::TreePlru`];
-    /// release builds skip the check — the kind is fixed at construction
-    /// and the only caller ([`CacheLevel::insert`]) dispatches on it, so
-    /// re-checking on every replacement in the hot loop buys nothing.
-    pub fn plru_victim(&self, set: usize) -> usize {
-        debug_assert_eq!(
-            self.kind,
-            ReplacementKind::TreePlru,
-            "slice is not in PLRU mode"
-        );
-        self.plru[set].victim()
-    }
-
-    /// Installs `entry` at `(set, way)`, returning any displaced entry.
-    pub fn install(&mut self, set: usize, way: usize, entry: Entry) -> Option<Entry> {
-        if self.kind == ReplacementKind::TreePlru {
-            self.plru[set].touch(way);
-        }
-        self.stats.insertions += 1;
-        let idx = self.base(set) + way;
-        let displaced = (self.tags[idx] != NO_LINE).then(|| self.entry_at(idx));
-        self.tags[idx] = entry.line;
-        self.stamps[idx] = entry.stamp;
-        self.owners[idx] = owner_bits(entry.owner);
-        self.write_dirty_bit(idx, entry.dirty);
-        displaced
-    }
-
-    /// Removes `line` if resident, returning the removed entry.
-    pub fn invalidate(&mut self, line: Line) -> Option<Entry> {
-        let way = self.probe(line)?;
-        let set = self.params.set_index(line);
-        self.invalidate_way(set, way)
-    }
-
-    /// Removes the entry at `(set, way)` if valid, returning it. Used by
-    /// the residency-index paths, which already know the way and skip the
-    /// probe.
-    #[inline]
-    pub fn invalidate_way(&mut self, set: usize, way: usize) -> Option<Entry> {
-        let idx = self.base(set) + way;
-        if self.tags[idx] == NO_LINE {
-            return None;
-        }
-        let removed = self.entry_at(idx);
-        self.clear_slot(idx);
-        Some(removed)
-    }
-
-    /// Number of valid entries in the whole slice.
-    pub fn occupancy(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != NO_LINE).count()
-    }
-
-    /// Iterates over all valid entries (materialized by value).
-    pub fn iter_entries(&self) -> impl Iterator<Item = Entry> + '_ {
-        self.tags
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t != NO_LINE)
-            .map(|(idx, _)| self.entry_at(idx))
-    }
-
-    /// Invokes `f(set, way, line)` for every valid way. Used to rebuild
-    /// the level residency index after bulk mutations.
-    pub fn for_each_valid(&self, mut f: impl FnMut(usize, usize, Line)) {
-        let ways = self.params.ways();
-        for (idx, &t) in self.tags.iter().enumerate() {
-            if t != NO_LINE {
-                f(idx / ways, idx % ways, t);
-            }
-        }
-    }
-
-    /// Removes every entry for which `pred` returns true, invoking `f` on
-    /// each removed entry. Used for inclusion enforcement on
-    /// reconfiguration.
-    pub fn retain_entries(
-        &mut self,
-        mut pred: impl FnMut(&Entry) -> bool,
-        mut f: impl FnMut(Entry),
-    ) {
-        for idx in 0..self.tags.len() {
-            if self.tags[idx] != NO_LINE {
-                let e = self.entry_at(idx);
-                if !pred(&e) {
-                    self.clear_slot(idx);
-                    f(e);
-                }
-            }
-        }
-    }
-
-    /// Empties the slice.
-    pub fn clear(&mut self) {
-        self.tags.iter_mut().for_each(|t| *t = NO_LINE);
-        self.stamps.iter_mut().for_each(|s| *s = u64::MAX);
-        self.dirty.iter_mut().for_each(|d| *d = 0);
-    }
-}
-
-/// Where a group lookup found the line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupHit {
-    /// Slice that served the hit.
-    pub slice: SliceId,
-    /// True if that slice is the requester's home slice.
-    pub local: bool,
-}
-
-/// A line displaced from the level by an insertion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Displaced {
-    /// Slice the entry was displaced from.
-    pub slice: SliceId,
-    /// The displaced entry.
-    pub entry: Entry,
-}
-
-/// All slices of one groupable level (L2 or L3) plus the active grouping.
-///
-/// Core `c`'s *home slice* is slice `c` (the paper co-locates one L2 and one
-/// L3 slice with each core, Fig. 12).
-///
-/// Storage is **level-owned and set-major**: the flat slot of `(set,
-/// slice, way)` is `(set * n_slices + slice) * ways + way`, so set `i` of
-/// a merged group of adjacent slices is one contiguous run of ways. Group
-/// lookups and global-LRU placement scans — the simulator's hottest loops
-/// — then walk sequential memory the host's hardware prefetcher can
-/// stream. With one array per `Slice` (the previous layout), the same
-/// scans took one *dependent* host-cache miss per member, because member
-/// rows of the same set live hundreds of KiB apart.
-#[derive(Debug, Clone)]
-pub struct CacheLevel {
-    level: Level,
-    /// Per-slice geometry (all slices of a level are identical).
-    params: CacheParams,
-    n_slices: usize,
-    /// Line tags; [`NO_LINE`] marks an invalid way.
-    tags: Vec<Line>,
-    /// Recency stamps; `u64::MAX` on invalid ways (see
-    /// [`Slice::placement_scan`] for the invariant this buys).
-    stamps: Vec<u64>,
-    /// Owning core of each way, narrowed with [`owner_bits`] (the level
-    /// has at most [`MAX_CORES`] slices, and owners are its cores).
-    owners: Vec<u16>,
-    /// Dirty bits, one per way slot, packed 64 per word.
-    dirty: Vec<u64>,
-    /// One PLRU tree per `(slice, set)` at `slice * sets + set`; empty in
-    /// LRU mode.
-    plru: Vec<TreePlru>,
-    slice_stats: Vec<SliceStats>,
-    grouping: Grouping,
-    kind: ReplacementKind,
-    stamp: u64,
-    rr: usize,
-    /// Level-wide line → (slice, way) residency index, kept in sync with
-    /// every install/invalidate so multi-member group operations touch
-    /// only the rows that actually hold the line (one probe-chain walk)
-    /// instead of one tag row per member. Only materialized while the
-    /// widest group spans more than [`MAX_SCAN_GROUP_WAYS`] ways, where
-    /// it beats the scan. Also `None` when the level has more slices
-    /// than [`CopySet`] can describe. Without an index, all group
-    /// operations use the tag-scan formulation.
-    index: Option<LineIndex>,
-    /// Access statistics for the level.
-    pub stats: LevelStats,
-}
-
-impl CacheLevel {
-    /// Creates a level of `n_slices` identical private slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_slices` exceeds [`MAX_CORES`]: the per-way owner
-    /// arrays could not hold every core id losslessly.
-    pub fn new(
-        level: Level,
-        n_slices: usize,
-        slice_params: CacheParams,
-        kind: ReplacementKind,
-    ) -> Self {
-        assert!(
-            n_slices <= MAX_CORES,
-            "a level of {n_slices} slices exceeds MAX_CORES ({MAX_CORES})"
-        );
-        let slots = n_slices * slice_params.sets() * slice_params.ways();
-        let plru = match kind {
-            ReplacementKind::TreePlru => (0..n_slices * slice_params.sets())
-                .map(|_| TreePlru::new(slice_params.ways()))
-                .collect(),
-            ReplacementKind::Lru => Vec::new(),
-        };
-        Self {
-            level,
-            params: slice_params,
-            n_slices,
-            tags: vec![NO_LINE; slots],
-            stamps: vec![u64::MAX; slots],
-            owners: vec![0; slots],
-            dirty: vec![0; slots.div_ceil(64)],
-            plru,
-            slice_stats: vec![SliceStats::default(); n_slices],
-            grouping: Grouping::private(n_slices),
-            kind,
-            stamp: 0,
-            rr: 0,
-            // Levels start all-private; the index appears with the first
-            // grouping wide enough to need it (see `set_grouping`).
-            index: None,
-            stats: LevelStats::new(n_slices),
-        }
-    }
-
-    /// Flat slot of way 0 of `(set, slice)`.
-    #[inline]
-    fn row(&self, set: usize, s: SliceId) -> usize {
-        (set * self.n_slices + s) * self.params.ways()
+    fn base(&self, row: usize) -> usize {
+        row * self.ways
     }
 
     #[inline]
@@ -524,67 +128,86 @@ impl CacheLevel {
         self.write_dirty_bit(idx, false);
     }
 
-    /// Way of `(set, s)` holding `line`, if resident there.
+    /// Hints the CPU to fetch the tag row `row` ahead of a probe.
     #[inline]
-    fn probe_row(&self, set: usize, s: SliceId, line: Line) -> Option<usize> {
-        let base = self.row(set, s);
-        let ways = self.params.ways();
-        self.tags[base..base + ways].iter().position(|&t| t == line)
+    fn prefetch_row(&self, row: usize) {
+        prefetch(&self.tags[self.base(row)]);
     }
 
-    /// One fused pass over the stamps of `(set, s)` — same contract as
-    /// [`Slice::placement_scan`].
+    /// Way of `row` holding `line`, if resident there.
     #[inline]
-    fn placement_scan_row(&self, set: usize, s: SliceId) -> (Option<usize>, usize, u64) {
-        let base = self.row(set, s);
-        let mut invalid = None;
-        let (mut best, mut best_stamp) = (0usize, u64::MAX);
-        for (w, &st) in self.stamps[base..base + self.params.ways()]
+    fn probe(&self, row: usize, line: Line) -> Option<usize> {
+        let base = self.base(row);
+        self.tags[base..base + self.ways]
             .iter()
-            .enumerate()
-        {
+            .position(|&t| t == line)
+    }
+
+    /// The recency stamp of `(row, way)` (`u64::MAX` on an invalid way).
+    #[inline]
+    fn stamp(&self, row: usize, way: usize) -> u64 {
+        self.stamps[self.base(row) + way]
+    }
+
+    /// Refreshes the recency stamp of `(row, way)` (no-op on an invalid
+    /// way).
+    #[inline]
+    fn touch(&mut self, row: usize, way: usize, stamp: u64) {
+        debug_assert_ne!(stamp, u64::MAX, "stamp u64::MAX marks an invalid way");
+        let idx = self.base(row) + way;
+        if self.tags[idx] != NO_LINE {
+            self.stamps[idx] = stamp;
+        }
+    }
+
+    /// Marks `(row, way)` dirty (no-op on an invalid way).
+    #[inline]
+    fn set_dirty(&mut self, row: usize, way: usize) {
+        let idx = self.base(row) + way;
+        if self.tags[idx] != NO_LINE {
+            self.write_dirty_bit(idx, true);
+        }
+    }
+
+    /// The way a fill of `row` takes, with its rank: the first invalid way
+    /// (rank 0) if the row has one, else the first least recently used
+    /// way (rank `stamp + 1`). A lower rank is a better victim, so ranks
+    /// also compare candidates across rows.
+    ///
+    /// One pass over the row's stamps answers both questions, because an
+    /// invalid way's stamp is `u64::MAX` and no installed entry carries
+    /// it. Every row has at least one way (validated geometry), so there
+    /// is always a victim.
+    #[inline]
+    fn victim(&self, row: usize) -> (usize, u64) {
+        let base = self.base(row);
+        let mut invalid = None;
+        let (mut lru, mut lru_stamp) = (0, u64::MAX);
+        for (w, &st) in self.stamps[base..base + self.ways].iter().enumerate() {
             if st == u64::MAX {
                 if invalid.is_none() {
                     invalid = Some(w);
                 }
-            } else if st < best_stamp {
-                best_stamp = st;
-                best = w;
+            } else if st < lru_stamp {
+                lru_stamp = st;
+                lru = w;
             }
         }
-        (invalid, best, best_stamp)
-    }
-
-    /// First invalid way of `(set, s)`, if any.
-    #[inline]
-    fn invalid_way_row(&self, set: usize, s: SliceId) -> Option<usize> {
-        let base = self.row(set, s);
-        self.tags[base..base + self.params.ways()]
-            .iter()
-            .position(|&t| t == NO_LINE)
-    }
-
-    /// Refreshes recency (and the PLRU tree, in PLRU mode) on a hit.
-    #[inline]
-    fn touch_at(&mut self, set: usize, s: SliceId, way: usize, stamp: u64) {
-        let idx = self.row(set, s) + way;
-        if self.tags[idx] != NO_LINE {
-            self.stamps[idx] = stamp;
-        }
-        if self.kind == ReplacementKind::TreePlru {
-            let p = s * self.params.sets() + set;
-            self.plru[p].touch(way);
+        match invalid {
+            Some(w) => (w, 0),
+            None => (lru, lru_stamp + 1),
         }
     }
 
-    /// Installs `entry` at `(set, s, way)`, returning any displaced entry.
-    fn install_at(&mut self, set: usize, s: SliceId, way: usize, entry: Entry) -> Option<Entry> {
-        if self.kind == ReplacementKind::TreePlru {
-            let p = s * self.params.sets() + set;
-            self.plru[p].touch(way);
-        }
-        self.slice_stats[s].insertions += 1;
-        let idx = self.row(set, s) + way;
+    /// Installs `entry` at `(row, way)`, returning the entry it displaced.
+    ///
+    /// Always inlined: `Slice::fill` and `CacheLevel::insert` both call
+    /// it, once per L1 miss and per L2/L3 fill, and with two callers the
+    /// compiler otherwise keeps it out of line.
+    #[inline(always)]
+    fn install(&mut self, row: usize, way: usize, entry: Entry) -> Option<Entry> {
+        debug_assert_ne!(entry.stamp, u64::MAX, "stamp u64::MAX marks an invalid way");
+        let idx = self.base(row) + way;
         let displaced = (self.tags[idx] != NO_LINE).then(|| self.entry_at(idx));
         self.tags[idx] = entry.line;
         self.stamps[idx] = entry.stamp;
@@ -593,10 +216,10 @@ impl CacheLevel {
         displaced
     }
 
-    /// Removes the entry at `(set, s, way)` if valid, returning it.
+    /// Removes the entry at `(row, way)` if valid, returning it.
     #[inline]
-    fn invalidate_way_at(&mut self, set: usize, s: SliceId, way: usize) -> Option<Entry> {
-        let idx = self.row(set, s) + way;
+    fn remove(&mut self, row: usize, way: usize) -> Option<Entry> {
+        let idx = self.base(row) + way;
         if self.tags[idx] == NO_LINE {
             return None;
         }
@@ -605,11 +228,213 @@ impl CacheLevel {
         Some(removed)
     }
 
-    /// Removes `line` from `(set, s)` if resident, returning it.
+    /// Removes `line` from `row` if resident there, returning it.
     #[inline]
-    fn invalidate_row(&mut self, set: usize, s: SliceId, line: Line) -> Option<Entry> {
-        let way = self.probe_row(set, s, line)?;
-        self.invalidate_way_at(set, s, way)
+    fn invalidate(&mut self, row: usize, line: Line) -> Option<Entry> {
+        let way = self.probe(row, line)?;
+        self.remove(row, way)
+    }
+
+    /// The valid entries of `rows`, in row order and then way order.
+    fn entries<'a>(
+        &'a self,
+        rows: impl Iterator<Item = usize> + 'a,
+    ) -> impl Iterator<Item = Entry> + 'a {
+        rows.flat_map(move |row| self.base(row)..self.base(row) + self.ways)
+            .filter(move |&idx| self.tags[idx] != NO_LINE)
+            .map(move |idx| self.entry_at(idx))
+    }
+
+    /// Removes every entry of `rows` for which `pred` returns false,
+    /// passing each removed entry to `f` in row order and then way order.
+    fn retain(
+        &mut self,
+        rows: impl Iterator<Item = usize>,
+        mut pred: impl FnMut(&Entry) -> bool,
+        mut f: impl FnMut(Entry),
+    ) {
+        for row in rows {
+            let base = self.base(row);
+            for idx in base..base + self.ways {
+                if self.tags[idx] != NO_LINE {
+                    let e = self.entry_at(idx);
+                    if !pred(&e) {
+                        self.clear_slot(idx);
+                        f(e);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every valid way as `(row, way, line)`, in slot order.
+    fn lines(&self) -> impl Iterator<Item = (usize, usize, Line)> + '_ {
+        self.tags
+            .iter()
+            .enumerate()
+            .filter(|&(_, &t)| t != NO_LINE)
+            .map(|(idx, &t)| (idx / self.ways, idx % self.ways, t))
+    }
+}
+
+/// A physical cache slice: `sets × ways` ways, set `i` in row `i` of the
+/// tag store.
+///
+/// A `Slice` backs each core's private L1 (and the baseline systems'
+/// per-core arrays); the groupable L2/L3 levels keep their slices in one
+/// [`CacheLevel`] instead.
+#[derive(Debug, Clone)]
+pub struct Slice {
+    params: CacheParams,
+    store: TagStore,
+    /// Access statistics for this slice.
+    pub stats: SliceStats,
+}
+
+impl Slice {
+    /// Creates an empty slice with the given geometry.
+    pub fn new(params: CacheParams) -> Self {
+        Self {
+            store: TagStore::new(params.sets(), params.ways()),
+            params,
+            stats: SliceStats::default(),
+        }
+    }
+
+    /// Returns the way holding `line`, if resident.
+    #[inline]
+    pub fn probe(&self, line: Line) -> Option<usize> {
+        self.store.probe(self.params.set_index(line), line)
+    }
+
+    /// Marks the line at `(set, way)` dirty (no-op on an invalid way).
+    pub fn set_dirty(&mut self, set: usize, way: usize) {
+        self.store.set_dirty(set, way);
+    }
+
+    /// Records a hit on `(set, way)`: refreshes the recency stamp.
+    #[inline]
+    pub fn touch(&mut self, set: usize, way: usize, stamp: u64) {
+        self.store.touch(set, way, stamp);
+    }
+
+    /// Installs `entry` in `set`, returning the entry it displaced: the
+    /// first invalid way of the set is taken if there is one, else the
+    /// least recently used way is replaced.
+    pub fn fill(&mut self, set: usize, entry: Entry) -> Option<Entry> {
+        self.stats.insertions += 1;
+        let (way, _) = self.store.victim(set);
+        self.store.install(set, way, entry)
+    }
+
+    /// Removes `line` if resident, returning the removed entry.
+    pub fn invalidate(&mut self, line: Line) -> Option<Entry> {
+        self.store.invalidate(self.params.set_index(line), line)
+    }
+
+    /// Iterates over all valid entries (materialized by value).
+    pub fn iter_entries(&self) -> impl Iterator<Item = Entry> + '_ {
+        self.store.entries(0..self.params.sets())
+    }
+
+    /// Removes every entry for which `pred` returns false, invoking `f` on
+    /// each removed entry. Used for inclusion enforcement on
+    /// reconfiguration.
+    pub fn retain_entries(&mut self, pred: impl FnMut(&Entry) -> bool, f: impl FnMut(Entry)) {
+        self.store.retain(0..self.params.sets(), pred, f);
+    }
+}
+
+/// Where a group lookup found the line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupHit {
+    /// Slice that served the hit.
+    pub slice: SliceId,
+    /// True if that slice is the requester's home slice.
+    pub local: bool,
+}
+
+/// A line displaced from the level by an insertion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Displaced {
+    /// Slice the entry was displaced from.
+    pub slice: SliceId,
+    /// The displaced entry.
+    pub entry: Entry,
+}
+
+/// All slices of one groupable level (L2 or L3) plus the active grouping.
+///
+/// Core `c`'s *home slice* is slice `c` (the paper co-locates one L2 and one
+/// L3 slice with each core, Fig. 12).
+///
+/// Storage is **level-owned and set-major**: set `set` of slice `s` is row
+/// `set * n_slices + s` of one tag store, so set `i` of a merged group of
+/// adjacent slices is one contiguous run of ways. Group lookups and
+/// global-LRU placement scans — the simulator's hottest loops — then walk
+/// sequential memory the host's hardware prefetcher can stream. With one
+/// array per slice (the previous layout), the same scans took one
+/// *dependent* host-cache miss per member, because member rows of the same
+/// set live hundreds of KiB apart.
+#[derive(Debug, Clone)]
+pub struct CacheLevel {
+    level: Level,
+    /// Per-slice geometry (all slices of a level are identical).
+    params: CacheParams,
+    n_slices: usize,
+    store: TagStore,
+    slice_stats: Vec<SliceStats>,
+    grouping: Grouping,
+    stamp: u64,
+    /// Level-wide line → (slice, way) residency index, kept in sync with
+    /// every install/invalidate so multi-member group operations touch
+    /// only the rows that actually hold the line (one probe-chain walk)
+    /// instead of one tag row per member. Only materialized while the
+    /// widest group spans more than [`MAX_SCAN_GROUP_WAYS`] ways, where
+    /// it beats the scan. Also `None` when the level has more slices
+    /// than [`CopySet`] can describe. Without an index, all group
+    /// operations use the tag-scan formulation.
+    index: Option<LineIndex>,
+    /// Access statistics for the level.
+    pub stats: LevelStats,
+}
+
+impl CacheLevel {
+    /// Creates a level of `n_slices` identical private slices.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_slices` exceeds [`MAX_CORES`]: the per-way owner
+    /// arrays could not hold every core id losslessly.
+    pub fn new(level: Level, n_slices: usize, slice_params: CacheParams) -> Self {
+        assert!(
+            n_slices <= MAX_CORES,
+            "a level of {n_slices} slices exceeds MAX_CORES ({MAX_CORES})"
+        );
+        Self {
+            level,
+            params: slice_params,
+            n_slices,
+            store: TagStore::new(n_slices * slice_params.sets(), slice_params.ways()),
+            slice_stats: vec![SliceStats::default(); n_slices],
+            grouping: Grouping::private(n_slices),
+            stamp: 0,
+            // Levels start all-private; the index appears with the first
+            // grouping wide enough to need it (see `set_grouping`).
+            index: None,
+            stats: LevelStats::new(n_slices),
+        }
+    }
+
+    /// Tag-store row of `(set, slice)`.
+    #[inline]
+    fn row(&self, set: usize, s: SliceId) -> usize {
+        set * self.n_slices + s
+    }
+
+    /// The tag-store rows of slice `s`, in set order.
+    fn slice_rows(&self, s: SliceId) -> impl Iterator<Item = usize> {
+        (s..self.n_slices * self.params.sets()).step_by(self.n_slices)
     }
 
     /// Which hierarchy level this is.
@@ -646,13 +471,7 @@ impl CacheLevel {
     /// Iterates the valid entries of slice `s` (materialized by value),
     /// in `(set, way)` order.
     pub fn iter_slice_entries(&self, s: SliceId) -> impl Iterator<Item = Entry> + '_ {
-        let ways = self.params.ways();
-        (0..self.params.sets()).flat_map(move |set| {
-            let base = self.row(set, s);
-            (0..ways)
-                .filter(move |w| self.tags[base + w] != NO_LINE)
-                .map(move |w| self.entry_at(base + w))
-        })
+        self.store.entries(self.slice_rows(s))
     }
 
     /// Removes every entry of slice `s` for which `pred` returns false,
@@ -662,21 +481,11 @@ impl CacheLevel {
     pub fn retain_slice_entries(
         &mut self,
         s: SliceId,
-        mut pred: impl FnMut(&Entry) -> bool,
-        mut f: impl FnMut(Entry),
+        pred: impl FnMut(&Entry) -> bool,
+        f: impl FnMut(Entry),
     ) {
-        for set in 0..self.params.sets() {
-            let base = self.row(set, s);
-            for idx in base..base + self.params.ways() {
-                if self.tags[idx] != NO_LINE {
-                    let e = self.entry_at(idx);
-                    if !pred(&e) {
-                        self.clear_slot(idx);
-                        f(e);
-                    }
-                }
-            }
-        }
+        let rows = self.slice_rows(s);
+        self.store.retain(rows, pred, f);
     }
 
     /// Replaces the grouping. The caller (the [`Hierarchy`](crate::Hierarchy)) is responsible
@@ -738,7 +547,7 @@ impl CacheLevel {
             _ => {
                 let set = self.params.set_index(line);
                 for &s in members {
-                    prefetch(&self.tags[self.row(set, s)]);
+                    self.store.prefetch_row(self.row(set, s));
                 }
             }
         }
@@ -764,10 +573,11 @@ impl CacheLevel {
         // Fast path: a private (singleton) group cannot hold duplicates,
         // so the whole duplicate-tracking scan collapses to one probe.
         if let &[s] = members {
-            return match self.probe_row(set, s, line) {
+            let row = self.row(set, s);
+            return match self.store.probe(row, line) {
                 Some(way) => {
                     let stamp = self.next_stamp();
-                    self.touch_at(set, s, way, stamp);
+                    self.store.touch(row, way, stamp);
                     let local = s == core;
                     if local {
                         self.slice_stats[s].local_hits += 1;
@@ -803,26 +613,26 @@ impl CacheLevel {
         let mut duplicates: [Option<SliceId>; 4] = [None; 4];
         let mut n_dup = 0usize;
         for &s in members {
+            let row = self.row(set, s);
             let found = match &copies {
                 Some(c) => c.way_of(s),
-                None => self.probe_row(set, s, line),
+                None => self.store.probe(row, line),
             };
             if let Some(way) = found {
                 debug_assert_eq!(
-                    self.probe_row(set, s, line),
+                    self.store.probe(row, line),
                     Some(way),
                     "residency index out of sync with slice {s}"
                 );
-                let stamp = self.stamps[self.row(set, s) + way];
+                let stamp = self.store.stamp(row, way);
                 match best {
                     None => best = Some((s, way, stamp)),
-                    Some((bs, bw, bstamp)) => {
+                    Some((bs, _, bstamp)) => {
                         if stamp > bstamp {
                             if n_dup < duplicates.len() {
                                 duplicates[n_dup] = Some(bs);
                                 n_dup += 1;
                             }
-                            let _ = bw;
                             best = Some((s, way, stamp));
                         } else if n_dup < duplicates.len() {
                             duplicates[n_dup] = Some(s);
@@ -834,7 +644,7 @@ impl CacheLevel {
         }
         // Lazy-invalidate stale duplicates.
         for dup in duplicates.iter().take(n_dup).flatten() {
-            if let Some(e) = self.invalidate_row(set, *dup, line) {
+            if let Some(e) = self.store.invalidate(self.row(set, *dup), line) {
                 if let Some(ix) = self.index.as_mut() {
                     ix.remove(line, *dup);
                 }
@@ -845,7 +655,7 @@ impl CacheLevel {
         match best {
             Some((s, way, _)) => {
                 let stamp = self.next_stamp();
-                self.touch_at(set, s, way, stamp);
+                self.store.touch(self.row(set, s), way, stamp);
                 let local = s == core;
                 if local {
                     self.slice_stats[s].local_hits += 1;
@@ -869,7 +679,7 @@ impl CacheLevel {
         self.grouping
             .group_members(core)
             .iter()
-            .find(|&&s| self.probe_row(set, s, line).is_some())
+            .find(|&&s| self.store.probe(self.row(set, s), line).is_some())
             .map(|&s| GroupHit {
                 slice: s,
                 local: s == core,
@@ -881,16 +691,14 @@ impl CacheLevel {
         let set = self.params.set_index(line);
         slices
             .iter()
-            .any(|&s| self.probe_row(set, s, line).is_some())
+            .any(|&s| self.store.probe(self.row(set, s), line).is_some())
     }
 
     /// Inserts `line` on behalf of `core` into its group.
     ///
     /// Placement policy (capacity sharing of §2.2): an invalid way in the
-    /// home slice is preferred, then an invalid way anywhere in the group,
-    /// then the replacement victim — global LRU over all member ways, or
-    /// the round-robin member's PLRU victim in
-    /// [`ReplacementKind::TreePlru`] mode.
+    /// home slice is preferred, then an invalid way anywhere in the group
+    /// (in member order), then the global LRU way over all member ways.
     ///
     /// Returns the displaced entry, if any. The caller handles inclusion
     /// consequences. Emits an `inserted` event (and an `evicted` event for
@@ -907,81 +715,29 @@ impl CacheLevel {
             "inserting an already-resident line"
         );
         let set = self.params.set_index(line);
-        let members: &[SliceId] = self.grouping.group_members(core);
-        // Placement: invalid way in the home slice, then an invalid way in
-        // any member (in member order), then the replacement victim. In
-        // LRU mode one fused stamp scan per member answers both the
-        // invalid-way and the victim query, so a warm (fully valid) group
-        // costs exactly one pass over each member's stamp row instead of a
-        // failed tag pass plus a stamp pass — and member rows of one set
-        // are adjacent in the set-major layout, so the whole group scan
-        // streams through contiguous memory.
-        let (s, w) = match self.kind {
-            ReplacementKind::Lru => {
-                let (home_inv, home_way, home_stamp) = self.placement_scan_row(set, core);
-                if let Some(w) = home_inv {
-                    (core, w)
-                } else {
-                    let mut target: Option<(SliceId, usize)> = None;
-                    let mut best: Option<(SliceId, usize, u64)> = None;
-                    for &s in members {
-                        let (inv, way, stamp) = if s == core {
-                            (None, home_way, home_stamp)
-                        } else {
-                            self.placement_scan_row(set, s)
-                        };
-                        if let Some(w) = inv {
-                            target = Some((s, w));
-                            break;
-                        }
-                        if best.map(|(_, _, b)| stamp < b).unwrap_or(true) {
-                            best = Some((s, way, stamp));
-                        }
-                    }
-                    // Every member scan yields a victim (a validated
-                    // geometry has ways >= 1, and a set with no valid way
-                    // was taken as an invalid-way target above), so the
-                    // home slice's entry alone guarantees `best` is Some.
-                    target
-                        .or_else(|| best.map(|(s, w, _)| (s, w)))
-                        // morph-lint: allow(no-panic-in-lib, reason = "the home slice always contributes a placement candidate; geometry validated at construction")
-                        .expect("a set always has a victim")
+        // One fused stamp scan per member ranks its best victim (see
+        // `TagStore::victim`), starting from the home slice's candidate: a
+        // home invalid way (rank 0) ends the search at once, and a warm
+        // group costs one pass over each member's stamp row. Member rows
+        // of one set are adjacent in the set-major layout, so the group
+        // scan streams through contiguous memory. Live stamps are unique
+        // within a level, so member order only decides among invalid ways.
+        let (mut s, (mut w, mut rank)) = (core, self.store.victim(self.row(set, core)));
+        for &m in self.grouping.group_members(core) {
+            if rank == 0 {
+                break;
+            }
+            if m != core {
+                let (way, r) = self.store.victim(self.row(set, m));
+                if r < rank {
+                    (s, w, rank) = (m, way, r);
                 }
             }
-            ReplacementKind::TreePlru => {
-                let mut target: Option<(SliceId, usize)> = None;
-                if let Some(w) = self.invalid_way_row(set, core) {
-                    target = Some((core, w));
-                } else {
-                    for &s in members {
-                        if s == core {
-                            continue;
-                        }
-                        if let Some(w) = self.invalid_way_row(set, s) {
-                            target = Some((s, w));
-                            break;
-                        }
-                    }
-                }
-                match target {
-                    Some(t) => t,
-                    None => {
-                        let s = members[self.rr % members.len()];
-                        self.rr = self.rr.wrapping_add(1);
-                        debug_assert_eq!(
-                            self.kind,
-                            ReplacementKind::TreePlru,
-                            "PLRU victim on a non-PLRU level"
-                        );
-                        (s, self.plru[s * self.params.sets() + set].victim())
-                    }
-                }
-            }
-        };
+        }
         let stamp = self.next_stamp();
-        let displaced = self.install_at(
-            set,
-            s,
+        self.slice_stats[s].insertions += 1;
+        let displaced = self.store.install(
+            self.row(set, s),
             w,
             Entry {
                 line,
@@ -1010,29 +766,23 @@ impl CacheLevel {
     pub fn mark_dirty(&mut self, core: CoreId, line: Line) {
         let set = self.params.set_index(line);
         // Disjoint-field borrows: the member list stays borrowed from
-        // `grouping` across the loop while `dirty` words are written.
+        // `grouping` across the loop while the store is written.
         let Self {
             grouping,
-            params,
             n_slices,
-            tags,
-            dirty,
+            store,
             index,
             ..
         } = self;
-        let ways = params.ways();
         let copies: Option<CopySet> = index.as_ref().map(|ix| ix.copies(line));
         for &s in grouping.group_members(core) {
-            let base = (set * *n_slices + s) * ways;
+            let row = set * *n_slices + s;
             let found = match &copies {
                 Some(c) => c.way_of(s),
-                None => tags[base..base + ways].iter().position(|&t| t == line),
+                None => store.probe(row, line),
             };
             if let Some(w) = found {
-                let idx = base + w;
-                if tags[idx] != NO_LINE {
-                    dirty[idx >> 6] |= 1u64 << (idx & 63);
-                }
+                store.set_dirty(row, w);
             }
         }
     }
@@ -1052,9 +802,10 @@ impl CacheLevel {
         let copies: Option<CopySet> = self.index.as_ref().map(|ix| ix.copies(line));
         let mut any_dirty = false;
         for &s in slices {
+            let row = self.row(set, s);
             let removed = match &copies {
-                Some(c) => c.way_of(s).and_then(|w| self.invalidate_way_at(set, s, w)),
-                None => self.invalidate_row(set, s, line),
+                Some(c) => c.way_of(s).and_then(|w| self.store.remove(row, w)),
+                None => self.store.invalidate(row, line),
             };
             if let Some(e) = removed {
                 debug_assert_eq!(e.line, line, "residency index out of sync with slice {s}");
@@ -1076,28 +827,17 @@ impl CacheLevel {
     /// of the maintaining paths (`insert`/`lookup`/`back_invalidate`), as
     /// the regrouping inclusion sweeps do. Reconfiguration-rate cold path.
     pub fn rebuild_index(&mut self) {
-        let Self {
-            tags,
-            params,
-            n_slices,
-            index,
-            ..
-        } = self;
-        if let Some(ix) = index {
+        if let Some(ix) = &mut self.index {
             ix.clear();
-            let ways = params.ways();
-            for (idx, &t) in tags.iter().enumerate() {
-                if t != NO_LINE {
-                    let (row, way) = (idx / ways, idx % ways);
-                    ix.insert(t, row % *n_slices, way);
-                }
+            for (row, way, line) in self.store.lines() {
+                ix.insert(line, row % self.n_slices, way);
             }
         }
     }
 
     /// Total valid entries over all slices.
     pub fn occupancy(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != NO_LINE).count()
+        self.store.lines().count()
     }
 
     /// Clears recency stamps' origin by resetting statistics only (stamps
@@ -1120,7 +860,7 @@ mod tests {
     }
 
     fn level(n: usize) -> CacheLevel {
-        CacheLevel::new(Level::L2, n, small_params(), ReplacementKind::Lru)
+        CacheLevel::new(Level::L2, n, small_params())
     }
 
     /// Line addresses that all map to set 0 of the 4-set slice.
@@ -1128,54 +868,92 @@ mod tests {
         i * 4
     }
 
-    #[test]
-    fn slice_insert_probe_invalidate() {
-        let mut s = Slice::new(small_params(), ReplacementKind::Lru);
-        assert_eq!(s.probe(12), None);
-        s.install(
-            0,
-            0,
-            Entry {
-                line: 12,
-                owner: 0,
-                stamp: 1,
-                dirty: false,
-            },
-        );
-        // line 12 maps to set 0 (12 & 3 == 0).
-        assert_eq!(s.probe(12), Some(0));
-        assert_eq!(s.occupancy(), 1);
-        let removed = s.invalidate(12).unwrap();
-        assert_eq!(removed.line, 12);
-        assert_eq!(s.occupancy(), 0);
+    fn set0_entry(i: u64, stamp: u64) -> Entry {
+        Entry {
+            line: set0_line(i),
+            owner: 0,
+            stamp,
+            dirty: false,
+        }
     }
 
     #[test]
-    fn slice_lru_way_is_min_stamp() {
-        let mut s = Slice::new(small_params(), ReplacementKind::Lru);
-        s.install(
-            0,
-            0,
-            Entry {
-                line: set0_line(1),
-                owner: 0,
-                stamp: 5,
-                dirty: false,
-            },
-        );
-        s.install(
-            0,
-            1,
-            Entry {
-                line: set0_line(2),
-                owner: 0,
-                stamp: 3,
-                dirty: false,
-            },
-        );
-        assert_eq!(s.lru_way(0), Some((1, 3)));
+    fn slice_fill_probe_invalidate() {
+        let mut s = Slice::new(small_params());
+        assert_eq!(s.probe(12), None);
+        // line 12 maps to set 0 (12 & 3 == 0).
+        assert_eq!(s.fill(0, set0_entry(3, 1)), None);
+        assert_eq!(s.probe(12), Some(0));
+        assert_eq!(s.iter_entries().count(), 1);
+        let removed = s.invalidate(12).unwrap();
+        assert_eq!(removed.line, 12);
+        assert_eq!(s.iter_entries().count(), 0);
+    }
+
+    #[test]
+    fn slice_fill_takes_an_invalid_way_then_the_min_stamp() {
+        let mut s = Slice::new(small_params());
+        assert_eq!(s.fill(0, set0_entry(1, 5)), None);
+        assert_eq!(s.fill(0, set0_entry(2, 3)), None);
+        assert_eq!(s.probe(set0_line(2)), Some(1));
+        // Way 1 (stamp 3) is the LRU way until a hit refreshes it.
         s.touch(0, 1, 9);
-        assert_eq!(s.lru_way(0), Some((0, 5)));
+        assert_eq!(s.fill(0, set0_entry(3, 10)), Some(set0_entry(1, 5)));
+        assert_eq!(s.probe(set0_line(3)), Some(0));
+        // An invalid way is taken before the LRU way (line 2, stamp 9).
+        s.invalidate(set0_line(3));
+        assert_eq!(s.fill(0, set0_entry(4, 11)), None);
+        assert_eq!(s.probe(set0_line(4)), Some(0));
+        assert_eq!(s.fill(0, set0_entry(5, 12)), Some(set0_entry(2, 9)));
+    }
+
+    /// A `Slice` and a one-slice `CacheLevel` keep the same ways in the
+    /// same tag store under different row maps. Driven in lockstep, with
+    /// the slice's stamp advanced the way the level advances its own (once
+    /// per hit, once per fill), they must agree on every hit or miss, on
+    /// every displaced entry and on the final contents.
+    #[test]
+    fn slice_and_one_slice_level_agree() {
+        let params = CacheParams::new(16, 8, 64).unwrap();
+        let mut slice = Slice::new(params);
+        let mut level = CacheLevel::new(Level::L2, 1, params);
+        let mut rng = morphcache::Xoshiro256pp::seed_from_u64(0x511CE);
+        let mut stamp = 0;
+        let mut evictions = 0;
+        for _ in 0..20_000 {
+            let line = rng.range_u64(0, 4 * params.lines() as u64);
+            let write = rng.range_u32(0, 3) == 0;
+            let set = params.set_index(line);
+            let hit = level.lookup(0, line, &mut NoopSink).is_some();
+            stamp += 1;
+            match slice.probe(line) {
+                Some(way) => {
+                    assert!(hit, "slice hit, level missed {line:#x}");
+                    slice.touch(set, way, stamp);
+                    if write {
+                        slice.set_dirty(set, way);
+                        level.mark_dirty(0, line);
+                    }
+                }
+                None => {
+                    assert!(!hit, "level hit, slice missed {line:#x}");
+                    let entry = Entry {
+                        line,
+                        owner: 0,
+                        stamp,
+                        dirty: write,
+                    };
+                    let displaced = level.insert(0, line, write, &mut NoopSink);
+                    assert_eq!(slice.fill(set, entry), displaced.map(|d| d.entry));
+                    evictions += u64::from(displaced.is_some());
+                }
+            }
+        }
+        assert!(evictions > 10_000, "traffic must evict");
+        assert!(
+            slice.iter_entries().eq(level.iter_slice_entries(0)),
+            "final contents differ"
+        );
     }
 
     #[test]
@@ -1305,21 +1083,6 @@ mod tests {
     }
 
     #[test]
-    fn plru_mode_inserts_and_evicts() {
-        let mut l = CacheLevel::new(Level::L2, 2, small_params(), ReplacementKind::TreePlru);
-        l.set_grouping(Grouping::all_shared(2)).unwrap();
-        let mut sink = NoopSink;
-        for i in 1..=8 {
-            l.insert(0, set0_line(i), false, &mut sink);
-        }
-        // 4 ways total in the merged set; at most 4 lines resident.
-        let resident = (1..=8)
-            .filter(|&i| l.peek(0, set0_line(i)).is_some())
-            .count();
-        assert_eq!(resident, 4);
-    }
-
-    #[test]
     fn grouping_size_mismatch_rejected() {
         let mut l = level(2);
         assert!(l.set_grouping(Grouping::private(3)).is_err());
@@ -1335,7 +1098,7 @@ mod tests {
     #[test]
     fn index_follows_group_width_and_matches_the_scan() {
         let params = CacheParams::new(16, 16, 64).unwrap();
-        let mut l = CacheLevel::new(Level::L3, 64, params, ReplacementKind::Lru);
+        let mut l = CacheLevel::new(Level::L3, 64, params);
         let mut scan = l.clone();
         let (mut sink, mut scan_sink) = (RecordingSink::default(), RecordingSink::default());
         let mut rng = morphcache::Xoshiro256pp::seed_from_u64(0x64);
