@@ -4,18 +4,19 @@
 //! Two families of checks:
 //!
 //! 1. **Impl completeness** — every non-test `impl MemoryBackend for T`
-//!    must define all five required methods (`access`, `begin_epoch`,
+//!    must define all four required methods (`begin_epoch`,
 //!    `epoch_boundary`, `misses_by_core`, `grouping_labels`); the
 //!    defaulted ones (`reconfig_outcome`, `as_hierarchy`, `engine`) are
-//!    optional.
+//!    optional, and `access` belongs to the `MemorySubsystem` supertrait,
+//!    which the compiler already requires.
 //! 2. **Call-order conformance** — inside every non-test function, hook
 //!    calls are bucketed per receiver identifier (`backend.begin_epoch`
 //!    and `faults.begin_epoch` are different machines), and each bucket
 //!    must respect the documented order
 //!    `begin_epoch ≺ misses_by_core ≺ epoch_boundary ≺ grouping_labels`.
 //!    An ordering is only enforced between hooks that *both* appear for
-//!    the same receiver — a lone `grouping_labels()` read (sampling) or
-//!    a forwarding `inner.epoch_boundary()` (probe wrappers) is legal.
+//!    the same receiver — a lone `grouping_labels()` read (the epoch
+//!    close step) or a forwarding `inner.epoch_boundary()` is legal.
 //!    Two `begin_epoch` calls on one receiver without an intervening
 //!    `epoch_boundary` are a double-begin violation.
 
@@ -32,8 +33,7 @@ pub const EPOCH_HOOKS: [&str; 4] = [
 ];
 
 /// Methods every `MemoryBackend` impl must define.
-pub const REQUIRED_METHODS: [&str; 5] = [
-    "access",
+pub const REQUIRED_METHODS: [&str; 4] = [
     "begin_epoch",
     "epoch_boundary",
     "misses_by_core",

@@ -1,5 +1,6 @@
 //! Firing fixture for `epoch-protocol`: the impl is missing three of
-//! the five required methods, and the driver calls `epoch_boundary`
+//! the four required methods (`access` is not one of them: it belongs to
+//! the `MemorySubsystem` supertrait), and `drive` calls `epoch_boundary`
 //! before `begin_epoch`.
 
 pub struct Partial;

@@ -318,6 +318,13 @@ impl PippSystem {
             .collect()
     }
 
+    /// Re-solves both levels' way partitions from their utility
+    /// monitors; called once per epoch boundary.
+    pub fn repartition(&mut self) {
+        self.l2.repartition();
+        self.l3.repartition();
+    }
+
     /// Current L2 way allocations (one per core).
     pub fn l2_allocations(&self) -> &[usize] {
         &self.l2.alloc
@@ -394,11 +401,6 @@ impl MemorySubsystem for PippSystem {
 
     fn n_cores(&self) -> usize {
         self.n_cores
-    }
-
-    fn epoch_boundary(&mut self) {
-        self.l2.repartition();
-        self.l3.repartition();
     }
 }
 
@@ -523,7 +525,7 @@ mod tests {
                 sys.access(1, 1_000_000 + round * 512 + i, false, &mut sink);
             }
         }
-        sys.epoch_boundary();
+        sys.repartition();
         let alloc = sys.l2_allocations();
         assert!(
             alloc[0] > alloc[1],

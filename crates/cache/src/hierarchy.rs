@@ -39,9 +39,6 @@ pub trait MemorySubsystem {
 
     /// Number of cores served.
     fn n_cores(&self) -> usize;
-
-    /// Called at each epoch boundary (reconfiguration interval).
-    fn epoch_boundary(&mut self) {}
 }
 
 /// Full configuration of a [`Hierarchy`].

@@ -6,20 +6,9 @@
 
 use crate::policy::{BoundaryReport, EpochCtx, MemoryBackend};
 use morph_baselines::DsrSystem;
-use morph_cache::{CacheEventSink, CoreId, Line, MemorySubsystem};
 use morphcache::MorphError;
 
 impl MemoryBackend for DsrSystem {
-    fn access(
-        &mut self,
-        core: CoreId,
-        line: Line,
-        is_write: bool,
-        probe: &mut dyn CacheEventSink,
-    ) -> u64 {
-        MemorySubsystem::access(self, core, line, is_write, probe)
-    }
-
     fn begin_epoch(&mut self, _ctx: &mut EpochCtx<'_>) -> Result<(), MorphError> {
         self.begin_miss_window();
         Ok(())
@@ -31,7 +20,6 @@ impl MemoryBackend for DsrSystem {
         _ipcs: &[f64],
         _misses: &[u64],
     ) -> Result<BoundaryReport, MorphError> {
-        MemorySubsystem::epoch_boundary(self);
         Ok(BoundaryReport::default())
     }
 

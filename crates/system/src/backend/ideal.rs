@@ -1,10 +1,12 @@
 //! The §5.1 ideal offline scheme: every epoch, trial-run each candidate
 //! static topology from a snapshot and keep the best.
 
-use super::{apply_groups, apply_nuca_latencies};
+use super::{apply_groups, apply_merged_latencies};
 use crate::config::SystemConfig;
 use crate::policy::{BoundaryReport, EpochCtx, MemoryBackend};
-use morph_cache::{CacheEventSink, CoreId, Hierarchy, LatencyParams, Line, NoopSink};
+use morph_cache::{
+    CacheEventSink, CoreId, Hierarchy, LatencyParams, Line, MemorySubsystem, NoopSink,
+};
 use morphcache::{MorphError, SymmetricTopology};
 
 /// An LRU hierarchy re-chosen each epoch from static candidates.
@@ -17,7 +19,7 @@ use morphcache::{MorphError, SymmetricTopology};
 pub struct IdealBackend {
     hier: Box<Hierarchy>,
     candidates: Vec<SymmetricTopology>,
-    /// Static-latency baseline the NUCA hop extras are added onto.
+    /// Static-latency baseline the merged-latency extras are added onto.
     base_latency: LatencyParams,
     /// The topology committed for the current epoch's measured run.
     chosen: Option<String>,
@@ -54,7 +56,7 @@ impl IdealBackend {
             &candidates[0].l3_groups(),
         )
         .map_err(MorphError::Grouping)?;
-        apply_nuca_latencies(
+        apply_merged_latencies(
             &mut hier,
             hp.latency,
             &candidates[0].l2_groups(),
@@ -69,7 +71,7 @@ impl IdealBackend {
     }
 }
 
-impl MemoryBackend for IdealBackend {
+impl MemorySubsystem for IdealBackend {
     fn access(
         &mut self,
         core: CoreId,
@@ -80,6 +82,12 @@ impl MemoryBackend for IdealBackend {
         self.hier.access(core, line, is_write, probe)
     }
 
+    fn n_cores(&self) -> usize {
+        self.hier.params().n_cores
+    }
+}
+
+impl MemoryBackend for IdealBackend {
     fn begin_epoch(&mut self, ctx: &mut EpochCtx<'_>) -> Result<(), MorphError> {
         // Trial-run every candidate on clones, keep the best.
         let mut best: Option<(f64, SymmetricTopology)> = None;
@@ -90,7 +98,7 @@ impl MemoryBackend for IdealBackend {
             }
             // The oracle judges each candidate with the latencies it
             // would actually pay, NUCA hops included.
-            apply_nuca_latencies(&mut h, self.base_latency, &t.l2_groups(), &t.l3_groups());
+            apply_merged_latencies(&mut h, self.base_latency, &t.l2_groups(), &t.l3_groups());
             let mut cs = ctx.cores.clone();
             let mut ss = ctx.streams.clone();
             let mut noop = NoopSink;
@@ -106,7 +114,7 @@ impl MemoryBackend for IdealBackend {
         })?;
         apply_groups(&mut self.hier, &chosen.l2_groups(), &chosen.l3_groups())
             .map_err(MorphError::Grouping)?;
-        apply_nuca_latencies(
+        apply_merged_latencies(
             &mut self.hier,
             self.base_latency,
             &chosen.l2_groups(),

@@ -5,10 +5,12 @@
 //! * [`MorphBackend`] — the hierarchy managed by the MorphCache engine;
 //! * [`IdealBackend`] — the §5.1 ideal offline scheme (per-epoch trial
 //!   runs over static candidates);
-//! * `PippSystem` / `DsrSystem` from `morph-baselines`, which implement
-//!   [`MemoryBackend`] directly (`pipp.rs` / `dsr.rs` here hold the
-//!   impls: the trait lives in this crate, and this crate already
-//!   depends on `morph-baselines`, so the orphan rule puts them here).
+//! * `PippSystem` / `DsrSystem` from `morph-baselines`, which already
+//!   serve accesses as [`MemorySubsystem`](morph_cache::MemorySubsystem)s
+//!   and implement [`MemoryBackend`]'s epoch hooks directly (`pipp.rs` /
+//!   `dsr.rs` here hold the impls: the trait lives in this crate, and
+//!   this crate already depends on `morph-baselines`, so the orphan rule
+//!   puts them here).
 //!
 //! [`from_policy`] maps a [`Policy`] onto a boxed backend; external
 //! policies can skip it entirely and hand
@@ -89,20 +91,27 @@ pub fn apply_groups(
     Ok(())
 }
 
-/// Sets the hierarchy's merged latencies to `base` plus the NUCA hop
-/// distance for the widest group of each level: zero extra at or below
-/// the paper's 16-tile die, one bus hop (5 core cycles at the paper
-/// clocks) per further doubling of the covering span.
-pub(crate) fn apply_nuca_latencies(
+/// Sets the hierarchy's merged latencies for the installed groups, per
+/// level: the local latency, plus `base`'s merged overhead scaled by the
+/// §5.5 span factor (relaxed groupings pay for distant members; 1.0 for
+/// buddy-aligned groups), plus the NUCA hop distance for the widest
+/// group — zero at or below the paper's 16-tile die, one bus hop (5
+/// core cycles at the paper clocks) per further doubling of the
+/// covering span.
+pub(crate) fn apply_merged_latencies(
     hier: &mut Hierarchy,
     base: LatencyParams,
     l2_groups: &[Vec<usize>],
     l3_groups: &[Vec<usize>],
 ) {
     let nuca = NucaModel::paper();
+    let merged = |local: u64, merged: u64, groups: &[Vec<usize>]| {
+        let overhead = ((merged - local) as f64 * Hierarchy::span_factor(groups)) as u64;
+        local + overhead + nuca.extra_merged_cycles(max_covering_span(groups))
+    };
     hier.set_merged_latencies(
-        base.l2_merged + nuca.extra_merged_cycles(max_covering_span(l2_groups)),
-        base.l3_merged + nuca.extra_merged_cycles(max_covering_span(l3_groups)),
+        merged(base.l2_local, base.l2_merged, l2_groups),
+        merged(base.l3_local, base.l3_merged, l3_groups),
     );
 }
 
@@ -140,6 +149,7 @@ mod tests {
             Policy::Dsr,
         ] {
             let b = from_policy(&cfg, &w, &p).unwrap();
+            assert_eq!(b.n_cores(), 4, "{}", p.name());
             assert_eq!(b.misses_by_core().len(), 4, "{}", p.name());
         }
     }

@@ -2,15 +2,12 @@
 //! engine, with ACFV sampling on the access path and merge/split
 //! reconfiguration at every epoch boundary.
 
-use super::apply_groups;
+use super::{apply_groups, apply_merged_latencies};
 use crate::config::SystemConfig;
 use crate::epoch::{force_l3_merge, force_l3_split, validate_and_repair};
-use crate::faults::CorruptingSink;
 use crate::policy::{BoundaryReport, EpochCtx, MemoryBackend};
-use crate::probes::{EngineSink, TeeSink};
-use morph_cache::{CacheEventSink, CoreId, Hierarchy, LatencyParams, Line};
-use morph_interconnect::NucaModel;
-use morphcache::topology::max_covering_span;
+use crate::probes::EngineSink;
+use morph_cache::{CacheEventSink, CoreId, Hierarchy, LatencyParams, Line, MemorySubsystem};
 use morphcache::{MorphConfig, MorphEngine, MorphError, ReconfigOutcome};
 
 /// The adaptive MorphCache backend.
@@ -23,9 +20,6 @@ pub struct MorphBackend {
     engine: Box<MorphEngine>,
     /// The pipelined-bus latency baseline the §5.5 span penalty scales.
     base_latency: LatencyParams,
-    /// Distance model for merged groups spanning more tiles than the
-    /// paper's die (adds nothing at 16 cores).
-    nuca: NucaModel,
     /// This epoch's ACFV corruption mask (0 = identity, the clean path).
     corrupt_mask: u64,
     last_outcome: Option<ReconfigOutcome>,
@@ -50,14 +44,13 @@ impl MorphBackend {
             hier: Box::new(Hierarchy::new(hp)),
             engine: Box::new(engine),
             base_latency: hp.latency,
-            nuca: NucaModel::paper(),
             corrupt_mask: 0,
             last_outcome: None,
         })
     }
 }
 
-impl MemoryBackend for MorphBackend {
+impl MemorySubsystem for MorphBackend {
     fn access(
         &mut self,
         core: CoreId,
@@ -65,15 +58,16 @@ impl MemoryBackend for MorphBackend {
         is_write: bool,
         probe: &mut dyn CacheEventSink,
     ) -> u64 {
-        // The probe always sees clean events; only the engine's footprint
-        // samples pass the corrupting sink (XOR with 0 is the identity,
-        // so the clean path pays nothing but the indirection).
-        let mut esink = EngineSink::new(&mut self.engine);
-        let mut corrupt = CorruptingSink::new(&mut esink, self.corrupt_mask);
-        let mut tee = TeeSink::new(&mut corrupt, probe);
-        self.hier.access(core, line, is_write, &mut tee)
+        let mut sink = EngineSink::new(&mut self.engine, self.corrupt_mask, probe);
+        self.hier.access(core, line, is_write, &mut sink)
     }
 
+    fn n_cores(&self) -> usize {
+        self.hier.params().n_cores
+    }
+}
+
+impl MemoryBackend for MorphBackend {
     fn begin_epoch(&mut self, ctx: &mut EpochCtx<'_>) -> Result<(), MorphError> {
         self.hier.reset_stats();
         self.corrupt_mask = ctx.faults.corrupt_mask().unwrap_or(0);
@@ -101,23 +95,11 @@ impl MemoryBackend for MorphBackend {
         outcome.l3_groups = l3g;
         apply_groups(&mut self.hier, &outcome.l2_groups, &outcome.l3_groups)
             .map_err(MorphError::Grouping)?;
-        // §5.5 relaxed groupings: distant members pay a span-proportional
-        // bus penalty (on the pipelined bus). Past the paper's 16-tile
-        // die the NUCA model adds one bus hop per doubling of the widest
-        // group's covering span (zero at 16 cores, so the paper's
-        // latencies are reproduced bit-for-bit there).
-        let base = self.base_latency;
-        let f2 = Hierarchy::span_factor(&outcome.l2_groups);
-        let f3 = Hierarchy::span_factor(&outcome.l3_groups);
-        let hops2 = self
-            .nuca
-            .extra_merged_cycles(max_covering_span(&outcome.l2_groups));
-        let hops3 = self
-            .nuca
-            .extra_merged_cycles(max_covering_span(&outcome.l3_groups));
-        self.hier.set_merged_latencies(
-            base.l2_local + ((base.l2_merged - base.l2_local) as f64 * f2) as u64 + hops2,
-            base.l3_local + ((base.l3_merged - base.l3_local) as f64 * f3) as u64 + hops3,
+        apply_merged_latencies(
+            &mut self.hier,
+            self.base_latency,
+            &outcome.l2_groups,
+            &outcome.l3_groups,
         );
         let report = BoundaryReport {
             reconfig_events: outcome.events.len(),

@@ -1,10 +1,10 @@
 //! The static-topology backend: an LRU hierarchy pinned to one
 //! `(x:y:z)` grouping for the whole run.
 
-use super::{apply_groups, apply_nuca_latencies};
+use super::{apply_groups, apply_merged_latencies};
 use crate::config::SystemConfig;
 use crate::policy::{BoundaryReport, EpochCtx, MemoryBackend};
-use morph_cache::{CacheEventSink, CoreId, Hierarchy, Line};
+use morph_cache::{CacheEventSink, CoreId, Hierarchy, Line, MemorySubsystem};
 use morphcache::{MorphError, SymmetricTopology};
 
 /// An LRU hierarchy with a fixed topology and the paper's static-latency
@@ -36,14 +36,14 @@ impl StaticBackend {
         // Past 16 tiles even a "static latency" topology pays the NUCA
         // hop distance for groups wider than one die; at 16 cores the
         // extras are zero and the §4 flat-latency assumption is exact.
-        apply_nuca_latencies(&mut hier, hp.latency, &l2g, &l3g);
+        apply_merged_latencies(&mut hier, hp.latency, &l2g, &l3g);
         Ok(Self {
             hier: Box::new(hier),
         })
     }
 }
 
-impl MemoryBackend for StaticBackend {
+impl MemorySubsystem for StaticBackend {
     fn access(
         &mut self,
         core: CoreId,
@@ -54,6 +54,12 @@ impl MemoryBackend for StaticBackend {
         self.hier.access(core, line, is_write, probe)
     }
 
+    fn n_cores(&self) -> usize {
+        self.hier.params().n_cores
+    }
+}
+
+impl MemoryBackend for StaticBackend {
     fn begin_epoch(&mut self, _ctx: &mut EpochCtx<'_>) -> Result<(), MorphError> {
         self.hier.reset_stats();
         Ok(())

@@ -1,41 +1,23 @@
-//! The epoch loop: drives a [`MemoryBackend`] through the per-epoch
-//! protocol (begin → run → watchdog → boundary), plus the
-//! forward-progress watchdog and the post-reconfigure grouping
-//! validation/repair the MorphCache backend runs at every boundary.
+//! The epoch loop: drives a [`MemoryBackend`](crate::policy::MemoryBackend)
+//! through the per-epoch protocol (begin → run → watchdog → boundary →
+//! close), fast-forwards the epochs representative-interval sampling
+//! skips, and holds the forward-progress watchdog and the
+//! post-reconfigure grouping validation/repair the MorphCache backend
+//! runs at every boundary.
+//!
+//! Simulated and skipped epochs end in the same close step
+//! ([`close_epoch`]), the only code that moves the streams and the epoch
+//! index forward.
 
 use crate::faults::{FaultInjector, FaultedMemory};
-use crate::policy::{EpochCtx, MemoryBackend};
+use crate::policy::EpochCtx;
 use crate::sim::{EpochResult, SystemSim};
 use crate::supervisor::CancelToken;
-use morph_cache::{CacheEventSink, CoreId, Line, MemorySubsystem};
+use morph_cache::{CacheEventSink, NoopSink};
 use morph_cpu::{epoch_ipcs, take_epoch_progress, CoreProgress};
 use morph_trace::stream::AccessStream;
 use morphcache::topology::{is_partition, meet, refines};
 use morphcache::{MorphError, ReconfigOutcome, StallDiagnostic};
-
-/// Adapts a [`MemoryBackend`] to the scheduler's
-/// [`MemorySubsystem`] interface: accesses route through the backend
-/// (which may interpose its own sinks ahead of the probe).
-pub(crate) struct BackendMemory<'a> {
-    pub backend: &'a mut dyn MemoryBackend,
-    pub n_cores: usize,
-}
-
-impl MemorySubsystem for BackendMemory<'_> {
-    fn access(
-        &mut self,
-        core: CoreId,
-        line: Line,
-        is_write: bool,
-        sink: &mut dyn CacheEventSink,
-    ) -> u64 {
-        self.backend.access(core, line, is_write, sink)
-    }
-
-    fn n_cores(&self) -> usize {
-        self.n_cores
-    }
-}
 
 /// Runs one epoch of `sim`, duplicating all cache events into `probe`.
 ///
@@ -59,69 +41,48 @@ pub(crate) fn run_epoch(
     let epoch = sim.epoch;
     let cycles = sim.cfg.epoch_cycles;
     let n = sim.cfg.n_cores();
-    let scheduler = sim.scheduler;
     let SystemSim {
         backend,
         cores,
         streams,
         faults,
+        scheduler,
         ..
     } = sim;
     faults.begin_epoch(epoch, cycles, n);
-    backend.begin_epoch(&mut EpochCtx {
+    let mut ctx = EpochCtx {
         epoch,
         cycles,
-        scheduler,
-        cores: &mut *cores,
-        streams: &mut *streams,
+        scheduler: *scheduler,
+        cores,
+        streams,
         faults: faults.as_mut(),
-    })?;
-    {
-        let mut mem = BackendMemory {
-            backend: backend.as_mut(),
-            n_cores: n,
-        };
-        if faults.is_noop() {
-            scheduler.run_epoch(cores, streams, &mut mem, probe, cycles);
-        } else {
-            let mut mem = FaultedMemory::new(&mut mem, faults.as_mut());
-            scheduler.run_epoch(cores, streams, &mut mem, probe, cycles);
-        }
+    };
+    backend.begin_epoch(&mut ctx)?;
+    if ctx.faults.is_noop() {
+        scheduler.run_epoch(ctx.cores, ctx.streams, backend.as_mut(), probe, cycles);
+    } else {
+        let mut mem = FaultedMemory::new(backend.as_mut(), &mut *ctx.faults);
+        scheduler.run_epoch(ctx.cores, ctx.streams, &mut mem, probe, cycles);
     }
-    let progress = take_epoch_progress(cores);
+    let progress = take_epoch_progress(ctx.cores);
     check_forward_progress(
         epoch,
         cycles,
         &progress,
-        faults.as_ref(),
+        &*ctx.faults,
         backend.reconfig_outcome(),
     )?;
     let ipcs = epoch_ipcs(&progress);
-    let accesses = progress.iter().map(|p| p.accesses).sum();
     let accesses_by_core: Vec<u64> = progress.iter().map(|p| p.accesses).collect();
     let misses = backend.misses_by_core();
-    let report = backend.epoch_boundary(
-        &mut EpochCtx {
-            epoch,
-            cycles,
-            scheduler,
-            cores: &mut *cores,
-            streams: &mut *streams,
-            faults: faults.as_mut(),
-        },
-        &ipcs,
-        &misses,
-    )?;
-    let (l2_grouping, l3_grouping) = backend.grouping_labels();
-    for s in streams.iter_mut() {
-        s.advance_epoch();
-    }
-    sim.epoch += 1;
+    let report = backend.epoch_boundary(&mut ctx, &ipcs, &misses)?;
+    let (l2_grouping, l3_grouping) = close_epoch(sim);
     Ok(EpochResult {
         epoch,
         ipcs,
         misses_by_core: misses,
-        accesses,
+        accesses: accesses_by_core.iter().sum(),
         accesses_by_core,
         reconfig_events: report.reconfig_events,
         asymmetric_events: report.asymmetric_events,
@@ -130,6 +91,48 @@ pub(crate) fn run_epoch(
         l3_grouping,
         chosen_topology: report.chosen_topology,
     })
+}
+
+/// Fast-forwards an epoch that sampling skips: every stream draws
+/// `draws[core]` accesses, and the trailing `warmup_fraction` of each
+/// core's draws is replayed through the backend as functional warm-up —
+/// no core timing, no probes. Cores interleave draw-by-draw,
+/// approximating the scheduler's fair interleaving at a fraction of its
+/// cost. Returns the grouping labels, frozen across the skipped epoch.
+pub(crate) fn fast_forward(
+    sim: &mut SystemSim,
+    draws: &[u64],
+    warmup_fraction: f64,
+) -> (String, String) {
+    let warm_from: Vec<u64> = draws
+        .iter()
+        .map(|&k| k - (k as f64 * warmup_fraction) as u64)
+        .collect();
+    let max = draws.iter().copied().max().unwrap_or(0);
+    let mut sink = NoopSink;
+    for i in 0..max {
+        for (core, s) in sim.streams.iter_mut().enumerate() {
+            if i < draws[core] {
+                let a = s.next_access();
+                if i >= warm_from[core] {
+                    sim.backend.access(core, a.line, a.is_write, &mut sink);
+                }
+            }
+        }
+    }
+    close_epoch(sim)
+}
+
+/// Closes an epoch, simulated or skipped: reads the post-boundary
+/// grouping labels, moves every stream to its next epoch's phase, and
+/// advances the epoch index.
+fn close_epoch(sim: &mut SystemSim) -> (String, String) {
+    let labels = sim.backend.grouping_labels();
+    for s in &mut sim.streams {
+        s.advance_epoch();
+    }
+    sim.epoch += 1;
+    labels
 }
 
 /// The forward-progress watchdog: every core must retire at least

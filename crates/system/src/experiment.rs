@@ -8,10 +8,9 @@
 //! and in the same input order regardless of completion order.
 
 use crate::config::SystemConfig;
-use crate::faults::FaultInjector;
 use crate::policy::Policy;
 use crate::sim::{EpochResult, SystemSim};
-use crate::supervisor::{CancelToken, SuperviseOptions, Supervisor};
+use crate::supervisor::{SuperviseOptions, Supervisor};
 use crate::workload::Workload;
 use morph_metrics::{MatrixHealth, MatrixTiming};
 use morphcache::MorphError;
@@ -95,6 +94,9 @@ impl RunResult {
 }
 
 /// Runs `workload` under `policy` for the configured number of epochs.
+/// A faulted or cancellable run builds its simulator instead:
+/// [`SystemSim::new`], then [`with_faults`](SystemSim::with_faults) or
+/// [`with_cancel`](SystemSim::with_cancel), then [`SystemSim::run`].
 ///
 /// # Errors
 ///
@@ -107,48 +109,7 @@ pub fn run_workload(
     workload: &Workload,
     policy: &Policy,
 ) -> Result<RunResult, MorphError> {
-    let mut sim = SystemSim::new(*cfg, workload, policy)?;
-    finish_run(&mut sim, workload, policy)
-}
-
-/// Like [`run_workload`], but with a fault injector installed (see
-/// [`crate::faults`]). Used by the `morph` binary's `--faults` flag and
-/// the resilience tests.
-///
-/// # Errors
-///
-/// In addition to [`run_workload`]'s errors, returns
-/// [`MorphError::FaultSpec`] if the plan does not fit the machine, and
-/// [`MorphError::Stalled`] if an injected fault starves a core past the
-/// forward-progress watchdog's floor.
-pub fn run_workload_faulted(
-    cfg: &SystemConfig,
-    workload: &Workload,
-    policy: &Policy,
-    injector: Box<dyn FaultInjector>,
-) -> Result<RunResult, MorphError> {
-    let mut sim = SystemSim::new(*cfg, workload, policy)?.with_faults(injector)?;
-    finish_run(&mut sim, workload, policy)
-}
-
-/// Runs one matrix cell with a cancellation token installed: the
-/// supervisor's entry point for deadline-aware cell execution.
-pub(crate) fn run_cell_cancellable(
-    cfg: &SystemConfig,
-    cell: &MatrixCell,
-    token: CancelToken,
-) -> Result<RunResult, MorphError> {
-    let mut sim =
-        SystemSim::new(cfg.with_seed(cell.seed), &cell.workload, &cell.policy)?.with_cancel(token);
-    finish_run(&mut sim, &cell.workload, &cell.policy)
-}
-
-fn finish_run(
-    sim: &mut SystemSim,
-    workload: &Workload,
-    policy: &Policy,
-) -> Result<RunResult, MorphError> {
-    let epochs = sim.run()?;
+    let epochs = SystemSim::new(*cfg, workload, policy)?.run()?;
     Ok(RunResult {
         policy_name: policy.name(),
         workload_name: workload.name(),

@@ -13,24 +13,29 @@
 //! * [`workload`] — [`workload::Workload`]: a Table 5 mix, an arbitrary
 //!   application list, or a 16-thread PARSEC application;
 //! * [`policy`] — [`policy::Policy`] and the [`policy::MemoryBackend`]
-//!   trait every scheme runs through;
+//!   trait every scheme runs through (a `MemorySubsystem` plus the
+//!   epoch hooks);
 //! * [`backend`] — the five backend implementations and
 //!   [`backend::from_policy`];
-//! * [`sim`] — [`sim::SystemSim`]: the simulator shell (the epoch
-//!   protocol itself lives in a private `epoch` module);
-//! * [`probes`] — event-sink probes (engine adapter, oracle footprints,
+//! * [`sim`] — [`sim::SystemSim`]: the simulator shell and the one way
+//!   to build a run (`new` or `with_backend`, then optionally
+//!   `with_faults` / `with_cancel`); the epoch protocol itself, for
+//!   simulated and sampling-skipped epochs alike, lives in a private
+//!   `epoch` module;
+//! * [`probes`] — event-sink probes (the engine sink, oracle footprints,
 //!   ACFV sweeps for Fig. 5);
 //! * [`sampling`] — representative-interval sampling: simulate one
 //!   epoch per detected phase, fast-forward the rest, extrapolate
 //!   ([`sampling::run_sampled`]);
-//! * [`faults`] — deterministic fault injection ([`faults::FaultPlan`]),
-//!   the [`faults::FaultInjector`] trait, and the execution-level chaos
-//!   schedule ([`faults::ChaosPlan`]) for the supervised matrix;
-//! * [`experiment`] — one-call runners used by the benches and examples,
-//!   including the parallel matrix ([`experiment::run_cells`]);
+//! * [`faults`] — deterministic fault injection into the simulated
+//!   machine ([`faults::FaultPlan`]) behind the
+//!   [`faults::FaultInjector`] trait;
+//! * [`experiment`] — the one-call runner [`experiment::run_workload`]
+//!   and the parallel matrix ([`experiment::run_cells`]);
 //! * [`supervisor`] — supervised matrix execution: panic isolation,
 //!   per-cell deadlines, retry with deterministic backoff, graceful
-//!   shutdown ([`supervisor::Supervisor`]);
+//!   shutdown ([`supervisor::Supervisor`]), and the execution-level
+//!   chaos schedule that tests them ([`supervisor::ChaosPlan`]);
 //! * [`journal`] — the checkpoint journal supervised runs record to and
 //!   resume from ([`journal::RunJournal`]).
 //!
@@ -74,19 +79,17 @@ pub mod prelude {
     pub use crate::backend::from_policy;
     pub use crate::config::SystemConfig;
     pub use crate::experiment::{
-        alone_ipcs, default_jobs, run_cells, run_matrix, run_workload, run_workload_faulted,
-        ExperimentMatrix, MatrixCell, RunResult,
+        alone_ipcs, default_jobs, run_cells, run_matrix, run_workload, ExperimentMatrix,
+        MatrixCell, RunResult,
     };
-    pub use crate::faults::{
-        CellChaos, ChaosAction, ChaosPlan, FaultInjector, FaultKind, FaultPlan, NoFaults,
-    };
+    pub use crate::faults::{FaultInjector, FaultKind, FaultPlan, NoFaults};
     pub use crate::journal::RunJournal;
     pub use crate::policy::{BoundaryReport, EpochCtx, MemoryBackend, Policy};
     pub use crate::sampling::{run_sampled, LevelExtrapolation, SampledRun, SamplingConfig};
     pub use crate::sim::{EpochResult, SystemSim};
     pub use crate::supervisor::{
-        CancelToken, CellFailure, CellReport, ShutdownFlag, SuperviseOptions, SupervisedMatrix,
-        Supervisor,
+        CancelToken, CellChaos, CellFailure, CellReport, ChaosAction, ChaosPlan, ShutdownFlag,
+        SuperviseOptions, SupervisedMatrix, Supervisor,
     };
     pub use crate::workload::Workload;
     pub use morph_metrics::{CellStatus, MatrixHealth, MatrixTiming};

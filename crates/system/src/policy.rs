@@ -3,7 +3,7 @@
 
 use crate::config::SystemConfig;
 use crate::faults::FaultInjector;
-use morph_cache::{CacheEventSink, CoreId, Hierarchy, Line};
+use morph_cache::{Hierarchy, MemorySubsystem};
 use morph_cpu::{Core, QuantumScheduler};
 use morph_trace::stream::SyntheticStream;
 use morphcache::{
@@ -54,30 +54,23 @@ pub struct BoundaryReport {
 /// what lets [`crate::experiment::run_cells`] fan independent matrix
 /// cells out across threads.
 ///
+/// Every backend is a [`MemorySubsystem`]: its `access` serves each
+/// memory access of an epoch, and the epoch loop hands the backend to
+/// the scheduler as one. Cache events must reach the sink `access` is
+/// given; a backend may feed them to a private sink of its own first.
+///
 /// The epoch protocol, driven by the loop in `epoch.rs`:
 ///
 /// 1. [`begin_epoch`](Self::begin_epoch) — reset per-epoch statistics,
 ///    read fault decisions, optionally trial-run and commit a topology;
-/// 2. [`access`](Self::access) — every memory access of the epoch; the
-///    backend may interpose its own event sinks ahead of `probe`;
+/// 2. [`MemorySubsystem::access`] — every memory access of the epoch;
 /// 3. [`misses_by_core`](Self::misses_by_core) — the epoch's per-core
 ///    miss counts, read after the run;
 /// 4. [`epoch_boundary`](Self::epoch_boundary) — digest the epoch's
 ///    IPCs/misses and reconfigure, returning a [`BoundaryReport`];
 /// 5. [`grouping_labels`](Self::grouping_labels) — the canonical
 ///    post-boundary grouping descriptions for the epoch's result row.
-pub trait MemoryBackend: Send {
-    /// Serves one access by `core` to `line`, returning the latency in
-    /// core cycles. Cache events must reach `probe`; a backend may tee
-    /// them into private sinks of its own first.
-    fn access(
-        &mut self,
-        core: CoreId,
-        line: Line,
-        is_write: bool,
-        probe: &mut dyn CacheEventSink,
-    ) -> u64;
-
+pub trait MemoryBackend: MemorySubsystem + Send {
     /// Prepares the backend for an epoch: statistics windows open here,
     /// and backends that pick a topology per epoch (the ideal offline
     /// scheme) trial-run and commit it here.

@@ -12,39 +12,54 @@ fn map_level(level: Level) -> Option<CacheLevelId> {
     }
 }
 
-/// Routes hierarchy events into a [`MorphEngine`]'s ACFVs.
+/// Routes hierarchy events into a [`MorphEngine`]'s ACFVs, then on to
+/// an external probe.
+///
+/// The engine sees every line XOR-ed with `mask` — the ACFV-corruption
+/// fault of [`crate::faults`]; a mask of 0 is the identity — while the
+/// probe always sees the clean line. The engine is fed first.
 pub struct EngineSink<'a> {
     engine: &'a mut MorphEngine,
+    mask: u64,
+    probe: &'a mut dyn CacheEventSink,
 }
 
 impl<'a> EngineSink<'a> {
-    /// Wraps an engine for the duration of an epoch.
-    pub fn new(engine: &'a mut MorphEngine) -> Self {
-        Self { engine }
+    /// Feeds `engine` (lines XOR-ed with `mask`) and `probe` (clean
+    /// lines) for the duration of an access.
+    pub fn new(engine: &'a mut MorphEngine, mask: u64, probe: &'a mut dyn CacheEventSink) -> Self {
+        Self {
+            engine,
+            mask,
+            probe,
+        }
     }
 }
 
 impl CacheEventSink for EngineSink<'_> {
-    fn inserted(&mut self, _level: Level, _slice: SliceId, _owner: CoreId, _line: Line) {
+    fn inserted(&mut self, level: Level, slice: SliceId, owner: CoreId, line: Line) {
         // One-shot fills are not "active use": a bit is set only when a
         // resident line is *hit* (touched) and cleared on eviction, so the
         // ACFV tracks the actively reused footprint — the paper's stated
         // intent for the per-interval reset ("the data that is actively
         // being used", §2.1). Counting fills as well would saturate every
         // L2 vector with flow-through traffic bound for larger L3
-        // footprints.
+        // footprints. So fills reach the probe only.
+        self.probe.inserted(level, slice, owner, line);
     }
 
     fn evicted(&mut self, level: Level, slice: SliceId, owner: CoreId, line: Line) {
         if let Some(l) = map_level(level) {
-            self.engine.on_evicted(l, slice, owner, line);
+            self.engine.on_evicted(l, slice, owner, line ^ self.mask);
         }
+        self.probe.evicted(level, slice, owner, line);
     }
 
     fn touched(&mut self, level: Level, slice: SliceId, core: CoreId, line: Line) {
         if let Some(l) = map_level(level) {
-            self.engine.on_touched(l, slice, core, line);
+            self.engine.on_touched(l, slice, core, line ^ self.mask);
         }
+        self.probe.touched(level, slice, core, line);
     }
 }
 
@@ -183,47 +198,23 @@ impl CacheEventSink for AcfvSweepProbe {
     }
 }
 
-/// Fans one event stream out to two sinks.
-pub struct TeeSink<'a> {
-    a: &'a mut dyn CacheEventSink,
-    b: &'a mut dyn CacheEventSink,
-}
-
-impl<'a> TeeSink<'a> {
-    /// Combines two sinks.
-    pub fn new(a: &'a mut dyn CacheEventSink, b: &'a mut dyn CacheEventSink) -> Self {
-        Self { a, b }
-    }
-}
-
-impl CacheEventSink for TeeSink<'_> {
-    fn inserted(&mut self, level: Level, slice: SliceId, owner: CoreId, line: Line) {
-        self.a.inserted(level, slice, owner, line);
-        self.b.inserted(level, slice, owner, line);
-    }
-
-    fn evicted(&mut self, level: Level, slice: SliceId, owner: CoreId, line: Line) {
-        self.a.evicted(level, slice, owner, line);
-        self.b.evicted(level, slice, owner, line);
-    }
-
-    fn touched(&mut self, level: Level, slice: SliceId, core: CoreId, line: Line) {
-        self.a.touched(level, slice, core, line);
-        self.b.touched(level, slice, core, line);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use morph_cache::events::RecordingSink;
+    use morph_cache::NoopSink;
     use morphcache::MorphConfig;
+
+    fn engine() -> MorphEngine {
+        MorphEngine::new(4, (0..4).collect(), MorphConfig::calibrated(128, 128)).unwrap()
+    }
 
     #[test]
     fn engine_sink_routes_events() {
-        let mut engine =
-            MorphEngine::new(4, (0..4).collect(), MorphConfig::calibrated(128, 128)).unwrap();
+        let mut engine = engine();
+        let mut noop = NoopSink;
         {
-            let mut sink = EngineSink::new(&mut engine);
+            let mut sink = EngineSink::new(&mut engine, 0, &mut noop);
             for i in 0..100u64 {
                 sink.touched(Level::L2, 0, 0, i * 8191);
             }
@@ -271,18 +262,29 @@ mod tests {
     }
 
     #[test]
-    fn tee_duplicates_events() {
-        let mut a = morph_cache::events::RecordingSink::default();
-        let mut b = morph_cache::events::RecordingSink::default();
+    fn engine_sink_masks_engine_lines_and_passes_clean_lines_to_probe() {
+        let mask = 0x5a5a;
+        let lines: Vec<Line> = (0..64u64).map(|i| i * 977).collect();
+        let (mut masked, mut direct, mut clean) = (engine(), engine(), engine());
+        let mut probe = RecordingSink::default();
         {
-            let mut tee = TeeSink::new(&mut a, &mut b);
-            tee.inserted(Level::L3, 1, 2, 3);
-            tee.evicted(Level::L2, 0, 1, 4);
-            tee.touched(Level::L2, 0, 1, 5);
+            let mut sink = EngineSink::new(&mut masked, mask, &mut probe);
+            for &line in &lines {
+                sink.inserted(Level::L2, 0, 0, line);
+                sink.touched(Level::L2, 0, 0, line);
+                sink.evicted(Level::L3, 1, 1, line);
+            }
         }
-        assert_eq!(a.inserted, b.inserted);
-        assert_eq!(a.evicted, b.evicted);
-        assert_eq!(a.touched, b.touched);
-        assert_eq!(a.inserted.len(), 1);
+        for &line in &lines {
+            direct.on_touched(CacheLevelId::L2, 0, 0, line ^ mask);
+            direct.on_evicted(CacheLevelId::L3, 1, 1, line ^ mask);
+            clean.on_touched(CacheLevelId::L2, 0, 0, line);
+            clean.on_evicted(CacheLevelId::L3, 1, 1, line);
+        }
+        assert_eq!(format!("{masked:?}"), format!("{direct:?}"));
+        assert_ne!(format!("{masked:?}"), format!("{clean:?}"));
+        for events in [&probe.inserted, &probe.touched, &probe.evicted] {
+            assert_eq!(events.iter().map(|e| e.3).collect::<Vec<_>>(), lines);
+        }
     }
 }

@@ -51,9 +51,10 @@
 //! [`SyntheticStream::hot_footprint`]: morph_trace::stream::SyntheticStream::hot_footprint
 //! [`warm_footprint`]: morph_trace::stream::SyntheticStream::warm_footprint
 
+use crate::epoch::fast_forward;
 use crate::sim::{EpochResult, SystemSim};
-use morph_cache::{Hierarchy, NoopSink};
-use morph_trace::stream::{AccessStream, SyntheticStream};
+use morph_cache::Hierarchy;
+use morph_trace::stream::SyntheticStream;
 use morphcache::MorphError;
 
 /// Tuning knobs for [`run_sampled`].
@@ -282,33 +283,6 @@ fn level_counts(h: &Hierarchy) -> [(u64, u64); 3] {
     ]
 }
 
-/// Fast-forwards a skipped epoch: every stream draws its leader's
-/// per-core access count, and the trailing `warmup_fraction` of each
-/// core's draws is replayed through the backend as functional warm-up.
-/// Cores interleave draw-by-draw, approximating the scheduler's fair
-/// interleaving at a fraction of its cost.
-fn fast_forward(sim: &mut SystemSim, draws: &[u64], warmup_fraction: f64) {
-    let SystemSim {
-        backend, streams, ..
-    } = sim;
-    let warm_from: Vec<u64> = draws
-        .iter()
-        .map(|&k| k - (k as f64 * warmup_fraction) as u64)
-        .collect();
-    let max = draws.iter().copied().max().unwrap_or(0);
-    let mut sink = NoopSink;
-    for i in 0..max {
-        for (core, s) in streams.iter_mut().enumerate() {
-            if i < draws[core] {
-                let a = s.next_access();
-                if i >= warm_from[core] {
-                    backend.access(core, a.line, a.is_write, &mut sink);
-                }
-            }
-        }
-    }
-}
-
 /// Runs `sim`'s configured warm-up epochs in full detail, then samples
 /// the measured region: phase leaders are simulated, repeats are
 /// fast-forwarded and extrapolated (see the module docs).
@@ -408,11 +382,11 @@ pub fn run_sampled(sim: &mut SystemSim, scfg: &SamplingConfig) -> Result<Sampled
                 }
                 draws[c] = leaders[hits[0].0].per_core[c].accesses;
             }
-            fast_forward(sim, &draws, scfg.warmup_fraction);
-            let (l2_grouping, l3_grouping) = sim.backend.grouping_labels();
+            let epoch = sim.epoch;
+            let (l2_grouping, l3_grouping) = fast_forward(sim, &draws, scfg.warmup_fraction);
             let nearest = &leaders[global_nearest(&leaders, &sig)];
             epochs.push(EpochResult {
-                epoch: sim.epoch,
+                epoch,
                 ipcs,
                 misses_by_core: misses.iter().map(|&m| m.round() as u64).collect(),
                 accesses: accesses.round() as u64,
@@ -432,10 +406,6 @@ pub fn run_sampled(sim: &mut SystemSim, scfg: &SamplingConfig) -> Result<Sampled
                     a.misses += dm.round() as u64;
                 }
             }
-            for s in sim.streams.iter_mut() {
-                s.advance_epoch();
-            }
-            sim.epoch += 1;
         }
     }
     Ok(SampledRun {

@@ -84,21 +84,32 @@ impl SystemSim {
     ) -> Result<Self, MorphError> {
         cfg.validate()?;
         let backend = from_policy(&cfg, workload, policy)?;
-        Ok(Self::with_backend(cfg, workload, backend))
+        Self::with_backend(cfg, workload, backend)
     }
 
     /// Builds a simulator around an externally constructed backend —
     /// the plug-in entry point for policies [`Policy`] does not name.
-    /// `cfg` is trusted to be validated by the caller (or is validated
-    /// implicitly when the backend was built via [`SystemSim::new`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MorphError::InvalidConfig`] if `cfg` fails validation or
+    /// the backend serves a different number of cores than `cfg` has.
     pub fn with_backend(
         cfg: SystemConfig,
         workload: &Workload,
         backend: Box<dyn MemoryBackend>,
-    ) -> Self {
+    ) -> Result<Self, MorphError> {
+        cfg.validate()?;
+        if backend.n_cores() != cfg.n_cores() {
+            return Err(MorphError::InvalidConfig {
+                field: "n_cores",
+                value: cfg.n_cores() as u64,
+                constraint: "must equal the backend's core count",
+            });
+        }
         let streams = workload.streams(&cfg);
         let cores = (0..cfg.n_cores()).map(|c| Core::new(c, cfg.core)).collect();
-        Self {
+        Ok(Self {
             backend,
             cores,
             streams,
@@ -107,7 +118,7 @@ impl SystemSim {
             cfg,
             faults: Box::new(NoFaults),
             cancel: None,
-        }
+        })
     }
 
     /// Installs a fault injector (see [`crate::faults`]).
@@ -308,10 +319,23 @@ mod tests {
         let w = Workload::named_apps(&["gcc", "hmmer", "mcf", "libq"]).unwrap();
         let t = SymmetricTopology::new(2, 2, 1, 4).unwrap();
         let backend = crate::backend::StaticBackend::new(&cfg, t).unwrap();
-        let mut sim = SystemSim::with_backend(cfg, &w, Box::new(backend));
+        let mut sim = SystemSim::with_backend(cfg, &w, Box::new(backend)).unwrap();
         let epochs = sim.run().unwrap();
         assert!(epochs.iter().all(|e| e.throughput() > 0.0));
         assert_eq!(epochs[0].l2_grouping, "[0-1][2-3]");
+    }
+
+    #[test]
+    fn with_backend_rejects_a_core_count_mismatch() {
+        // A 2-core backend under a 4-core config would index past its
+        // groupings on core 2's first access.
+        let w = Workload::named_apps(&["gcc", "hmmer", "mcf", "libq"]).unwrap();
+        let t = SymmetricTopology::new(2, 1, 1, 2).unwrap();
+        let backend = crate::backend::StaticBackend::new(&quick(2), t).unwrap();
+        match SystemSim::with_backend(quick(4), &w, Box::new(backend)) {
+            Err(MorphError::InvalidConfig { field, .. }) => assert_eq!(field, "n_cores"),
+            other => panic!("expected InvalidConfig, got {:?}", other.err()),
+        }
     }
 
     #[test]

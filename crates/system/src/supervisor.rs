@@ -38,12 +38,12 @@
 //! only decides *whether and when* a cell runs, never *what it computes*.
 
 use crate::config::SystemConfig;
-use crate::experiment::{run_cell_cancellable, ExperimentMatrix, MatrixCell, RunResult};
-use crate::faults::{CellChaos, ChaosAction};
+use crate::experiment::{ExperimentMatrix, MatrixCell, RunResult};
 use crate::journal::RunJournal;
+use crate::sim::SystemSim;
 use morph_metrics::timing::{sleep_seconds, Stopwatch};
 use morph_metrics::{CellStatus, MatrixHealth, MatrixTiming};
-use morphcache::MorphError;
+use morphcache::{MorphError, Xoshiro256pp};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -333,6 +333,228 @@ impl SupervisedMatrix {
     }
 }
 
+/// What the chaos harness does to one (cell, attempt) execution of the
+/// supervised experiment matrix.
+///
+/// Unlike [`FaultKind`](crate::faults::FaultKind), which perturbs the
+/// *simulated machine* (and so changes the cell's statistics), chaos
+/// actions attack the *execution harness* — worker panics, wall-clock
+/// stalls, mid-run kills — and must never change what a surviving cell
+/// computes: the supervised run's results converge bit-identically to
+/// an unfaulted run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ChaosAction {
+    /// Run the attempt normally.
+    None,
+    /// Panic on the worker thread before the cell runs (exercises
+    /// panic isolation and retry).
+    Panic,
+    /// Hold the worker for `seconds` of wall time before the cell runs
+    /// (exercises the per-cell deadline and the cancel token).
+    Stall {
+        /// Wall-clock seconds to stall.
+        seconds: f64,
+    },
+}
+
+/// A per-attempt chaos schedule the supervisor consults before running
+/// each cell attempt. `Sync` because every worker shares one schedule.
+pub trait CellChaos: Sync {
+    /// The action for attempt `attempt` (0-based) of cell `cell`.
+    fn action(&self, cell: usize, attempt: u32) -> ChaosAction;
+
+    /// If `Some(k)`, request a graceful shutdown once `k` cells have
+    /// completed — simulating an operator kill mid-run, for the
+    /// checkpoint/resume path.
+    fn kill_after(&self) -> Option<usize> {
+        None
+    }
+}
+
+/// A deterministic chaos schedule over (cell, attempt) pairs.
+///
+/// Built explicitly ([`with_panic`] / [`with_stall`] / [`with_kill_after`]),
+/// parsed from a `--chaos` spec string ([`parse`]), or drawn from a seed
+/// as a randomized campaign ([`campaign`]). Like
+/// [`FaultPlan`](crate::faults::FaultPlan), the same
+/// inputs produce byte-identical schedules.
+///
+/// [`with_panic`]: ChaosPlan::with_panic
+/// [`with_stall`]: ChaosPlan::with_stall
+/// [`with_kill_after`]: ChaosPlan::with_kill_after
+/// [`parse`]: ChaosPlan::parse
+/// [`campaign`]: ChaosPlan::campaign
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ChaosPlan {
+    panics: Vec<(usize, u32)>,
+    stalls: Vec<(usize, u32, f64)>,
+    kill_after: Option<usize>,
+}
+
+impl ChaosPlan {
+    /// An empty (no-op) schedule.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Panics attempt `attempt` of cell `cell`.
+    #[must_use]
+    pub fn with_panic(mut self, cell: usize, attempt: u32) -> Self {
+        self.panics.push((cell, attempt));
+        self
+    }
+
+    /// Stalls attempt `attempt` of cell `cell` for `seconds` wall time.
+    #[must_use]
+    pub fn with_stall(mut self, cell: usize, attempt: u32, seconds: f64) -> Self {
+        self.stalls.push((cell, attempt, seconds));
+        self
+    }
+
+    /// Requests a graceful shutdown after `k` completed cells.
+    #[must_use]
+    pub fn with_kill_after(mut self, k: usize) -> Self {
+        self.kill_after = Some(k);
+        self
+    }
+
+    /// Whether this schedule injects nothing.
+    pub fn is_noop(&self) -> bool {
+        self.panics.is_empty() && self.stalls.is_empty() && self.kill_after.is_none()
+    }
+
+    /// Parses a `--chaos` spec string.
+    ///
+    /// Grammar: semicolon-separated clauses, each one of
+    ///
+    /// * `panic=CELL@ATTEMPT` — panic that attempt of that cell;
+    /// * `stall=CELL:SECS@ATTEMPT` — hold the worker `SECS` wall seconds;
+    /// * `kill=K` — request graceful shutdown after `K` completed cells.
+    ///
+    /// Example: `panic=0@0;stall=2:0.2@0;kill=3`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MorphError::FaultSpec`] on any unrecognized or
+    /// malformed clause.
+    pub fn parse(spec: &str) -> Result<Self, MorphError> {
+        let bad = |clause: &str, why: &str| {
+            Err(MorphError::FaultSpec(format!("clause `{clause}`: {why}")))
+        };
+        let int = |s: &str, clause: &str| {
+            s.parse::<u64>().map_err(|_| {
+                MorphError::FaultSpec(format!("clause `{clause}`: `{s}` is not an integer"))
+            })
+        };
+        let mut plan = Self::new();
+        for clause in spec.split(';').map(str::trim).filter(|c| !c.is_empty()) {
+            if let Some(k) = clause.strip_prefix("kill=") {
+                plan.kill_after = Some(int(k, clause)? as usize);
+                continue;
+            }
+            let Some((head, at)) = clause.split_once('@') else {
+                return bad(clause, "expected `kind=...@attempt` or `kill=K`");
+            };
+            let attempt = u32::try_from(int(at, clause)?).map_err(|_| {
+                MorphError::FaultSpec(format!(
+                    "clause `{clause}`: attempt `{at}` exceeds {}",
+                    u32::MAX
+                ))
+            })?;
+            match head.split_once('=') {
+                Some(("panic", cell)) => {
+                    plan.panics.push((int(cell, clause)? as usize, attempt));
+                }
+                Some(("stall", rest)) => {
+                    let Some((cell, secs)) = rest.split_once(':') else {
+                        return bad(clause, "expected `stall=CELL:SECS@ATTEMPT`");
+                    };
+                    let seconds = secs.parse::<f64>().map_err(|_| {
+                        MorphError::FaultSpec(format!(
+                            "clause `{clause}`: `{secs}` is not a number"
+                        ))
+                    })?;
+                    if !(seconds > 0.0 && seconds.is_finite()) {
+                        return bad(clause, "stall seconds must be positive and finite");
+                    }
+                    plan.stalls
+                        .push((int(cell, clause)? as usize, attempt, seconds));
+                }
+                _ => return bad(clause, "unknown chaos kind"),
+            }
+        }
+        Ok(plan)
+    }
+
+    /// A seed-derived randomized campaign over `n_cells` cells: roughly a
+    /// quarter of the cells panic on their first attempt, a quarter stall
+    /// for `stall_seconds`, a quarter panic *and then* stall (recovering
+    /// needs two retries), and the rest run clean. Deterministic per seed.
+    pub fn campaign(seed: u64, n_cells: usize, stall_seconds: f64) -> Self {
+        let mut rng = Xoshiro256pp::seed_from_u64(seed);
+        let mut plan = Self::new();
+        for cell in 0..n_cells {
+            match rng.next_u64() % 4 {
+                0 => plan.panics.push((cell, 0)),
+                1 => plan.stalls.push((cell, 0, stall_seconds)),
+                2 => {
+                    plan.panics.push((cell, 0));
+                    plan.stalls.push((cell, 1, stall_seconds));
+                }
+                _ => {}
+            }
+        }
+        plan
+    }
+
+    /// Validates the schedule against the matrix it is about to attack.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MorphError::FaultSpec`] for clauses that reference cells
+    /// the matrix does not have.
+    pub fn validate(&self, n_cells: usize) -> Result<(), MorphError> {
+        let check = |cell: usize, what: &str| {
+            if cell >= n_cells {
+                Err(MorphError::FaultSpec(format!(
+                    "{what} references cell {cell} of a {n_cells}-cell matrix"
+                )))
+            } else {
+                Ok(())
+            }
+        };
+        for &(cell, attempt) in &self.panics {
+            check(cell, &format!("panic={cell}@{attempt}"))?;
+        }
+        for &(cell, attempt, _) in &self.stalls {
+            check(cell, &format!("stall={cell}@{attempt}"))?;
+        }
+        Ok(())
+    }
+}
+
+impl CellChaos for ChaosPlan {
+    fn action(&self, cell: usize, attempt: u32) -> ChaosAction {
+        // Panic wins over stall for the same (cell, attempt): a panicking
+        // worker never reaches the stall.
+        if self.panics.iter().any(|&(c, a)| c == cell && a == attempt) {
+            return ChaosAction::Panic;
+        }
+        if let Some(&(_, _, seconds)) = self
+            .stalls
+            .iter()
+            .find(|&&(c, a, _)| c == cell && a == attempt)
+        {
+            return ChaosAction::Stall { seconds };
+        }
+        ChaosAction::None
+    }
+
+    fn kill_after(&self) -> Option<usize> {
+        self.kill_after
+    }
+}
+
 /// What the monitor thread needs to know about a running attempt.
 struct InFlight {
     started: Stopwatch,
@@ -389,7 +611,7 @@ impl<'a> Supervisor<'a> {
     }
 
     /// Attaches a chaos schedule (test harness only — see
-    /// [`crate::faults::ChaosPlan`]).
+    /// [`ChaosPlan`]).
     #[must_use]
     pub fn with_chaos(mut self, chaos: &'a dyn CellChaos) -> Self {
         self.chaos = Some(chaos);
@@ -683,13 +905,19 @@ fn attempt_cell(
         }
         ChaosAction::None => {}
     }
-    run_cell_cancellable(cfg, cell, token.clone())
+    let epochs = SystemSim::new(cfg.with_seed(cell.seed), &cell.workload, &cell.policy)?
+        .with_cancel(token.clone())
+        .run()?;
+    Ok(RunResult {
+        policy_name: cell.policy.name(),
+        workload_name: cell.workload.name(),
+        epochs,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::ChaosPlan;
     use crate::policy::Policy;
     use crate::workload::Workload;
 
@@ -833,5 +1061,57 @@ mod tests {
             "{}",
             health.summary()
         );
+    }
+
+    #[test]
+    fn chaos_parse_and_lookup() {
+        let plan = ChaosPlan::parse("panic=0@0;stall=2:0.25@1;kill=3").unwrap();
+        assert_eq!(plan.action(0, 0), ChaosAction::Panic);
+        assert_eq!(plan.action(0, 1), ChaosAction::None);
+        assert_eq!(plan.action(2, 1), ChaosAction::Stall { seconds: 0.25 });
+        assert_eq!(plan.kill_after(), Some(3));
+        assert!(!plan.is_noop());
+        assert!(ChaosPlan::parse("").unwrap().is_noop());
+    }
+
+    #[test]
+    fn chaos_parse_rejects_malformed_clauses() {
+        for bad in [
+            "panic=0",
+            "panic=x@0",
+            "stall=1@0",
+            "stall=1:-2@0",
+            "stall=1:nan@0",
+            "boom=1@0",
+            "kill=x",
+            "panic=0@4294967296",
+        ] {
+            let e = ChaosPlan::parse(bad).unwrap_err();
+            assert!(matches!(e, MorphError::FaultSpec(_)), "{bad}: {e}");
+        }
+    }
+
+    #[test]
+    fn chaos_panic_wins_over_stall_same_slot() {
+        let plan = ChaosPlan::new()
+            .with_panic(1, 0)
+            .with_stall(1, 0, 0.5)
+            .with_stall(1, 1, 0.5);
+        assert_eq!(plan.action(1, 0), ChaosAction::Panic);
+        assert_eq!(plan.action(1, 1), ChaosAction::Stall { seconds: 0.5 });
+    }
+
+    #[test]
+    fn chaos_campaign_is_deterministic_and_validates() {
+        let a = ChaosPlan::campaign(7, 12, 0.1);
+        let b = ChaosPlan::campaign(7, 12, 0.1);
+        assert_eq!(a, b);
+        assert_ne!(a, ChaosPlan::campaign(8, 12, 0.1));
+        assert!(!a.is_noop(), "12 cells at seed 7 should draw some chaos");
+        assert!(a.validate(12).is_ok());
+        // Referencing a cell past the matrix is rejected up front.
+        let bad = ChaosPlan::new().with_panic(5, 0);
+        assert!(bad.validate(4).is_err());
+        assert!(bad.validate(6).is_ok());
     }
 }

@@ -13,9 +13,7 @@
 
 use std::path::Path;
 
-use morph_system::experiment::{
-    default_jobs, run_cells, run_workload, run_workload_faulted, MatrixCell,
-};
+use morph_system::experiment::{default_jobs, run_cells, MatrixCell};
 use morph_system::prelude::*;
 
 use morph_trace::{mixes, parsec, spec};
@@ -267,39 +265,44 @@ fn cmd_run(args: &[String]) -> i32 {
         }
     };
     let w = o.workload.expect("validated");
+    // Constructing the simulator exercises config validation,
+    // topology/policy fit, and the fault spec; `--validate-only` stops
+    // there.
+    let sim = SystemSim::new(cfg, &w, &p).and_then(|s| match plan {
+        Some(plan) => s.with_faults(Box::new(plan)),
+        None => Ok(s),
+    });
+    let mut sim = match sim {
+        Ok(sim) => sim,
+        Err(e) => {
+            let what = if o.validate_only {
+                "invalid configuration"
+            } else {
+                "run failed"
+            };
+            eprintln!("{what}: {e}");
+            return 1;
+        }
+    };
     if o.validate_only {
-        // Construct (but do not run) the simulator: this exercises config
-        // validation, topology/policy fit, and the fault spec.
-        let sim = SystemSim::new(cfg, &w, &p).and_then(|s| match plan {
-            Some(plan) => s.with_faults(Box::new(plan)),
-            None => Ok(s),
-        });
-        return match sim {
-            Ok(_) => {
-                println!(
-                    "configuration OK: {} cores, {} epochs x {} cycles, policy {}",
-                    cfg.n_cores(),
-                    cfg.n_epochs,
-                    cfg.epoch_cycles,
-                    p.name()
-                );
-                0
-            }
-            Err(e) => {
-                eprintln!("invalid configuration: {e}");
-                1
-            }
-        };
+        println!(
+            "configuration OK: {} cores, {} epochs x {} cycles, policy {}",
+            cfg.n_cores(),
+            cfg.n_epochs,
+            cfg.epoch_cycles,
+            p.name()
+        );
+        return 0;
     }
     if o.sampling {
-        return run_sampling(&cfg, &w, &p, plan);
+        return run_sampling(&mut sim, &w, &p);
     }
-    let r = match plan {
-        Some(plan) => run_workload_faulted(&cfg, &w, &p, Box::new(plan)),
-        None => run_workload(&cfg, &w, &p),
-    };
-    let r = match r {
-        Ok(r) => r,
+    let r = match sim.run() {
+        Ok(epochs) => RunResult {
+            policy_name: p.name(),
+            workload_name: w.name(),
+            epochs,
+        },
         Err(e) => {
             eprintln!("run failed: {e}");
             return 1;
@@ -325,19 +328,8 @@ fn cmd_run(args: &[String]) -> i32 {
     0
 }
 
-fn run_sampling(cfg: &SystemConfig, w: &Workload, p: &Policy, plan: Option<FaultPlan>) -> i32 {
-    let sim = SystemSim::new(*cfg, w, p).and_then(|s| match plan {
-        Some(plan) => s.with_faults(Box::new(plan)),
-        None => Ok(s),
-    });
-    let mut sim = match sim {
-        Ok(sim) => sim,
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            return 1;
-        }
-    };
-    let r = match run_sampled(&mut sim, &SamplingConfig::default()) {
+fn run_sampling(sim: &mut SystemSim, w: &Workload, p: &Policy) -> i32 {
+    let r = match run_sampled(sim, &SamplingConfig::default()) {
         Ok(r) => r,
         // The sampler refuses fault injection (skipped epochs would bypass
         // the injector): surface the library's typed conflict as a usage

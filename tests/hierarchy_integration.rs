@@ -100,6 +100,5 @@ fn identical_traces_reach_all_memory_systems() {
             }
         }
         assert!(total > 0);
-        sys.epoch_boundary();
     }
 }

@@ -6,7 +6,7 @@
 
 use std::path::PathBuf;
 
-use morph_system::experiment::{run_cells, run_workload, run_workload_faulted};
+use morph_system::experiment::{run_cells, run_workload};
 use morph_system::prelude::*;
 
 fn cfg() -> SystemConfig {
@@ -15,6 +15,15 @@ fn cfg() -> SystemConfig {
 
 fn workload() -> Workload {
     Workload::named_apps(&["cactus", "libq", "gobmk", "perl"]).expect("known benchmarks")
+}
+
+/// The quick workload under MorphCache with the faults of `spec`.
+fn run_faulted(spec: &str) -> Result<Vec<EpochResult>, MorphError> {
+    let cfg = cfg();
+    let plan = FaultPlan::parse(spec)?;
+    SystemSim::new(cfg, &workload(), &Policy::morph(&cfg))?
+        .with_faults(Box::new(plan))?
+        .run()
 }
 
 #[test]
@@ -41,7 +50,6 @@ fn invalid_configs_are_rejected_with_typed_errors() {
 #[test]
 fn every_fault_class_completes_or_errors_structurally() {
     let cfg = cfg();
-    let w = workload();
     let specs = [
         "seed=1;acfv@1;acfv@3",
         "seed=2;drop=5000@1;drop=20000@3",
@@ -51,12 +59,11 @@ fn every_fault_class_completes_or_errors_structurally() {
         "seed=6;pin=2@3",
     ];
     for spec in specs {
-        let plan = FaultPlan::parse(spec).unwrap();
-        match run_workload_faulted(&cfg, &w, &Policy::morph(&cfg), Box::new(plan)) {
-            Ok(r) => {
-                assert_eq!(r.epochs.len(), cfg.n_epochs, "{spec}");
+        match run_faulted(spec) {
+            Ok(epochs) => {
+                assert_eq!(epochs.len(), cfg.n_epochs, "{spec}");
                 assert!(
-                    r.epochs
+                    epochs
                         .iter()
                         .all(|e| e.throughput().is_finite() && e.throughput() > 0.0),
                     "{spec}: degraded stats must stay valid"
@@ -76,9 +83,7 @@ fn every_fault_class_completes_or_errors_structurally() {
 #[test]
 fn pinned_mshr_yields_stalled_error_with_diagnostics() {
     let cfg = cfg();
-    let w = workload();
-    let plan = FaultPlan::parse("pin=0@2").unwrap();
-    match run_workload_faulted(&cfg, &w, &Policy::morph(&cfg), Box::new(plan)) {
+    match run_faulted("pin=0@2") {
         Err(MorphError::Stalled {
             epoch,
             core,
@@ -102,14 +107,7 @@ fn pinned_mshr_yields_stalled_error_with_diagnostics() {
 
 #[test]
 fn fault_injection_is_deterministic_per_seed() {
-    let cfg = cfg();
-    let w = workload();
-    let run = |seed: u64| {
-        let plan = FaultPlan::parse(&format!("seed={seed};acfv@1;drop=8000@2;merge@3")).unwrap();
-        run_workload_faulted(&cfg, &w, &Policy::morph(&cfg), Box::new(plan))
-            .unwrap()
-            .throughput_series()
-    };
+    let run = |seed: u64| run_faulted(&format!("seed={seed};acfv@1;drop=8000@2;merge@3")).unwrap();
     assert_eq!(run(42), run(42), "same fault seed, same results");
 }
 
@@ -117,16 +115,8 @@ fn fault_injection_is_deterministic_per_seed() {
 fn clean_and_nofault_runs_agree() {
     // An installed-but-empty fault plan must not perturb the simulation.
     let cfg = cfg();
-    let w = workload();
-    let clean = run_workload(&cfg, &w, &Policy::morph(&cfg)).unwrap();
-    let noop = run_workload_faulted(
-        &cfg,
-        &w,
-        &Policy::morph(&cfg),
-        Box::new(FaultPlan::parse("seed=7").unwrap()),
-    )
-    .unwrap();
-    assert_eq!(clean.throughput_series(), noop.throughput_series());
+    let clean = run_workload(&cfg, &workload(), &Policy::morph(&cfg)).unwrap();
+    assert_eq!(clean.epochs, run_faulted("seed=7").unwrap());
 }
 
 // ---- supervised execution --------------------------------------------

@@ -1,7 +1,7 @@
 //! End-to-end system tests: full policy runs on the public API, checking
 //! the invariants the paper's evaluation relies on.
 
-use morph_system::experiment::{run_cells, run_matrix, run_workload, run_workload_faulted};
+use morph_system::experiment::{run_cells, run_matrix, run_workload};
 use morph_system::prelude::*;
 
 fn cfg() -> SystemConfig {
@@ -229,8 +229,13 @@ fn faulted_morph_matches_pre_refactor_golden() {
     let cfg = SystemConfig::quick_test(4).with_epochs(4);
     let w = Workload::named_apps(&["cactus", "libq", "gobmk", "perl"]).unwrap();
     let plan = FaultPlan::parse("seed=9;acfv@1;drop=5000@2;merge@3;split@4").unwrap();
-    let r = run_workload_faulted(&cfg, &w, &Policy::morph(&cfg), Box::new(plan)).unwrap();
-    let got_bits: Vec<u64> = r.epochs.iter().map(|e| e.throughput().to_bits()).collect();
+    let epochs = SystemSim::new(cfg, &w, &Policy::morph(&cfg))
+        .unwrap()
+        .with_faults(Box::new(plan))
+        .unwrap()
+        .run()
+        .unwrap();
+    let got_bits: Vec<u64> = epochs.iter().map(|e| e.throughput().to_bits()).collect();
     assert_eq!(
         got_bits,
         [
