@@ -1,11 +1,10 @@
-//! Minimal hand-rolled JSON support (the analyzer ships zero external
-//! dependencies, so no `serde`).
-//!
-//! The writer emits the `--json` report; the parser is just enough JSON
-//! to round-trip that report in tests and for downstream tooling to
-//! sanity-check the output. Neither aims to be a general JSON library.
+//! The `--format json` findings report: a hand-rolled writer with a
+//! fixed one-object-per-line layout, and a reader (for tests and
+//! downstream tooling) built on the workspace's JSON codec,
+//! [`morph_metrics::Json`].
 
 use crate::lint::Finding;
+use morph_metrics::Json;
 
 /// Serializes findings as a stable, pretty-printed JSON array.
 pub fn findings_to_json(findings: &[Finding]) -> String {
@@ -32,33 +31,33 @@ pub fn findings_to_json(findings: &[Finding]) -> String {
 ///
 /// Returns a description of the first malformed construct.
 pub fn findings_from_json(text: &str) -> Result<Vec<Finding>, String> {
-    let value = parse_value(&mut Cursor::new(text))?;
-    let Value::Array(items) = value else {
+    let Json::Arr(items) = Json::parse(text)? else {
         return Err("expected a top-level array".into());
     };
-    let mut findings = Vec::with_capacity(items.len());
-    for item in items {
-        let Value::Object(fields) = item else {
-            return Err("expected an array of objects".into());
-        };
-        let get_str = |key: &str| -> Result<String, String> {
-            match fields.iter().find(|(k, _)| k == key) {
-                Some((_, Value::String(s))) => Ok(s.clone()),
-                _ => Err(format!("missing string field {key:?}")),
-            }
-        };
-        let line = match fields.iter().find(|(k, _)| k == "line") {
-            Some((_, Value::Number(n))) => *n as u32,
-            _ => return Err("missing numeric field \"line\"".into()),
-        };
-        findings.push(Finding {
-            file: get_str("file")?,
-            line,
-            rule: get_str("rule")?,
-            message: get_str("message")?,
-        });
-    }
-    Ok(findings)
+    items
+        .iter()
+        .map(|item| {
+            let Json::Obj(_) = item else {
+                return Err("expected an array of objects".into());
+            };
+            let get_str = |key: &str| -> Result<String, String> {
+                item.get(key)
+                    .and_then(Json::as_str)
+                    .map(str::to_string)
+                    .ok_or_else(|| format!("missing string field {key:?}"))
+            };
+            let line = item
+                .get("line")
+                .and_then(Json::as_f64)
+                .ok_or("missing numeric field \"line\"")?;
+            Ok(Finding {
+                file: get_str("file")?,
+                line: line as u32,
+                rule: get_str("rule")?,
+                message: get_str("message")?,
+            })
+        })
+        .collect()
 }
 
 /// Escapes a string as a JSON string literal (including the quotes).
@@ -78,212 +77,6 @@ pub fn escape(s: &str) -> String {
     }
     out.push('"');
     out
-}
-
-/// Parses a complete JSON document into a [`Value`] tree.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed construct.
-pub fn parse(text: &str) -> Result<Value, String> {
-    parse_value(&mut Cursor::new(text))
-}
-
-/// The subset of JSON values the reports use (no booleans or nulls —
-/// neither the findings report nor the SARIF emitter produces them).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// A string literal.
-    String(String),
-    /// A number (always carried as `f64`).
-    Number(f64),
-    /// An array.
-    Array(Vec<Value>),
-    /// An object, as ordered key/value pairs.
-    Object(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Looks up `key` in an object; `None` for other variants.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The number, if this is a number.
-    pub fn as_number(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(text: &'a str) -> Self {
-        Self {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect_byte(&mut self, byte: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", byte as char, self.pos))
-        }
-    }
-}
-
-fn parse_value(c: &mut Cursor<'_>) -> Result<Value, String> {
-    match c.peek() {
-        Some(b'[') => {
-            c.pos += 1;
-            let mut items = Vec::new();
-            if c.peek() == Some(b']') {
-                c.pos += 1;
-                return Ok(Value::Array(items));
-            }
-            loop {
-                items.push(parse_value(c)?);
-                match c.peek() {
-                    Some(b',') => c.pos += 1,
-                    Some(b']') => {
-                        c.pos += 1;
-                        return Ok(Value::Array(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", c.pos)),
-                }
-            }
-        }
-        Some(b'{') => {
-            c.pos += 1;
-            let mut fields = Vec::new();
-            if c.peek() == Some(b'}') {
-                c.pos += 1;
-                return Ok(Value::Object(fields));
-            }
-            loop {
-                let Value::String(key) = parse_value(c)? else {
-                    return Err(format!("expected a string key at byte {}", c.pos));
-                };
-                c.expect_byte(b':')?;
-                fields.push((key, parse_value(c)?));
-                match c.peek() {
-                    Some(b',') => c.pos += 1,
-                    Some(b'}') => {
-                        c.pos += 1;
-                        return Ok(Value::Object(fields));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", c.pos)),
-                }
-            }
-        }
-        Some(b'"') => parse_string(c).map(Value::String),
-        Some(b) if b == b'-' || b.is_ascii_digit() => parse_number(c).map(Value::Number),
-        other => Err(format!("unexpected input {other:?} at byte {}", c.pos)),
-    }
-}
-
-fn parse_string(c: &mut Cursor<'_>) -> Result<String, String> {
-    c.expect_byte(b'"')?;
-    let mut out = String::new();
-    loop {
-        match c.bytes.get(c.pos) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => {
-                c.pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                c.pos += 1;
-                match c.bytes.get(c.pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = c
-                            .bytes
-                            .get(c.pos + 1..c.pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                        c.pos += 4;
-                    }
-                    other => return Err(format!("unsupported escape {other:?}")),
-                }
-                c.pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (strings may hold multi-byte
-                // characters from source snippets in messages).
-                let start = c.pos;
-                c.pos += 1;
-                while c.pos < c.bytes.len() && (c.bytes[c.pos] & 0xC0) == 0x80 {
-                    c.pos += 1;
-                }
-                let chunk = std::str::from_utf8(&c.bytes[start..c.pos])
-                    .map_err(|_| "invalid UTF-8 in string")?;
-                out.push_str(chunk);
-            }
-        }
-    }
-}
-
-fn parse_number(c: &mut Cursor<'_>) -> Result<f64, String> {
-    c.skip_ws();
-    let start = c.pos;
-    while matches!(
-        c.bytes.get(c.pos),
-        Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-    ) {
-        c.pos += 1;
-    }
-    std::str::from_utf8(&c.bytes[start..c.pos])
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("bad number at byte {start}"))
 }
 
 #[cfg(test)]

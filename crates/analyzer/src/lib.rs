@@ -23,7 +23,8 @@
 //! morph-lint lattice [--json] [--slices N]   # exit 1 on violations
 //! ```
 //!
-//! [`json`] is the minimal writer/parser behind `--json`.
+//! [`json`] writes the `--format json` findings report and reads it back
+//! with the workspace codec, `morph_metrics::Json`.
 
 pub mod callgraph;
 pub mod crashpoints;

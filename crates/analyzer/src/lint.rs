@@ -454,9 +454,7 @@ pub(crate) fn scan_rules(path: &str, code: &[&Token]) -> Vec<Finding> {
 /// in deterministic (sorted) order.
 ///
 /// Skipped: `target/`, `tests/`, `benches/`, `examples/`, `fixtures/`,
-/// `bin/` directories, `main.rs` files (binary targets), and the
-/// workspace-excluded `crates/bench` (the one crate allowed external
-/// dependencies).
+/// `bin/` directories and `main.rs` files (binary targets).
 ///
 /// # Errors
 ///
@@ -489,8 +487,7 @@ fn walk(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) -> Result<(), 
                     | "bin"
                     | ".git"
                     | ".github"
-            ) || path.ends_with("crates/bench")
-            {
+            ) {
                 continue;
             }
             walk(&path, out)?;

@@ -7,9 +7,10 @@
 //! validator checks that shape against the 2.1.0 schema's required
 //! fields without shipping the schema itself (no external deps).
 
-use crate::json::{escape, parse, Value};
+use crate::json::escape;
 use crate::lint::Finding;
 use crate::passes::pass_description;
+use morph_metrics::Json;
 use std::collections::BTreeSet;
 
 /// The schema URI embedded in every report.
@@ -75,24 +76,24 @@ pub fn findings_to_sarif(findings: &[Finding]) -> String {
 ///
 /// Returns a description of the first structural defect.
 pub fn validate_sarif(text: &str) -> Result<(), String> {
-    let doc = parse(text)?;
+    let doc = Json::parse(text)?;
     let version = doc
         .get("version")
-        .and_then(Value::as_str)
+        .and_then(Json::as_str)
         .ok_or("missing \"version\"")?;
     if version != "2.1.0" {
         return Err(format!("version is {version:?}, expected \"2.1.0\""));
     }
     let schema = doc
         .get("$schema")
-        .and_then(Value::as_str)
+        .and_then(Json::as_str)
         .ok_or("missing \"$schema\"")?;
     if !schema.contains("sarif-2.1.0") {
         return Err(format!("$schema {schema:?} is not the 2.1.0 schema"));
     }
     let runs = doc
         .get("runs")
-        .and_then(Value::as_array)
+        .and_then(Json::as_arr)
         .ok_or("missing \"runs\" array")?;
     if runs.is_empty() {
         return Err("\"runs\" must hold at least one run".into());
@@ -104,42 +105,42 @@ pub fn validate_sarif(text: &str) -> Result<(), String> {
             .ok_or("run missing tool.driver")?;
         driver
             .get("name")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or("driver missing name")?;
         let rules = driver
             .get("rules")
-            .and_then(Value::as_array)
+            .and_then(Json::as_arr)
             .ok_or("driver missing rules array")?;
         let mut rule_ids = BTreeSet::new();
         for r in rules {
             let id = r
                 .get("id")
-                .and_then(Value::as_str)
+                .and_then(Json::as_str)
                 .ok_or("rule missing id")?;
             rule_ids.insert(id.to_string());
         }
         let results = run
             .get("results")
-            .and_then(Value::as_array)
+            .and_then(Json::as_arr)
             .ok_or("run missing results array")?;
         for res in results {
             let rule_id = res
                 .get("ruleId")
-                .and_then(Value::as_str)
+                .and_then(Json::as_str)
                 .ok_or("result missing ruleId")?;
             if !rule_ids.contains(rule_id) {
                 return Err(format!("result ruleId {rule_id:?} not declared by driver"));
             }
             res.get("level")
-                .and_then(Value::as_str)
+                .and_then(Json::as_str)
                 .ok_or("result missing level")?;
             res.get("message")
                 .and_then(|m| m.get("text"))
-                .and_then(Value::as_str)
+                .and_then(Json::as_str)
                 .ok_or("result missing message.text")?;
             let locations = res
                 .get("locations")
-                .and_then(Value::as_array)
+                .and_then(Json::as_arr)
                 .ok_or("result missing locations")?;
             let loc = locations.first().ok_or("result has no location")?;
             let phys = loc
@@ -147,12 +148,12 @@ pub fn validate_sarif(text: &str) -> Result<(), String> {
                 .ok_or("location missing physicalLocation")?;
             phys.get("artifactLocation")
                 .and_then(|a| a.get("uri"))
-                .and_then(Value::as_str)
+                .and_then(Json::as_str)
                 .ok_or("location missing artifactLocation.uri")?;
             let line = phys
                 .get("region")
                 .and_then(|r| r.get("startLine"))
-                .and_then(Value::as_number)
+                .and_then(Json::as_f64)
                 .ok_or("location missing region.startLine")?;
             if line < 1.0 {
                 return Err(format!("startLine {line} must be >= 1"));
@@ -197,31 +198,28 @@ mod tests {
     #[test]
     fn results_round_trip_fields() {
         let doc = findings_to_sarif(&sample());
-        let v = parse(&doc).unwrap();
-        let results = v.get("runs").and_then(Value::as_array).unwrap()[0]
+        let v = Json::parse(&doc).unwrap();
+        let results = v.get("runs").and_then(Json::as_arr).unwrap()[0]
             .get("results")
-            .and_then(Value::as_array)
+            .and_then(Json::as_arr)
             .unwrap();
         assert_eq!(results.len(), 2);
         assert_eq!(
-            results[0].get("ruleId").and_then(Value::as_str),
+            results[0].get("ruleId").and_then(Json::as_str),
             Some("no-panic-in-lib")
         );
-        let loc = &results[0]
-            .get("locations")
-            .and_then(Value::as_array)
-            .unwrap()[0];
+        let loc = &results[0].get("locations").and_then(Json::as_arr).unwrap()[0];
         let phys = loc.get("physicalLocation").unwrap();
         assert_eq!(
             phys.get("artifactLocation")
                 .and_then(|a| a.get("uri"))
-                .and_then(Value::as_str),
+                .and_then(Json::as_str),
             Some("crates/core/src/engine.rs")
         );
         assert_eq!(
             phys.get("region")
                 .and_then(|r| r.get("startLine"))
-                .and_then(Value::as_number),
+                .and_then(Json::as_f64),
             Some(42.0)
         );
     }

@@ -364,6 +364,24 @@ mod tests {
     }
 
     #[test]
+    fn merges_keep_a_partition() {
+        for seed in 0..256 {
+            let mut rng = morphcache::Xoshiro256pp::seed_from_u64(seed);
+            let mut g = Grouping::private(8);
+            for _ in 0..rng.range_usize(0, 10) {
+                // A merge may legitimately fail; the partition must hold
+                // either way.
+                let _ = g.merge_pair(rng.range_usize(0, 8), rng.range_usize(0, 8));
+                let groups: Vec<Vec<usize>> = g.iter().map(|m| m.to_vec()).collect();
+                assert!(
+                    morphcache::topology::is_partition(&groups, 8),
+                    "seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn describe_is_canonical() {
         let g =
             Grouping::from_groups(8, vec![vec![4, 5, 6, 7], vec![0, 1], vec![2], vec![3]]).unwrap();

@@ -678,6 +678,30 @@ mod tests {
             h.access(core, line, write, &mut sink);
         }
         h.check_inclusion().unwrap();
+        // Random buddy groupings, shared by both levels, under short bursts
+        // of random traffic.
+        for seed in 0..64 {
+            let mut rng = morphcache::Xoshiro256pp::seed_from_u64(seed);
+            let mut groups = Vec::new();
+            let mut stack = vec![(0usize, 4usize)];
+            while let Some((lo, size)) = stack.pop() {
+                if size == 1 || rng.gen_bool(0.4) {
+                    groups.push((lo..lo + size).collect::<Vec<usize>>());
+                } else {
+                    stack.extend([(lo + size / 2, size / 2), (lo, size / 2)]);
+                }
+            }
+            let mut h = h4();
+            h.set_l3_grouping(Grouping::from_groups(4, groups.clone()).unwrap())
+                .unwrap();
+            h.set_l2_grouping(Grouping::from_groups(4, groups).unwrap())
+                .unwrap();
+            for _ in 0..rng.range_usize(1, 300) {
+                let (core, line) = (rng.range_usize(0, 4), rng.range_u64(0, 2048));
+                h.access(core, line, rng.gen_bool(0.5), &mut sink);
+            }
+            h.check_inclusion().unwrap();
+        }
     }
 
     #[test]

@@ -241,6 +241,12 @@ mod tests {
         // tag || set reconstructs the line address.
         let rebuilt = (p.tag(line) << 9) | set as u64;
         assert_eq!(rebuilt, line);
+        let mut rng = morphcache::Xoshiro256pp::seed_from_u64(0);
+        for _ in 0..1024 {
+            let line = p.line_of_addr(rng.next_u64());
+            assert!(p.set_index(line) < 512);
+            assert_eq!((p.tag(line) << 9) | p.set_index(line) as u64, line);
+        }
     }
 
     #[test]

@@ -181,6 +181,16 @@ mod tests {
             t.touch(w);
             assert_ne!(t.victim(), w, "PLRU victim must differ from the MRU way");
         }
+        for seed in 0..256 {
+            let mut rng = morphcache::Xoshiro256pp::seed_from_u64(seed);
+            let ways = 1usize << rng.range_u32(1, 5);
+            let mut t = TreePlru::new(ways);
+            for _ in 0..rng.range_usize(1, 50) {
+                let w = rng.range_usize(0, ways);
+                t.touch(w);
+                assert_ne!(t.victim(), w, "seed {seed}, {ways} ways");
+            }
+        }
     }
 
     #[test]
@@ -217,6 +227,19 @@ mod tests {
         let (a2, b2) = merged.split();
         assert_eq!(a, a2);
         assert_eq!(b, b2);
+        for seed in 0..256 {
+            let mut rng = morphcache::Xoshiro256pp::seed_from_u64(seed);
+            let mut touched = || {
+                let mut t = TreePlru::new(8);
+                for _ in 0..rng.range_usize(0, 20) {
+                    t.touch(rng.range_usize(0, 8));
+                }
+                t
+            };
+            let (a, b) = (touched(), touched());
+            let (a2, b2) = TreePlru::merge(&a, &b).split();
+            assert_eq!((a, b), (a2, b2), "seed {seed}");
+        }
     }
 
     #[test]

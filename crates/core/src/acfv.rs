@@ -182,6 +182,43 @@ mod tests {
         assert_eq!(v.popcount(), 1);
         v.record_evict(42);
         assert!(v.is_empty());
+        // Evicting every inserted tag empties the vector, collisions and
+        // repeated tags included.
+        for seed in 0..256 {
+            let mut rng = crate::Xoshiro256pp::seed_from_u64(seed);
+            let mut v = Acfv::new(64, HashKind::Mix);
+            let tags: Vec<u64> = (0..rng.range_usize(0, 100))
+                .map(|_| rng.next_u64() >> rng.range_u32(0, 64))
+                .collect();
+            for &t in &tags {
+                v.record_insert(t);
+            }
+            for &t in &tags {
+                v.record_evict(t);
+            }
+            assert!(v.is_empty(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn popcount_is_bounded_and_reset_empties() {
+        for seed in 0..256 {
+            let mut rng = crate::Xoshiro256pp::seed_from_u64(seed);
+            let bits = [8, 32, 128][rng.range_usize(0, 3)];
+            let mut v = Acfv::new(bits, HashKind::Xor);
+            let mut oracle = ExactFootprint::new();
+            for _ in 0..rng.range_usize(0, 200) {
+                let t = rng.next_u64() >> rng.range_u32(0, 64);
+                v.record_insert(t);
+                oracle.record_insert(t);
+            }
+            // A hashed vector never reports more than the true distinct
+            // count nor more than its length.
+            assert!(v.popcount() <= oracle.len().min(bits), "seed {seed}");
+            assert_eq!(v.overlap(&v.clone()), v.popcount(), "seed {seed}");
+            v.reset();
+            assert!(v.is_empty(), "seed {seed}");
+        }
     }
 
     #[test]

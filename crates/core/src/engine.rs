@@ -1332,6 +1332,31 @@ mod tests {
     }
 
     #[test]
+    fn reconfigurations_are_partitions_with_l2_refining_l3() {
+        use crate::topology::{is_partition, refines};
+        for seed in 0..32 {
+            let mut rng = crate::Xoshiro256pp::seed_from_u64(seed);
+            let mut e =
+                MorphEngine::new(4, (0..4).collect(), MorphConfig::calibrated(128, 128)).unwrap();
+            let fills: Vec<(usize, u64)> = (0..rng.range_usize(0, 40))
+                .map(|_| (rng.range_usize(0, 4), rng.range_u64(0, 120)))
+                .collect();
+            for r in 0..rng.range_u64(1, 4) {
+                for &(slice, n) in &fills {
+                    for i in 0..n {
+                        e.on_touched(CacheLevelId::L2, slice, slice, i * 8191 + r);
+                        e.on_touched(CacheLevelId::L3, slice, slice, i * 6367 + r);
+                    }
+                }
+                let out = e.reconfigure(r).unwrap();
+                assert!(is_partition(&out.l2_groups, 4), "seed {seed}");
+                assert!(is_partition(&out.l3_groups, 4), "seed {seed}");
+                assert!(refines(&out.l2_groups, &out.l3_groups), "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
     fn buddy_sibling_predicate() {
         assert!(buddy_siblings(&[0, 1], &[2, 3]));
         assert!(buddy_siblings(&[2, 3], &[0, 1]));

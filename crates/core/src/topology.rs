@@ -129,14 +129,6 @@ impl SymmetricTopology {
         }
         Ok(out)
     }
-
-    /// The five static topologies the paper evaluates against on 16 cores,
-    /// baseline `(16:1:1)` first — [`static_set`](Self::static_set) at
-    /// `n = 16`.
-    pub fn paper_static_set() -> Vec<SymmetricTopology> {
-        // morph-lint: allow(no-panic-in-lib, reason = "static_set(n) cannot fail for the power-of-two n = 16; the generic construction is covered by the static_set_generic test and the 16-entry list is pinned by paper_static_set_contents")
-        Self::static_set(16).expect("16 is a valid static-set core count")
-    }
 }
 
 impl std::fmt::Display for SymmetricTopology {
@@ -354,15 +346,14 @@ mod tests {
 
     #[test]
     fn paper_static_set_contents() {
-        let set = SymmetricTopology::paper_static_set();
+        // At n = 16 the generic construction is the paper's five static
+        // topologies, baseline first.
+        let set = SymmetricTopology::static_set(16).unwrap();
         let names: Vec<String> = set.iter().map(|t| t.notation()).collect();
         assert_eq!(
             names,
             vec!["(16:1:1)", "(1:1:16)", "(4:4:1)", "(8:2:1)", "(1:16:1)"]
         );
-        // The generic construction must reproduce the paper set
-        // bit-identically at n = 16.
-        assert_eq!(set, SymmetricTopology::static_set(16).unwrap());
     }
 
     #[test]
@@ -414,6 +405,22 @@ mod tests {
         assert!(!is_symmetric(&asym, &l3));
     }
 
+    /// A seeded random buddy partition of the aligned block
+    /// `lo..lo + size`, appended to `out`.
+    fn random_buddy_partition(
+        rng: &mut crate::Xoshiro256pp,
+        lo: usize,
+        size: usize,
+        out: &mut Vec<Vec<usize>>,
+    ) {
+        if size == 1 || rng.gen_bool(0.4) {
+            out.push((lo..lo + size).collect());
+        } else {
+            random_buddy_partition(rng, lo, size / 2, out);
+            random_buddy_partition(rng, lo + size / 2, size / 2, out);
+        }
+    }
+
     #[test]
     fn meet_is_common_refinement() {
         let a = contiguous_groups(8, 4);
@@ -429,6 +436,16 @@ mod tests {
         assert!(refines(&m2, &a));
         assert!(refines(&m2, &c));
         assert!(m2.contains(&vec![3]));
+        for seed in 0..256 {
+            let mut rng = crate::Xoshiro256pp::seed_from_u64(seed);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            random_buddy_partition(&mut rng, 0, 8, &mut a);
+            random_buddy_partition(&mut rng, 0, 8, &mut b);
+            assert!(is_buddy_partition(&a, 8) && is_buddy_partition(&b, 8));
+            let m = meet(&a, &b);
+            assert!(is_partition(&m, 8), "seed {seed}");
+            assert!(refines(&m, &a) && refines(&m, &b), "seed {seed}");
+        }
     }
 
     #[test]
@@ -463,5 +480,18 @@ mod tests {
         assert_eq!(max_covering_span(&[vec![0, 1], vec![2, 3, 4, 5]]), 4);
         assert_eq!(max_covering_span(&[vec![0], vec![1]]), 1);
         assert_eq!(max_covering_span(&[]), 1);
+        // The span is the smallest power of two covering the members'
+        // extent.
+        for seed in 0..256 {
+            let mut rng = crate::Xoshiro256pp::seed_from_u64(seed);
+            let group: std::collections::BTreeSet<usize> = (0..rng.range_usize(1, 8))
+                .map(|_| rng.range_usize(0, 16))
+                .collect();
+            let group: Vec<usize> = group.into_iter().collect();
+            let extent = group[group.len() - 1] - group[0] + 1;
+            let span = covering_pow2_span(&group);
+            assert!(span.is_power_of_two(), "{group:?}");
+            assert!(span >= extent && span < 2 * extent, "{group:?} -> {span}");
+        }
     }
 }

@@ -1,5 +1,4 @@
-//! The `BENCH_<n>.json` performance-trajectory schema and the tiny JSON
-//! codec behind it.
+//! The `BENCH_<n>.json` performance-trajectory schema.
 //!
 //! The offline bench harness (`morph-bench`) measures the simulator's raw
 //! speed — accesses/sec on the hot path, cells/sec through the parallel
@@ -33,294 +32,10 @@
 //! trajectory point) and carries the numbers the current run is compared
 //! against.
 //!
-//! The JSON codec is hand-rolled (the workspace builds offline with no
-//! external dependencies) and supports exactly the subset the schema
-//! needs: objects, arrays, strings with `\"`/`\\`/`\n`-style escapes,
-//! finite numbers, booleans and `null`. Objects keep insertion order, so
-//! emitted files are byte-stable given the same inputs.
+//! Reports are read and written with the workspace's JSON codec,
+//! [`crate::Json`].
 
-/// A parsed JSON value. Object members keep their source order (no
-/// hashing involved), so round-trips are deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any finite number (integers round-trip exactly up to 2^53).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in insertion order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Member `key` of an object (`None` for other variants or a missing
-    /// key).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// The numeric value as a non-negative integer, if it is one.
-    pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(x) if *x >= 0.0 && x.fract() == 0.0 && *x <= 2f64.powi(53) => Some(*x as u64),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The element list, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// Serializes with 2-space indentation and `\n` line ends.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn render_into(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(x) => render_num(*x, out),
-            Json::Str(s) => render_str(s, out),
-            Json::Arr(items) if items.is_empty() => out.push_str("[]"),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    push_indent(out, indent + 1);
-                    v.render_into(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
-            }
-            Json::Obj(members) if members.is_empty() => out.push_str("{}"),
-            Json::Obj(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    push_indent(out, indent + 1);
-                    render_str(k, out);
-                    out.push_str(": ");
-                    v.render_into(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
-            }
-        }
-    }
-
-    /// Parses a JSON document.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first syntax error (with byte
-    /// offset), or of trailing garbage after the top-level value.
-    pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
-        Ok(v)
-    }
-}
-
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
-    }
-}
-
-fn render_num(x: f64, out: &mut String) {
-    if !x.is_finite() {
-        // The schema never produces non-finite numbers; encode defensively.
-        out.push_str("null");
-    } else if x.fract() == 0.0 && x.abs() < 2f64.powi(53) {
-        out.push_str(&format!("{}", x as i64));
-    } else {
-        // Shortest round-trip float formatting (Rust's default).
-        out.push_str(&format!("{x}"));
-    }
-}
-
-fn render_str(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
-}
-
-fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(())
-    } else {
-        Err(format!("expected `{lit}` at byte {pos}", pos = *pos))
-    }
-}
-
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'n') => expect(b, pos, "null").map(|()| Json::Null),
-        Some(b't') => expect(b, pos, "true").map(|()| Json::Bool(true)),
-        Some(b'f') => expect(b, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(b, pos).map(Json::Str),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected `,` or `]` at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                expect(b, pos, ":")?;
-                let value = parse_value(b, pos)?;
-                members.push((key, value));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(format!("expected `,` or `}}` at byte {pos}", pos = *pos)),
-                }
-            }
-        }
-        Some(_) => parse_number(b, pos).map(Json::Num),
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    if b.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}", pos = *pos));
-    }
-    *pos += 1;
-    let mut out = Vec::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => {
-                return String::from_utf8(out).map_err(|_| "invalid UTF-8 in string".to_string())
-            }
-            b'\\' => {
-                let esc = b.get(*pos).copied();
-                *pos += 1;
-                match esc {
-                    Some(b'"') => out.push(b'"'),
-                    Some(b'\\') => out.push(b'\\'),
-                    Some(b'/') => out.push(b'/'),
-                    Some(b'n') => out.push(b'\n'),
-                    Some(b't') => out.push(b'\t'),
-                    Some(b'r') => out.push(b'\r'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .and_then(char::from_u32)
-                            .ok_or_else(|| format!("bad \\u escape at byte {pos}", pos = *pos))?;
-                        *pos += 4;
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(hex.encode_utf8(&mut buf).as_bytes());
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-            }
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<f64, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') {
-        *pos += 1;
-    }
-    std::str::from_utf8(&b[start..*pos])
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .filter(|x| x.is_finite())
-        .ok_or_else(|| format!("invalid number at byte {start}"))
-}
+use crate::json::Json;
 
 /// The schema tag every report carries; `check` refuses anything else.
 pub const BENCH_SCHEMA: &str = "morph-bench/v1";
@@ -848,18 +563,5 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let v = Json::parse(r#"{"a": [1, 2.5, "x\ny", {"b": null}], "c": true}"#).unwrap();
-        assert_eq!(v.get("c"), Some(&Json::Bool(true)));
-        let arr = v.get("a").and_then(Json::as_arr).unwrap();
-        assert_eq!(arr[0].as_u64(), Some(1));
-        assert_eq!(arr[1].as_f64(), Some(2.5));
-        assert_eq!(arr[2].as_str(), Some("x\ny"));
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("[1] tail").is_err());
-        assert!(Json::parse("\"open").is_err());
     }
 }

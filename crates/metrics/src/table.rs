@@ -1,7 +1,7 @@
-//! Fixed-width text tables for the benchmark harness output.
+//! Fixed-width text tables for the figure reports.
 //!
-//! Every bench target prints the rows/series of one paper table or figure;
-//! this module keeps that output aligned and uniform.
+//! Every `morph figures` report prints the rows/series of one paper table
+//! or figure; this module keeps that output aligned and uniform.
 
 /// A simple left-header, right-aligned-numbers text table.
 #[derive(Debug, Clone, Default)]

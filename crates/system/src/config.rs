@@ -12,8 +12,8 @@ pub struct SystemConfig {
     /// Core timing parameters.
     pub core: CoreParams,
     /// Cycles per epoch (the paper's reconfiguration interval is 300 M
-    /// cycles; runs here default to a 1000× scale-down, which preserves
-    /// all normalized results — see DESIGN.md).
+    /// cycles; runs here scale it down, which changes noise, not the
+    /// normalized results — see DESIGN.md).
     pub epoch_cycles: u64,
     /// Number of epochs (the paper's region of interest is 20 intervals).
     pub n_epochs: usize,
@@ -27,8 +27,9 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// The paper's 16-core configuration at 1000× time scale-down:
-    /// full Table 3 cache geometry, 300 K-cycle epochs, 20 epochs.
+    /// The paper's configuration for `n_cores` cores: full Table 3 cache
+    /// geometry and 20 measured epochs of 4 M cycles (the paper's 300 M
+    /// cycles scaled down 75×) after 2 warm-up epochs.
     pub fn paper(n_cores: usize) -> Self {
         Self {
             hierarchy: HierarchyParams::paper(n_cores),

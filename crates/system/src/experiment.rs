@@ -1,5 +1,5 @@
-//! One-call experiment runners used by the CLI, benches, examples and
-//! tests, including the parallel experiment matrix.
+//! One-call experiment runners used by the CLI, the figure generators,
+//! examples and tests, including the parallel experiment matrix.
 //!
 //! The matrix fans independent (workload, policy) cells out over scoped
 //! worker threads ([`run_cells`]). Every cell carries its own seed
@@ -139,14 +139,6 @@ impl MatrixCell {
             seed,
         }
     }
-
-    /// Cells for a (workload, policy) job list, every cell pinned to the
-    /// configuration's seed (the historical [`run_matrix`] behavior).
-    pub fn from_jobs(cfg: &SystemConfig, jobs: &[(Workload, Policy)]) -> Vec<Self> {
-        jobs.iter()
-            .map(|(w, p)| Self::new(w.clone(), p.clone(), cfg.seed))
-            .collect()
-    }
 }
 
 /// The results of a parallel matrix run, with per-cell wall-clock timing.
@@ -205,30 +197,19 @@ pub fn run_cells(
     Supervisor::new(options).run(cfg, cells)?.into_matrix()
 }
 
-/// Runs several (workload, policy) jobs in parallel with every cell on
-/// the configuration's seed, preserving input order. Compatibility
-/// wrapper over [`run_cells`] with [`default_jobs`] workers.
-///
-/// # Errors
-///
-/// Returns the first failing job's [`MorphError`] (in input order); results
-/// of the other jobs are discarded.
-pub fn run_matrix(
-    cfg: &SystemConfig,
-    jobs: &[(Workload, Policy)],
-) -> Result<Vec<RunResult>, MorphError> {
-    Ok(run_cells(cfg, &MatrixCell::from_jobs(cfg, jobs), default_jobs())?.results)
-}
-
 /// Per-application "alone" IPCs for the weighted/fair speedup metrics:
 /// each application runs by itself on a single-core hierarchy with the
 /// same slice geometry. The solo runs are independent, so they fan out
-/// through [`run_cells`] like any other matrix.
+/// through [`run_cells`] on `jobs` workers like any other matrix.
 ///
 /// # Errors
 ///
 /// Returns a [`MorphError`] if any solo run fails (see [`run_workload`]).
-pub fn alone_ipcs(cfg: &SystemConfig, workload: &Workload) -> Result<Vec<f64>, MorphError> {
+pub fn alone_ipcs(
+    cfg: &SystemConfig,
+    workload: &Workload,
+    jobs: usize,
+) -> Result<Vec<f64>, MorphError> {
     let mut solo_cfg = *cfg;
     solo_cfg.hierarchy.n_cores = 1;
     let cells: Vec<MatrixCell> = (0..cfg.n_cores())
@@ -240,7 +221,7 @@ pub fn alone_ipcs(cfg: &SystemConfig, workload: &Workload) -> Result<Vec<f64>, M
             )
         })
         .collect();
-    let matrix = run_cells(&solo_cfg, &cells, default_jobs())?;
+    let matrix = run_cells(&solo_cfg, &cells, jobs)?;
     Ok(matrix
         .results
         .iter()
@@ -270,11 +251,11 @@ mod tests {
         let cfg = SystemConfig::quick_test(4).with_epochs(2);
         let w1 = Workload::named_apps(&["gcc", "hmmer", "mcf", "libq"]).unwrap();
         let w2 = Workload::named_apps(&["astar", "milc", "lbm", "sjeng"]).unwrap();
-        let jobs = vec![
-            (w1.clone(), Policy::baseline(4)),
-            (w2.clone(), Policy::static_topology("1:1:4", 4)),
+        let cells = vec![
+            MatrixCell::new(w1.clone(), Policy::baseline(4), cfg.seed),
+            MatrixCell::new(w2.clone(), Policy::static_topology("1:1:4", 4), cfg.seed),
         ];
-        let par = run_matrix(&cfg, &jobs).unwrap();
+        let par = run_cells(&cfg, &cells, 2).unwrap().results;
         let ser = [
             run_workload(&cfg, &w1, &Policy::baseline(4)).unwrap(),
             run_workload(&cfg, &w2, &Policy::static_topology("1:1:4", 4)).unwrap(),
@@ -332,7 +313,7 @@ mod tests {
     fn alone_ipcs_positive() {
         let cfg = SystemConfig::quick_test(2).with_epochs(2);
         let w = Workload::named_apps(&["gcc", "libq"]).unwrap();
-        let alone = alone_ipcs(&cfg, &w).unwrap();
+        let alone = alone_ipcs(&cfg, &w, 2).unwrap();
         assert_eq!(alone.len(), 2);
         assert!(alone.iter().all(|&i| i > 0.0));
     }

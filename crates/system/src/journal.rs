@@ -18,7 +18,7 @@
 use crate::config::SystemConfig;
 use crate::experiment::{MatrixCell, RunResult};
 use crate::sim::EpochResult;
-use morph_metrics::bench::Json;
+use morph_metrics::Json;
 use morphcache::MorphError;
 use std::path::{Path, PathBuf};
 

@@ -74,13 +74,12 @@ pub mod workload;
 
 pub use epoch::validate_and_repair;
 
-/// Convenient glob-import surface for examples and benches.
+/// Convenient glob-import surface for examples, figures and tests.
 pub mod prelude {
     pub use crate::backend::from_policy;
     pub use crate::config::SystemConfig;
     pub use crate::experiment::{
-        alone_ipcs, default_jobs, run_cells, run_matrix, run_workload, ExperimentMatrix,
-        MatrixCell, RunResult,
+        alone_ipcs, default_jobs, run_cells, run_workload, ExperimentMatrix, MatrixCell, RunResult,
     };
     pub use crate::faults::{FaultInjector, FaultKind, FaultPlan, NoFaults};
     pub use crate::journal::RunJournal;

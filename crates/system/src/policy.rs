@@ -181,15 +181,9 @@ impl Policy {
         })
     }
 
-    /// The ideal offline scheme over the paper's five static topologies
-    /// (16 cores only; use [`Policy::ideal_set`] for other core counts).
-    pub fn ideal_paper_set() -> Self {
-        Policy::IdealOffline(SymmetricTopology::paper_static_set())
-    }
-
     /// The ideal offline scheme over the generic static comparison set
     /// for `n_cores` cores ([`SymmetricTopology::static_set`]); at 16
-    /// cores this is exactly [`Policy::ideal_paper_set`].
+    /// cores these are the paper's five static topologies.
     ///
     /// # Errors
     ///
@@ -230,7 +224,7 @@ mod tests {
         assert_eq!(Policy::morph_qos(&cfg).name(), "MorphCache+QoS");
         assert_eq!(Policy::Pipp.name(), "PIPP");
         assert_eq!(Policy::Dsr.name(), "DSR");
-        assert_eq!(Policy::ideal_paper_set().name(), "Ideal offline");
+        assert_eq!(Policy::ideal_set(16).unwrap().name(), "Ideal offline");
         assert_eq!(
             Policy::morph_with_grouping(&cfg, GroupingMode::NonNeighbor).name(),
             "MorphCache(nn)"

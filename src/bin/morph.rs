@@ -9,12 +9,14 @@
 //! morph run --mix 1 --validate-only            # check config, don't run
 //! morph compare --mix 5                        # all policies on one mix
 //! morph matrix --mix 5 --retries 2 --run-dir j # supervised matrix
+//! morph figures fig13 sec24 --epochs 2         # the paper's figures
 //! ```
 
 use std::path::Path;
 
 use morph_system::experiment::{default_jobs, run_cells, MatrixCell};
 use morph_system::prelude::*;
+use morphcache_repro::figures::FIGURES;
 
 use morph_trace::{mixes, parsec, spec};
 
@@ -39,8 +41,9 @@ fn main() {
         Some("run") => cmd_run(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
         Some("matrix") => cmd_matrix(&args[1..]),
+        Some("figures") => cmd_figures(&args[1..]),
         _ => {
-            eprintln!("usage: morph <list|run|compare|matrix> [options]");
+            eprintln!("usage: morph <list|run|compare|matrix|figures> [options]");
             eprintln!("  morph list");
             eprintln!("  morph run --mix <1..12> | --parsec <name> | --apps a,b,c,...");
             eprintln!("            [--policy <x:y:z|morph|morph-qos|pipp|dsr|ideal>]");
@@ -52,6 +55,7 @@ fn main() {
             eprintln!("            [--policies p1,p2,...] [--jobs N] [--cell-timeout SECS]");
             eprintln!("            [--retries N] [--run-dir DIR | --resume DIR]");
             eprintln!("            [--chaos <spec>] [--chaos-verify]");
+            eprintln!("  morph figures [ID ...] [--epochs N] [--cycles N] [--seed N] [--jobs N]");
             eprintln!();
             eprintln!("  --faults spec: semicolon-separated clauses, e.g.");
             eprintln!("      seed=42;acfv@1;drop=5000@2;pin=0@3;merge@4;split@5");
@@ -63,7 +67,7 @@ fn main() {
             eprintln!("  --sampling: representative-interval sampling — simulate one");
             eprintln!("      epoch per detected phase, fast-forward the rest (epochs");
             eprintln!("      marked * in the output ran in full detail)");
-            eprintln!("  --jobs N: worker threads for compare/matrix (default: host");
+            eprintln!("  --jobs N: worker threads for compare/matrix/figures (default: host");
             eprintln!("      parallelism); results are bit-identical for any N");
             eprintln!("  --cell-timeout SECS: deadline per cell attempt (matrix only)");
             eprintln!("  --retries N: retry a failed cell up to N times with");
@@ -74,6 +78,9 @@ fn main() {
             eprintln!("      panic=0@0;stall=2:30.0@0;kill=3");
             eprintln!("  --chaos-verify: run the chaos matrix (resuming across injected");
             eprintln!("      kills), then check results are bit-identical to a clean run");
+            eprintln!();
+            eprintln!("  figures IDs (none: all, in this order; fig05 and table04 use");
+            eprintln!("      fixed configurations): {}", figure_ids());
             eprintln!();
             eprintln!("  matrix exit codes: 0 all cells completed, 1 degraded cells,");
             eprintln!("      130 interrupted (SIGINT or injected kill; resume to finish)");
@@ -198,10 +205,17 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             other => return Err(format!("unknown option {other}")),
         }
     }
-    if o.workload.is_none() {
-        return Err("one of --mix / --parsec / --apps is required".into());
-    }
     Ok(o)
+}
+
+/// [`parse_opts`] for the subcommands that simulate one workload.
+fn parse_workload_opts(args: &[String]) -> Result<(Opts, Workload), String> {
+    let o = parse_opts(args)?;
+    let w = o
+        .workload
+        .clone()
+        .ok_or("one of --mix / --parsec / --apps is required")?;
+    Ok((o, w))
 }
 
 fn config(o: &Opts) -> SystemConfig {
@@ -242,8 +256,8 @@ fn parse_faults(o: &Opts, cfg: &SystemConfig) -> Result<Option<FaultPlan>, Morph
 }
 
 fn cmd_run(args: &[String]) -> i32 {
-    let o = match parse_opts(args) {
-        Ok(o) => o,
+    let (o, w) = match parse_workload_opts(args) {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
             return 2;
@@ -264,7 +278,6 @@ fn cmd_run(args: &[String]) -> i32 {
             return 2;
         }
     };
-    let w = o.workload.expect("validated");
     // Constructing the simulator exercises config validation,
     // topology/policy fit, and the fault spec; `--validate-only` stops
     // there.
@@ -373,15 +386,14 @@ fn run_sampling(sim: &mut SystemSim, w: &Workload, p: &Policy) -> i32 {
 }
 
 fn cmd_compare(args: &[String]) -> i32 {
-    let o = match parse_opts(args) {
-        Ok(o) => o,
+    let (o, w) = match parse_workload_opts(args) {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
             return 2;
         }
     };
     let cfg = config(&o);
-    let w = o.workload.expect("validated");
     let names = match matrix_policies(cfg.n_cores()) {
         Ok(names) => names,
         Err(e) => {
@@ -439,15 +451,14 @@ fn build_cells(
 }
 
 fn cmd_matrix(args: &[String]) -> i32 {
-    let o = match parse_opts(args) {
-        Ok(o) => o,
+    let (o, w) = match parse_workload_opts(args) {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
             return 2;
         }
     };
     let cfg = config(&o);
-    let w = o.workload.as_ref().expect("validated").clone();
     let names = match o.policies.clone() {
         Some(names) => names,
         None => match matrix_policies(cfg.n_cores()) {
@@ -528,6 +539,67 @@ fn cmd_matrix(args: &[String]) -> i32 {
     } else {
         1
     }
+}
+
+/// The figure IDs, space-separated, in run order.
+fn figure_ids() -> String {
+    let ids: Vec<&str> = FIGURES.iter().map(|(id, _)| *id).collect();
+    ids.join(" ")
+}
+
+/// `morph figures [ID ...]`: prints the named figures (all of them when
+/// none is named) at the run length, seed and worker count of the
+/// shared options, which default to `run`'s.
+fn cmd_figures(args: &[String]) -> i32 {
+    let mut figures = Vec::new();
+    let mut opts = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--epochs" | "--cycles" | "--seed" | "--jobs" => {
+                opts.push(a.clone());
+                opts.extend(it.next().cloned());
+            }
+            other if other.starts_with('-') => {
+                eprintln!(
+                    "error: figures takes only --epochs, --cycles, --seed and --jobs, not {other}"
+                );
+                return 2;
+            }
+            id => match FIGURES.iter().find(|(name, _)| *name == id) {
+                Some(figure) => figures.push(figure),
+                None => {
+                    eprintln!(
+                        "error: unknown figure {id}; expected one of {}",
+                        figure_ids()
+                    );
+                    return 2;
+                }
+            },
+        }
+    }
+    let o = match parse_opts(&opts) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return 2;
+        }
+    };
+    if figures.is_empty() {
+        figures = FIGURES.iter().collect();
+    }
+    let cfg = config(&o);
+    let jobs = o.jobs.unwrap_or_else(default_jobs);
+    for (id, figure) in figures {
+        match figure(&cfg, jobs) {
+            Ok(report) => print!("{report}"),
+            Err(e) => {
+                eprintln!("figure {id} failed: {e}");
+                return 1;
+            }
+        }
+    }
+    0
 }
 
 fn print_supervised(names: &[String], m: &SupervisedMatrix) {

@@ -1,6 +1,9 @@
 //! Umbrella crate for the MorphCache reproduction: re-exports the
-//! workspace crates under one name for the examples and tests.
-//! See README.md for the tour.
+//! workspace crates under one name for the examples and tests, and holds
+//! the generators of the paper's tables and figures ([`figures`], run by
+//! `morph figures`). See README.md for the tour.
+
+pub mod figures;
 
 pub use morph_baselines as baselines;
 pub use morph_cache as cache;

@@ -1,7 +1,7 @@
 //! End-to-end system tests: full policy runs on the public API, checking
 //! the invariants the paper's evaluation relies on.
 
-use morph_system::experiment::{run_cells, run_matrix, run_workload};
+use morph_system::experiment::{run_cells, run_workload};
 use morph_system::prelude::*;
 
 fn cfg() -> SystemConfig {
@@ -91,8 +91,11 @@ fn seeds_change_results() {
 fn matrix_runner_matches_serial_runner() {
     let cfg = cfg();
     let w = mixed_workload();
-    let jobs = vec![(w.clone(), Policy::baseline(8)), (w.clone(), Policy::Dsr)];
-    let par = run_matrix(&cfg, &jobs).unwrap();
+    let cells = vec![
+        MatrixCell::new(w.clone(), Policy::baseline(8), cfg.seed),
+        MatrixCell::new(w.clone(), Policy::Dsr, cfg.seed),
+    ];
+    let par = run_cells(&cfg, &cells, default_jobs()).unwrap().results;
     assert_eq!(
         par[0].mean_throughput(),
         run_workload(&cfg, &w, &Policy::baseline(8))
@@ -277,12 +280,12 @@ fn ideal_offline_at_least_matches_its_worst_candidate() {
         SymmetricTopology::new(8, 1, 1, 8).unwrap(),
         SymmetricTopology::new(1, 1, 8, 8).unwrap(),
     ];
-    let jobs = vec![
-        (w.clone(), Policy::Static(cands[0])),
-        (w.clone(), Policy::Static(cands[1])),
-        (w.clone(), Policy::IdealOffline(cands.clone())),
+    let cells = vec![
+        MatrixCell::new(w.clone(), Policy::Static(cands[0]), cfg.seed),
+        MatrixCell::new(w.clone(), Policy::Static(cands[1]), cfg.seed),
+        MatrixCell::new(w.clone(), Policy::IdealOffline(cands.clone()), cfg.seed),
     ];
-    let r = run_matrix(&cfg, &jobs).unwrap();
+    let r = run_cells(&cfg, &cells, default_jobs()).unwrap().results;
     let worst = r[0].mean_throughput().min(r[1].mean_throughput());
     assert!(
         r[2].mean_throughput() >= worst * 0.95,
