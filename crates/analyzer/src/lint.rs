@@ -10,7 +10,7 @@
 //! | `no-wallclock` | `std::time`, `Instant`, `SystemTime` | cell results must be pure functions of (config, workload, policy, seed); wall-clock belongs only in `morph-metrics::timing` |
 //! | `no-panic-in-lib` | `.unwrap(` / `.expect(` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` | library crates report failures through `MorphError`; a panic in a worker poisons the whole matrix |
 //! | `no-foreign-rng` | `rand`, `thread_rng`, `OsRng`, ... | all randomness flows through the vendored `morph-core::rng` so a seed fully determines a run |
-//! | `no-unapproved-thread-state` | `std::thread`, `std::sync`, `Mutex`, atomics, ... | shared mutable state outside the audited `experiment.rs` work queue and `supervisor.rs` monitor can break the jobs=1 ≡ jobs=N guarantee |
+//! | `no-unapproved-thread-state` | `std::thread`, `std::sync`, `Mutex`, atomics, ... | shared mutable state outside the audited matrix work queue (`experiment.rs`, `supervisor.rs`) can break the jobs=1 ≡ jobs=N guarantee |
 //!
 //! Test code (`#[test]` functions and `#[cfg(test)]` modules) is exempt:
 //! panicking asserts and ad-hoc hash containers are idiomatic there.
@@ -113,8 +113,8 @@ pub(crate) fn exempt_suffixes(rule: &str) -> &'static [&'static str] {
         // The vendored PRNG implementation itself.
         "no-foreign-rng" => &["crates/core/src/rng.rs"],
         // The audited scoped-thread work queue of the parallel matrix and
-        // the supervised-execution layer on top of it (cancel tokens,
-        // deadline monitor, shutdown flag).
+        // the supervised-execution layer on top of it (worker threads,
+        // cancel tokens, shutdown flag).
         "no-unapproved-thread-state" => &[
             "crates/system/src/experiment.rs",
             "crates/system/src/supervisor.rs",

@@ -5,7 +5,6 @@
 //! 1 MB 16-way L3 slices (30 cycles local / 45 merged), 300-cycle memory.
 
 use crate::ConfigError;
-use morphcache::MorphError;
 
 /// Geometry of one cache (or cache slice): `sets × ways × block_bytes`.
 ///
@@ -108,40 +107,6 @@ impl CacheParams {
     /// Tag for a line address (the bits above the set index).
     pub fn tag(&self, line: u64) -> u64 {
         line >> self.sets.trailing_zeros()
-    }
-
-    /// Re-checks the power-of-two indexing invariants, reporting
-    /// violations as workspace-level typed errors. `field` names the
-    /// cache this geometry describes (e.g. `"l2_slice"`) and is carried
-    /// into the error verbatim.
-    ///
-    /// Construction already enforces these invariants, so this only fails
-    /// for values forged through transmutes or future field exposure; it
-    /// exists so system-level configuration validation has a single typed
-    /// error surface.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MorphError::InvalidConfig`] naming `field` and the
-    /// offending component.
-    pub fn validate(&self, field: &'static str) -> Result<(), MorphError> {
-        for (constraint, v) in [
-            ("sets must be a nonzero power of two", self.sets),
-            ("ways must be a nonzero power of two", self.ways),
-            (
-                "block_bytes must be a nonzero power of two",
-                self.block_bytes,
-            ),
-        ] {
-            if v == 0 || !v.is_power_of_two() {
-                return Err(MorphError::InvalidConfig {
-                    field,
-                    value: v as u64,
-                    constraint,
-                });
-            }
-        }
-        Ok(())
     }
 }
 
@@ -247,12 +212,6 @@ mod tests {
             assert!(p.set_index(line) < 512);
             assert_eq!((p.tag(line) << 9) | p.set_index(line) as u64, line);
         }
-    }
-
-    #[test]
-    fn validate_accepts_constructed_geometry() {
-        let p = CacheParams::new(512, 8, 64).unwrap();
-        assert!(p.validate("l2_slice").is_ok());
     }
 
     #[test]

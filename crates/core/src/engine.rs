@@ -640,9 +640,9 @@ impl MorphEngine {
                     span.extend(&groups[j]);
                     if !covered_by_one(&span, &self.l3.groups) {
                         match self.config.policy {
-                            ConflictPolicy::MergeAggressive => {
-                                return self.can_cover_l3(&span);
-                            }
+                            // Merging at the last level is always safe
+                            // (§2.2), so the covering L3 merge can follow.
+                            ConflictPolicy::MergeAggressive => return true,
                             ConflictPolicy::SplitAggressive => return false,
                         }
                     }
@@ -741,17 +741,6 @@ impl MorphEngine {
                 break;
             }
         }
-    }
-
-    /// Whether the L3 groups covering `span` can be merged into one
-    /// (always physically safe at the last level; checked here only for
-    /// grouping-mode shape constraints).
-    fn can_cover_l3(&self, _span: &[usize]) -> bool {
-        // Merging at the last level is always physically safe (§2.2:
-        // "Merging two neighboring slices of the last level cache (L3) is
-        // always safe"); since L2 groups refine L3 in every grouping mode,
-        // the covering chain always exists.
-        true
     }
 
     /// Merges L3 groups until `span` is covered by one group, logging the

@@ -12,15 +12,12 @@
 //! * fixed-width table rendering for the figure reports;
 //! * the workspace's JSON codec ([`Json`]);
 //! * wall-clock accounting ([`MatrixTiming`]) for the parallel
-//!   experiment matrix (cells/sec, speedup over a serial schedule);
-//! * per-cell status/retry accounting ([`MatrixHealth`]) for supervised
-//!   matrix runs (completed/recovered/cached/degraded/interrupted).
+//!   experiment matrix (cells/sec, speedup over a serial schedule).
 
 pub mod bench;
 pub mod json;
 pub mod speedup;
 pub mod stats;
-pub mod supervise;
 pub mod table;
 pub mod timing;
 
@@ -28,6 +25,5 @@ pub use bench::{BenchBackend, BenchBaseline, BenchError, BenchReport, BENCH_SCHE
 pub use json::Json;
 pub use speedup::{fair_speedup, throughput, weighted_speedup};
 pub use stats::{geometric_mean, mean, pearson, std_dev};
-pub use supervise::{CellStatus, MatrixHealth};
 pub use table::Table;
 pub use timing::MatrixTiming;

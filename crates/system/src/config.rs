@@ -108,8 +108,7 @@ impl SystemConfig {
     /// epoch, a zero or epoch-exceeding scheduler quantum, no measured
     /// epochs, a core/slice count that is zero, not a power of two
     /// (buddy merging needs power-of-two groups) or above [`MAX_CORES`]
-    /// (caches store owners as 2-byte core ids), or cache geometry whose
-    /// sets/ways/block size fail the power-of-two indexing invariants.
+    /// (caches store owners as 2-byte core ids).
     ///
     /// # Errors
     ///
@@ -142,9 +141,6 @@ impl SystemConfig {
         if n > MAX_CORES {
             return field("n_cores", n as u64, "must not exceed 65536");
         }
-        self.hierarchy.l1.validate("l1")?;
-        self.hierarchy.l2_slice.validate("l2_slice")?;
-        self.hierarchy.l3_slice.validate("l3_slice")?;
         Ok(())
     }
 }

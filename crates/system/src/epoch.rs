@@ -31,10 +31,10 @@ pub(crate) fn run_epoch(
     sim: &mut SystemSim,
     probe: &mut dyn CacheEventSink,
 ) -> Result<EpochResult, MorphError> {
-    // Cooperative cancellation: the supervisor's deadline monitor (or a
-    // graceful shutdown) sets the token; the run aborts at the next epoch
-    // boundary rather than being killed mid-epoch, so no shared state is
-    // ever left half-updated.
+    // Cooperative cancellation: the token fires once the attempt's
+    // deadline passes or a graceful shutdown is requested; the run aborts
+    // at the next epoch boundary rather than being killed mid-epoch, so
+    // no shared state is ever left half-updated.
     if sim.cancel.as_ref().is_some_and(CancelToken::is_cancelled) {
         return Err(MorphError::Cancelled { epoch: sim.epoch });
     }

@@ -12,7 +12,7 @@ use crate::policy::Policy;
 use crate::sim::{EpochResult, SystemSim};
 use crate::supervisor::{SuperviseOptions, Supervisor};
 use crate::workload::Workload;
-use morph_metrics::{MatrixHealth, MatrixTiming};
+use morph_metrics::MatrixTiming;
 use morphcache::MorphError;
 
 /// The full result of one policy × workload run.
@@ -150,10 +150,6 @@ pub struct ExperimentMatrix {
     pub timing: MatrixTiming,
     /// Worker threads the matrix ran on.
     pub jobs: usize,
-    /// Per-cell supervision status (every status has a result here — a
-    /// strict matrix only exists when all cells completed, recovered, or
-    /// were loaded from a checkpoint).
-    pub health: MatrixHealth,
 }
 
 /// The default worker count for [`run_cells`]: the host's available
@@ -192,7 +188,6 @@ pub fn run_cells(
         jobs,
         cell_timeout_seconds: None,
         retries: 0,
-        ..SuperviseOptions::default()
     };
     Supervisor::new(options).run(cfg, cells)?.into_matrix()
 }

@@ -86,11 +86,6 @@ impl RunJournal {
         })
     }
 
-    /// The run directory this journal writes to.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Results recovered from a previous run, in cell order (`None` for
     /// cells that still need to run). `seconds` is the recorded compute
     /// time of the original run.

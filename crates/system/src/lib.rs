@@ -87,10 +87,10 @@ pub mod prelude {
     pub use crate::sampling::{run_sampled, LevelExtrapolation, SampledRun, SamplingConfig};
     pub use crate::sim::{EpochResult, SystemSim};
     pub use crate::supervisor::{
-        CancelToken, CellChaos, CellFailure, CellReport, ChaosAction, ChaosPlan, ShutdownFlag,
+        CancelToken, CellFailure, CellReport, CellStatus, ChaosAction, ChaosPlan, ShutdownFlag,
         SuperviseOptions, SupervisedMatrix, Supervisor,
     };
     pub use crate::workload::Workload;
-    pub use morph_metrics::{CellStatus, MatrixHealth, MatrixTiming};
+    pub use morph_metrics::MatrixTiming;
     pub use morphcache::{MorphError, StallDiagnostic, SymmetricTopology};
 }

@@ -136,7 +136,7 @@ impl SystemSim {
     /// Installs a cooperative cancellation token (see
     /// [`crate::supervisor`]). The epoch loop polls the token at every
     /// epoch boundary and aborts the run with [`MorphError::Cancelled`]
-    /// once it is set — this is how the supervisor enforces per-cell
+    /// once it fires — this is how the supervisor enforces per-cell
     /// deadlines and graceful shutdown without killing threads mid-epoch.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);

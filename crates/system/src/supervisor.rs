@@ -2,35 +2,35 @@
 //! per-cell deadlines, bounded retry with deterministic backoff,
 //! checkpoint/resume, and graceful shutdown.
 //!
-//! The plain work queue in [`crate::experiment::run_cells`] treats any
-//! cell failure as fatal to the matrix. The [`Supervisor`] keeps the same
-//! queue discipline (scoped workers pulling from an atomic counter, so
-//! results are bit-identical for any `jobs` value) but wraps every
-//! attempt in [`catch_unwind`] and classifies what went wrong as a typed
-//! [`CellFailure`]:
+//! [`crate::experiment::run_cells`] is the strict view of the same
+//! queue: no retries, no deadline, and the first failed cell fails the
+//! matrix. The [`Supervisor`] runs scoped workers pulling from an atomic
+//! counter (so results are bit-identical for any `jobs` value), wraps
+//! every attempt in [`catch_unwind`] and classifies what went wrong as a
+//! typed [`CellFailure`]:
 //!
 //! * a **panic** on the worker is caught and retried — it never takes the
 //!   other cells down;
-//! * a **deadline** ([`SuperviseOptions::cell_timeout_seconds`]) is
-//!   enforced by a monitor thread that sets the attempt's [`CancelToken`];
-//!   the simulator polls the token at every epoch boundary and aborts
-//!   with [`MorphError::Cancelled`] — no thread is ever killed mid-epoch;
+//! * a **deadline** ([`SuperviseOptions::cell_timeout_seconds`]) travels
+//!   in the attempt's [`CancelToken`]; the simulator polls the token at
+//!   every epoch boundary and aborts with [`MorphError::Cancelled`] once
+//!   the deadline has passed — no thread is ever killed mid-epoch;
 //! * a **typed error** is retried like a panic (faults and topology
 //!   errors are usually deterministic, but retrying is harmless — the
 //!   cell is a pure function of its inputs);
 //! * retries are separated by **bounded deterministic backoff**
-//!   (`min(cap, base·2^(attempt-1))` — no RNG, no unbounded growth);
+//!   (`min(1 s, 0.05 s·2^(attempt-1))` — no RNG, no unbounded growth);
 //! * after the retry budget the cell is marked
-//!   [`Degraded`](morph_metrics::CellStatus::Degraded) and the matrix
-//!   *keeps going*: a supervised run always completes and reports
-//!   per-cell status ([`SupervisedMatrix`]).
+//!   [`Degraded`](CellStatus::Degraded) and the matrix *keeps going*: a
+//!   supervised run always completes and reports per-cell status
+//!   ([`SupervisedMatrix`]).
 //!
 //! With a [`RunJournal`] attached, every completed cell is checkpointed
 //! as soon as it finishes; a [`ShutdownFlag`] (set programmatically or by
-//! SIGINT) interrupts the run gracefully — in-flight cells are cancelled
-//! at their next epoch boundary, the journal stays consistent, and a
-//! resumed run loads the recorded cells back bit-identically as
-//! [`Cached`](morph_metrics::CellStatus::Cached).
+//! SIGINT) interrupts the run gracefully — every attempt's token observes
+//! the flag, so in-flight cells are cancelled at their next epoch
+//! boundary, the journal stays consistent, and a resumed run loads the
+//! recorded cells back bit-identically as [`Cached`](CellStatus::Cached).
 //!
 //! This module (with `experiment.rs`) is the audited home of thread
 //! machinery in the workspace — see the `no-unapproved-thread-state`
@@ -42,40 +42,62 @@ use crate::experiment::{ExperimentMatrix, MatrixCell, RunResult};
 use crate::journal::RunJournal;
 use crate::sim::SystemSim;
 use morph_metrics::timing::{sleep_seconds, Stopwatch};
-use morph_metrics::{CellStatus, MatrixHealth, MatrixTiming};
+use morph_metrics::MatrixTiming;
 use morphcache::{MorphError, Xoshiro256pp};
+use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-
-/// Seconds between monitor-thread polls of the in-flight registry.
-const MONITOR_POLL_SECONDS: f64 = 0.005;
+use std::sync::Arc;
 
 /// Seconds per slice of an interruptible sleep (backoff, chaos stalls):
 /// short enough that cancellation and shutdown are honored promptly.
 const SLEEP_SLICE_SECONDS: f64 = 0.002;
 
-/// A cooperative cancellation token shared between a running cell and
-/// the supervisor's monitor thread. The simulator polls it at every
-/// epoch boundary (see `epoch.rs`); setting it aborts the run with
-/// [`MorphError::Cancelled`] without killing the thread.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
+/// The first retry's backoff in seconds; it doubles per further attempt.
+const BACKOFF_BASE_SECONDS: f64 = 0.05;
+
+/// Upper bound on any single backoff sleep, in seconds.
+const BACKOFF_CAP_SECONDS: f64 = 1.0;
+
+/// The deterministic backoff before attempt `attempt` (1-based for
+/// retries): `min(cap, base·2^(attempt-1))`.
+fn backoff_seconds(attempt: u32) -> f64 {
+    if attempt == 0 {
+        return 0.0;
+    }
+    let exp = 2f64.powi((attempt - 1).min(30) as i32);
+    (BACKOFF_BASE_SECONDS * exp).min(BACKOFF_CAP_SECONDS)
+}
+
+/// A cooperative cancellation token for one cell attempt: it fires once
+/// the attempt's wall-clock limit has elapsed or a shutdown is requested.
+/// The simulator polls it at every epoch boundary (see `epoch.rs`) and
+/// aborts the run with [`MorphError::Cancelled`] without killing the
+/// thread.
+#[derive(Debug, Clone)]
+pub struct CancelToken {
+    started: Stopwatch,
+    limit_seconds: Option<f64>,
+    shutdown: ShutdownFlag,
+}
 
 impl CancelToken {
-    /// A fresh, uncancelled token.
-    pub fn new() -> Self {
-        Self::default()
+    /// A token that fires `limit_seconds` of wall time from now (never,
+    /// if `None`) or as soon as `shutdown` is requested.
+    pub fn new(limit_seconds: Option<f64>, shutdown: ShutdownFlag) -> Self {
+        Self {
+            started: Stopwatch::start(),
+            limit_seconds,
+            shutdown,
+        }
     }
 
-    /// Requests cancellation; the run aborts at its next epoch boundary.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether cancellation has been requested.
+    /// Whether the limit has elapsed or a shutdown has been requested.
     pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.shutdown.is_requested()
+            || self
+                .limit_seconds
+                .is_some_and(|limit| self.started.has_elapsed(limit))
     }
 }
 
@@ -109,7 +131,8 @@ fn install_sigint_handler() {}
 
 /// A graceful-shutdown request: set programmatically ([`request`]) or by
 /// SIGINT when armed with [`with_sigint`]. The supervisor stops handing
-/// out new cells and cancels in-flight ones at their next epoch boundary.
+/// out new cells, and every in-flight attempt's [`CancelToken`] fires at
+/// its next epoch boundary.
 ///
 /// [`request`]: ShutdownFlag::request
 /// [`with_sigint`]: ShutdownFlag::with_sigint
@@ -145,6 +168,52 @@ impl ShutdownFlag {
     pub fn is_requested(&self) -> bool {
         self.local.load(Ordering::SeqCst)
             || (self.sigint && SIGINT_REQUESTED.load(Ordering::SeqCst))
+    }
+}
+
+/// The final status of one matrix cell under supervision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellStatus {
+    /// Completed on the first attempt.
+    Completed,
+    /// Completed after at least one failed attempt (panic, typed error,
+    /// or deadline expiry) — the retry policy saved it.
+    Recovered,
+    /// Skipped entirely: a bit-identical result was loaded from the
+    /// checkpoint journal of a previous run.
+    Cached,
+    /// Every attempt failed; the cell has no result but did not take the
+    /// rest of the matrix down with it.
+    Degraded,
+    /// A graceful shutdown was requested before the cell could finish;
+    /// resuming from the journal will run it.
+    Interrupted,
+}
+
+impl CellStatus {
+    /// Whether the cell ended with a usable result.
+    pub fn has_result(self) -> bool {
+        matches!(
+            self,
+            CellStatus::Completed | CellStatus::Recovered | CellStatus::Cached
+        )
+    }
+
+    /// Short lowercase label for CLI tables (`ok`, `recovered`, ...).
+    pub fn label(self) -> &'static str {
+        match self {
+            CellStatus::Completed => "ok",
+            CellStatus::Recovered => "recovered",
+            CellStatus::Cached => "cached",
+            CellStatus::Degraded => "degraded",
+            CellStatus::Interrupted => "interrupted",
+        }
+    }
+}
+
+impl fmt::Display for CellStatus {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -235,15 +304,11 @@ impl CellReport {
 pub struct SuperviseOptions {
     /// Worker threads (clamped to the cell count, minimum 1).
     pub jobs: usize,
-    /// Per-cell wall-clock deadline; `None` disables the monitor's
-    /// deadline check (shutdown cancellation still works).
+    /// Per-attempt wall-clock deadline; `None` sets none (shutdown
+    /// cancellation still works).
     pub cell_timeout_seconds: Option<f64>,
     /// Failed attempts to retry before marking a cell degraded.
     pub retries: u32,
-    /// First retry's backoff in seconds; doubles per further attempt.
-    pub backoff_base_seconds: f64,
-    /// Upper bound on any single backoff sleep.
-    pub backoff_cap_seconds: f64,
 }
 
 impl Default for SuperviseOptions {
@@ -252,21 +317,7 @@ impl Default for SuperviseOptions {
             jobs: crate::experiment::default_jobs(),
             cell_timeout_seconds: None,
             retries: 2,
-            backoff_base_seconds: 0.05,
-            backoff_cap_seconds: 1.0,
         }
-    }
-}
-
-impl SuperviseOptions {
-    /// The deterministic backoff before attempt `attempt` (1-based for
-    /// retries): `min(cap, base·2^(attempt-1))`.
-    pub fn backoff_seconds(&self, attempt: u32) -> f64 {
-        if attempt == 0 {
-            return 0.0;
-        }
-        let exp = 2f64.powi((attempt - 1).min(30) as i32);
-        (self.backoff_base_seconds * exp).min(self.backoff_cap_seconds)
     }
 }
 
@@ -287,12 +338,36 @@ pub struct SupervisedMatrix {
 }
 
 impl SupervisedMatrix {
-    /// Per-cell status and retry counters (the summary the CLI prints).
-    pub fn health(&self) -> MatrixHealth {
-        MatrixHealth {
-            statuses: self.reports.iter().map(|r| r.status).collect(),
-            retries: self.reports.iter().map(|r| r.retries).collect(),
-        }
+    /// Number of cells that ended with `status`.
+    pub fn count(&self, status: CellStatus) -> usize {
+        self.reports.iter().filter(|r| r.status == status).count()
+    }
+
+    /// One-line summary for run reports, e.g.
+    /// `"8 cells: 5 ok, 1 recovered, 2 cached; 3 retries"`.
+    pub fn summary(&self) -> String {
+        let parts: Vec<String> = [
+            CellStatus::Completed,
+            CellStatus::Recovered,
+            CellStatus::Cached,
+            CellStatus::Degraded,
+            CellStatus::Interrupted,
+        ]
+        .into_iter()
+        .map(|status| (self.count(status), status))
+        .filter(|&(n, _)| n > 0)
+        .map(|(n, status)| format!("{n} {status}"))
+        .collect();
+        let retries: u64 = self.reports.iter().map(|r| u64::from(r.retries)).sum();
+        format!(
+            "{} cells: {}; {retries} retries",
+            self.reports.len(),
+            if parts.is_empty() {
+                "empty".to_string()
+            } else {
+                parts.join(", ")
+            }
+        )
     }
 
     /// Whether every cell ended with a usable result.
@@ -316,7 +391,6 @@ impl SupervisedMatrix {
     /// Returns [`CellReport::first_error`] of the first cell without a
     /// result.
     pub fn into_matrix(self) -> Result<ExperimentMatrix, MorphError> {
-        let health = self.health();
         let mut results = Vec::with_capacity(self.results.len());
         for (slot, report) in self.results.into_iter().zip(&self.reports) {
             match slot {
@@ -328,7 +402,6 @@ impl SupervisedMatrix {
             results,
             timing: self.timing,
             jobs: self.jobs,
-            health,
         })
     }
 }
@@ -357,21 +430,8 @@ pub enum ChaosAction {
     },
 }
 
-/// A per-attempt chaos schedule the supervisor consults before running
-/// each cell attempt. `Sync` because every worker shares one schedule.
-pub trait CellChaos: Sync {
-    /// The action for attempt `attempt` (0-based) of cell `cell`.
-    fn action(&self, cell: usize, attempt: u32) -> ChaosAction;
-
-    /// If `Some(k)`, request a graceful shutdown once `k` cells have
-    /// completed — simulating an operator kill mid-run, for the
-    /// checkpoint/resume path.
-    fn kill_after(&self) -> Option<usize> {
-        None
-    }
-}
-
-/// A deterministic chaos schedule over (cell, attempt) pairs.
+/// A deterministic chaos schedule over (cell, attempt) pairs, which the
+/// supervisor consults before running each cell attempt.
 ///
 /// Built explicitly ([`with_panic`] / [`with_stall`] / [`with_kill_after`]),
 /// parsed from a `--chaos` spec string ([`parse`]), or drawn from a seed
@@ -531,10 +591,9 @@ impl ChaosPlan {
         }
         Ok(())
     }
-}
 
-impl CellChaos for ChaosPlan {
-    fn action(&self, cell: usize, attempt: u32) -> ChaosAction {
+    /// The action for attempt `attempt` (0-based) of cell `cell`.
+    pub fn action(&self, cell: usize, attempt: u32) -> ChaosAction {
         // Panic wins over stall for the same (cell, attempt): a panicking
         // worker never reaches the stall.
         if self.panics.iter().any(|&(c, a)| c == cell && a == attempt) {
@@ -550,23 +609,12 @@ impl CellChaos for ChaosPlan {
         ChaosAction::None
     }
 
-    fn kill_after(&self) -> Option<usize> {
+    /// If `Some(k)`, a graceful shutdown is requested once `k` cells have
+    /// completed — simulating an operator kill mid-run, for the
+    /// checkpoint/resume path.
+    pub fn kill_after(&self) -> Option<usize> {
         self.kill_after
     }
-}
-
-/// What the monitor thread needs to know about a running attempt.
-struct InFlight {
-    started: Stopwatch,
-    token: CancelToken,
-}
-
-/// Locks a mutex, recovering the guard from a poisoned lock: every
-/// panic inside the supervised region is already caught by
-/// `catch_unwind`, so a poisoned registry only means a worker died
-/// between register and clear — its entry is stale but harmless.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -585,7 +633,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 pub struct Supervisor<'a> {
     options: SuperviseOptions,
     journal: Option<RunJournal>,
-    chaos: Option<&'a dyn CellChaos>,
+    chaos: Option<&'a ChaosPlan>,
     shutdown: ShutdownFlag,
 }
 
@@ -613,7 +661,7 @@ impl<'a> Supervisor<'a> {
     /// Attaches a chaos schedule (test harness only — see
     /// [`ChaosPlan`]).
     #[must_use]
-    pub fn with_chaos(mut self, chaos: &'a dyn CellChaos) -> Self {
+    pub fn with_chaos(mut self, chaos: &'a ChaosPlan) -> Self {
         self.chaos = Some(chaos);
         self
     }
@@ -640,46 +688,18 @@ impl<'a> Supervisor<'a> {
         cells: &[MatrixCell],
     ) -> Result<SupervisedMatrix, MorphError> {
         cfg.validate()?;
+        if let Some(chaos) = self.chaos {
+            chaos.validate(cells.len())?;
+        }
         let wall = Stopwatch::start();
         let workers = self.options.jobs.max(1).min(cells.len().max(1));
-        let kill_after = self.chaos.and_then(CellChaos::kill_after);
         let next = AtomicUsize::new(0);
         let completed = AtomicUsize::new(0);
-        let done = AtomicBool::new(false);
-        let inflight: Mutex<Vec<Option<InFlight>>> = {
-            let mut v = Vec::new();
-            v.resize_with(workers, || None);
-            Mutex::new(v)
-        };
         let mut slots: Vec<Option<(Option<RunResult>, CellReport)>> = Vec::new();
         slots.resize_with(cells.len(), || None);
         std::thread::scope(|scope| {
-            let next = &next;
-            let completed = &completed;
-            let done = &done;
-            let inflight = &inflight;
-            let monitor = scope.spawn(|| {
-                while !done.load(Ordering::SeqCst) {
-                    if self.shutdown.is_requested() {
-                        for f in lock(inflight).iter().flatten() {
-                            f.token.cancel();
-                        }
-                    } else if let Some(limit) = self.options.cell_timeout_seconds {
-                        for f in lock(inflight).iter().flatten() {
-                            if f.started.has_elapsed(limit) {
-                                f.token.cancel();
-                            }
-                        }
-                    }
-                    sleep_seconds(MONITOR_POLL_SECONDS);
-                }
-            });
             let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        self.worker_loop(w, cfg, cells, next, completed, inflight, kill_after)
-                    })
-                })
+                .map(|_| scope.spawn(|| self.worker_loop(cfg, cells, &next, &completed)))
                 .collect();
             for h in handles {
                 if let Ok(mine) = h.join() {
@@ -688,8 +708,6 @@ impl<'a> Supervisor<'a> {
                     }
                 }
             }
-            done.store(true, Ordering::SeqCst);
-            let _ = monitor.join();
         });
         let mut results = Vec::with_capacity(cells.len());
         let mut reports = Vec::with_capacity(cells.len());
@@ -709,7 +727,13 @@ impl<'a> Supervisor<'a> {
                     },
                 )
             });
-            cell_seconds.push(report.seconds);
+            // A cached cell cost this run no compute; its report keeps the
+            // original run's seconds, but the timing must not count them.
+            cell_seconds.push(if report.status == CellStatus::Cached {
+                0.0
+            } else {
+                report.seconds
+            });
             results.push(result);
             reports.push(report);
         }
@@ -727,17 +751,14 @@ impl<'a> Supervisor<'a> {
     /// One worker: pull cells off the queue until it drains, supervising
     /// each attempt. Returns this worker's outcomes for input-order
     /// reassembly.
-    #[allow(clippy::too_many_arguments)]
     fn worker_loop(
         &self,
-        worker: usize,
         cfg: &SystemConfig,
         cells: &[MatrixCell],
         next: &AtomicUsize,
         completed: &AtomicUsize,
-        inflight: &Mutex<Vec<Option<InFlight>>>,
-        kill_after: Option<usize>,
     ) -> Vec<(usize, Option<RunResult>, CellReport)> {
+        let kill_after = self.chaos.and_then(ChaosPlan::kill_after);
         let mut mine = Vec::new();
         loop {
             let i = next.fetch_add(1, Ordering::Relaxed);
@@ -763,7 +784,7 @@ impl<'a> Supervisor<'a> {
                 ));
                 continue;
             }
-            let (result, mut report) = self.supervise_cell(i, cfg, cell, worker, inflight);
+            let (result, mut report) = self.supervise_cell(i, cfg, cell);
             if let Some(r) = &result {
                 if let Some(journal) = &self.journal {
                     // A journal write failure degrades durability, not
@@ -789,8 +810,6 @@ impl<'a> Supervisor<'a> {
         index: usize,
         cfg: &SystemConfig,
         cell: &MatrixCell,
-        worker: usize,
-        inflight: &Mutex<Vec<Option<InFlight>>>,
     ) -> (Option<RunResult>, CellReport) {
         let watch = Stopwatch::start();
         let mut failures: Vec<CellFailure> = Vec::new();
@@ -798,31 +817,19 @@ impl<'a> Supervisor<'a> {
         let mut status = CellStatus::Degraded;
         let mut attempt: u32 = 0;
         loop {
+            self.interruptible_sleep(backoff_seconds(attempt));
             if self.shutdown.is_requested() {
                 status = CellStatus::Interrupted;
                 failures.push(CellFailure::Interrupted);
                 break;
             }
-            if attempt > 0 {
-                self.interruptible_sleep(self.options.backoff_seconds(attempt));
-                if self.shutdown.is_requested() {
-                    status = CellStatus::Interrupted;
-                    failures.push(CellFailure::Interrupted);
-                    break;
-                }
-            }
-            let token = CancelToken::new();
-            lock(inflight)[worker] = Some(InFlight {
-                started: Stopwatch::start(),
-                token: token.clone(),
-            });
+            let token = CancelToken::new(self.options.cell_timeout_seconds, self.shutdown.clone());
             let chaos_action = self
                 .chaos
                 .map_or(ChaosAction::None, |c| c.action(index, attempt));
             let run = catch_unwind(AssertUnwindSafe(|| {
                 attempt_cell(cfg, cell, &token, chaos_action)
             }));
-            lock(inflight)[worker] = None;
             match run {
                 Ok(Ok(r)) => {
                     status = if attempt == 0 {
@@ -893,8 +900,8 @@ fn attempt_cell(
             panic!("chaos: injected panic");
         }
         ChaosAction::Stall { seconds } => {
-            // Simulate a hang the deadline monitor must break: hold the
-            // worker until the stall elapses or the token is cancelled.
+            // Simulate a hang the deadline must break: hold the worker
+            // until the stall elapses or the token fires.
             let sw = Stopwatch::start();
             while !sw.has_elapsed(seconds) {
                 if token.is_cancelled() {
@@ -933,36 +940,96 @@ mod tests {
     fn quick_options(jobs: usize) -> SuperviseOptions {
         SuperviseOptions {
             jobs,
-            backoff_base_seconds: 0.001,
-            backoff_cap_seconds: 0.01,
             ..SuperviseOptions::default()
         }
     }
 
+    /// A matrix with one result-less cell per `(status, retries)` pair.
+    fn matrix_of(cells: &[(CellStatus, u32)]) -> SupervisedMatrix {
+        SupervisedMatrix {
+            results: vec![None; cells.len()],
+            reports: cells
+                .iter()
+                .enumerate()
+                .map(|(index, &(status, retries))| CellReport {
+                    index,
+                    status,
+                    retries,
+                    failures: Vec::new(),
+                    seconds: 0.0,
+                })
+                .collect(),
+            timing: MatrixTiming::default(),
+            jobs: 1,
+        }
+    }
+
     #[test]
-    fn cancel_token_and_shutdown_flag() {
-        let t = CancelToken::new();
-        assert!(!t.is_cancelled());
-        t.clone().cancel();
-        assert!(t.is_cancelled(), "clones share the flag");
-        let s = ShutdownFlag::new();
-        assert!(!s.is_requested());
-        s.clone().request();
-        assert!(s.is_requested());
+    fn cancel_token_fires_on_an_elapsed_limit_or_a_shutdown() {
+        let shutdown = ShutdownFlag::new();
+        let unlimited = CancelToken::new(None, shutdown.clone());
+        let distant = CancelToken::new(Some(3600.0), shutdown.clone());
+        assert!(!unlimited.is_cancelled());
+        assert!(!distant.is_cancelled());
+        let elapsed = CancelToken::new(Some(0.0), ShutdownFlag::new());
+        assert!(elapsed.is_cancelled(), "an elapsed limit fires");
+        shutdown.clone().request();
+        assert!(unlimited.is_cancelled(), "clones share the shutdown flag");
+        assert!(distant.is_cancelled());
     }
 
     #[test]
     fn backoff_is_bounded_and_deterministic() {
-        let o = SuperviseOptions {
-            backoff_base_seconds: 0.05,
-            backoff_cap_seconds: 0.2,
-            ..SuperviseOptions::default()
-        };
-        assert_eq!(o.backoff_seconds(0), 0.0);
-        assert_eq!(o.backoff_seconds(1), 0.05);
-        assert_eq!(o.backoff_seconds(2), 0.1);
-        assert_eq!(o.backoff_seconds(3), 0.2, "capped");
-        assert_eq!(o.backoff_seconds(100), 0.2, "still capped, no overflow");
+        assert_eq!(backoff_seconds(0), 0.0);
+        assert_eq!(backoff_seconds(1), 0.05);
+        assert_eq!(backoff_seconds(2), 0.1);
+        assert_eq!(backoff_seconds(5), 0.8);
+        assert_eq!(backoff_seconds(6), 1.0, "capped");
+        assert_eq!(backoff_seconds(100), 1.0, "still capped, no overflow");
+    }
+
+    #[test]
+    fn status_classification() {
+        assert!(CellStatus::Completed.has_result());
+        assert!(CellStatus::Recovered.has_result());
+        assert!(CellStatus::Cached.has_result());
+        assert!(!CellStatus::Degraded.has_result());
+        assert!(!CellStatus::Interrupted.has_result());
+        assert_eq!(CellStatus::Completed.label(), "ok");
+        assert_eq!(CellStatus::Recovered.to_string(), "recovered");
+    }
+
+    #[test]
+    fn all_completed_matrix_summary() {
+        let m = matrix_of(&[(CellStatus::Completed, 0); 3]);
+        assert!(m.is_complete());
+        assert!(!m.was_interrupted());
+        assert_eq!(m.summary(), "3 cells: 3 ok; 0 retries");
+    }
+
+    #[test]
+    fn mixed_matrix_counts_and_summary() {
+        let m = matrix_of(&[
+            (CellStatus::Completed, 0),
+            (CellStatus::Recovered, 2),
+            (CellStatus::Cached, 0),
+            (CellStatus::Degraded, 3),
+            (CellStatus::Interrupted, 1),
+        ]);
+        assert!(!m.is_complete());
+        assert!(m.was_interrupted());
+        assert_eq!(m.count(CellStatus::Degraded), 1);
+        assert_eq!(
+            m.summary(),
+            "5 cells: 1 ok, 1 recovered, 1 cached, 1 degraded, 1 interrupted; 6 retries"
+        );
+    }
+
+    #[test]
+    fn empty_matrix_summary() {
+        let m = matrix_of(&[]);
+        assert!(m.is_complete(), "vacuously complete");
+        assert_eq!(m.summary(), "0 cells: empty; 0 retries");
     }
 
     #[test]
@@ -972,11 +1039,10 @@ mod tests {
         let m = sup.run(&cfg, &cells).unwrap();
         assert!(m.is_complete());
         assert!(!m.was_interrupted());
-        assert_eq!(m.health().count(CellStatus::Completed), 3);
-        assert_eq!(m.health().total_retries(), 0);
+        assert_eq!(m.count(CellStatus::Completed), 3);
+        assert_eq!(m.summary(), "3 cells: 3 ok; 0 retries");
         let matrix = m.into_matrix().unwrap();
         assert_eq!(matrix.results.len(), 3);
-        assert!(matrix.health.is_complete());
     }
 
     #[test]
@@ -1048,19 +1114,8 @@ mod tests {
         let sup = Supervisor::new(quick_options(1)).with_chaos(&chaos);
         let m = sup.run(&cfg, &cells).unwrap();
         assert!(m.was_interrupted());
-        let health = m.health();
-        assert_eq!(
-            health.count(CellStatus::Completed),
-            1,
-            "{}",
-            health.summary()
-        );
-        assert_eq!(
-            health.count(CellStatus::Interrupted),
-            3,
-            "{}",
-            health.summary()
-        );
+        assert_eq!(m.count(CellStatus::Completed), 1, "{}", m.summary());
+        assert_eq!(m.count(CellStatus::Interrupted), 3, "{}", m.summary());
     }
 
     #[test]
@@ -1113,5 +1168,16 @@ mod tests {
         let bad = ChaosPlan::new().with_panic(5, 0);
         assert!(bad.validate(4).is_err());
         assert!(bad.validate(6).is_ok());
+    }
+
+    #[test]
+    fn run_rejects_chaos_for_cells_the_matrix_lacks() {
+        let (cfg, cells) = small_cells(2);
+        let chaos = ChaosPlan::new().with_panic(5, 0);
+        let err = Supervisor::new(quick_options(1))
+            .with_chaos(&chaos)
+            .run(&cfg, &cells)
+            .unwrap_err();
+        assert!(matches!(err, MorphError::FaultSpec(_)), "{err}");
     }
 }

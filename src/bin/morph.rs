@@ -7,8 +7,8 @@
 //! morph run --parsec dedup --policy 4:4:1      # one multithreaded run
 //! morph run --mix 1 --faults "pin=0@3"         # fault-injected run
 //! morph run --mix 1 --validate-only            # check config, don't run
-//! morph compare --mix 5                        # all policies on one mix
-//! morph matrix --mix 5 --retries 2 --run-dir j # supervised matrix
+//! morph matrix --mix 5                         # all policies on one mix
+//! morph matrix --mix 5 --retries 2 --run-dir j # ... journalled, with retries
 //! morph figures fig13 sec24 --epochs 2         # the paper's figures
 //! ```
 
@@ -20,7 +20,7 @@ use morphcache_repro::figures::FIGURES;
 
 use morph_trace::{mixes, parsec, spec};
 
-/// The policy set `compare` and `matrix` sweep over at `n` cores: every
+/// The policy set `matrix` sweeps over at `n` cores by default: every
 /// static topology of `SymmetricTopology::static_set(n)` plus the
 /// dynamic policies. At 16 cores this is the original 8-entry list
 /// (`16:1:1, 1:1:16, 4:4:1, 8:2:1, 1:16:1, morph, pipp, dsr`).
@@ -39,19 +39,17 @@ fn main() {
     let code = match args.first().map(String::as_str) {
         Some("list") => cmd_list(),
         Some("run") => cmd_run(&args[1..]),
-        Some("compare") => cmd_compare(&args[1..]),
         Some("matrix") => cmd_matrix(&args[1..]),
         Some("figures") => cmd_figures(&args[1..]),
         _ => {
-            eprintln!("usage: morph <list|run|compare|matrix|figures> [options]");
+            eprintln!("usage: morph <list|run|matrix|figures> [options]");
             eprintln!("  morph list");
             eprintln!("  morph run --mix <1..12> | --parsec <name> | --apps a,b,c,...");
             eprintln!("            [--policy <x:y:z|morph|morph-qos|pipp|dsr|ideal>]");
             eprintln!("            [--epochs N] [--cycles N] [--seed N] [--cores N]");
             eprintln!("            [--faults <spec>] [--validate-only] [--sampling]");
-            eprintln!("  morph compare --mix <1..12> | --parsec <name> [--epochs N] [--cycles N]");
-            eprintln!("            [--jobs N]");
             eprintln!("  morph matrix --mix <1..12> | --parsec <name> | --apps a,b,c,...");
+            eprintln!("            [--epochs N] [--cycles N] [--seed N] [--cores N]");
             eprintln!("            [--policies p1,p2,...] [--jobs N] [--cell-timeout SECS]");
             eprintln!("            [--retries N] [--run-dir DIR | --resume DIR]");
             eprintln!("            [--chaos <spec>] [--chaos-verify]");
@@ -67,9 +65,11 @@ fn main() {
             eprintln!("  --sampling: representative-interval sampling — simulate one");
             eprintln!("      epoch per detected phase, fast-forward the rest (epochs");
             eprintln!("      marked * in the output ran in full detail)");
-            eprintln!("  --jobs N: worker threads for compare/matrix/figures (default: host");
+            eprintln!("  --jobs N: worker threads for matrix/figures (default: host");
             eprintln!("      parallelism); results are bit-identical for any N");
-            eprintln!("  --cell-timeout SECS: deadline per cell attempt (matrix only)");
+            eprintln!("  --policies p1,p2,...: matrix cells (default: the static topologies");
+            eprintln!("      of --cores, morph, pipp, dsr); rows compare to the first cell");
+            eprintln!("  --cell-timeout SECS: deadline per cell attempt");
             eprintln!("  --retries N: retry a failed cell up to N times with");
             eprintln!("      deterministic backoff before marking it degraded (default 2)");
             eprintln!("  --run-dir DIR: journal completed cells to DIR as they finish;");
@@ -125,7 +125,51 @@ struct Opts {
     chaos_verify: bool,
 }
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
+/// The options `run` reads.
+const RUN_OPTIONS: &[&str] = &[
+    "--mix",
+    "--parsec",
+    "--apps",
+    "--policy",
+    "--epochs",
+    "--cycles",
+    "--seed",
+    "--cores",
+    "--faults",
+    "--validate-only",
+    "--sampling",
+];
+
+/// The options `matrix` reads.
+const MATRIX_OPTIONS: &[&str] = &[
+    "--mix",
+    "--parsec",
+    "--apps",
+    "--epochs",
+    "--cycles",
+    "--seed",
+    "--cores",
+    "--jobs",
+    "--policies",
+    "--cell-timeout",
+    "--retries",
+    "--run-dir",
+    "--resume",
+    "--chaos",
+    "--chaos-verify",
+];
+
+/// The options `figures` reads.
+const FIGURES_OPTIONS: &[&str] = &["--epochs", "--cycles", "--seed", "--jobs"];
+
+/// Parses `command`'s arguments: the options it `takes`, and the
+/// positional arguments in order. Any other option is an error naming
+/// `command`, so no option is silently ignored.
+fn parse_opts(
+    command: &str,
+    takes: &[&str],
+    args: &[String],
+) -> Result<(Opts, Vec<String>), String> {
     let mut o = Opts {
         workload: None,
         policy: "morph".into(),
@@ -144,8 +188,19 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         chaos: None,
         chaos_verify: false,
     };
+    let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if !a.starts_with('-') {
+            positional.push(a.clone());
+            continue;
+        }
+        if !takes.contains(&a.as_str()) {
+            return Err(format!(
+                "{command} takes only {}, not {a}",
+                takes.join(", ")
+            ));
+        }
         let mut val = |name: &str| -> Result<String, String> {
             it.next()
                 .cloned()
@@ -205,12 +260,20 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             other => return Err(format!("unknown option {other}")),
         }
     }
-    Ok(o)
+    Ok((o, positional))
 }
 
-/// [`parse_opts`] for the subcommands that simulate one workload.
-fn parse_workload_opts(args: &[String]) -> Result<(Opts, Workload), String> {
-    let o = parse_opts(args)?;
+/// [`parse_opts`] for the subcommands that simulate one workload and
+/// take no positional argument.
+fn parse_workload_opts(
+    command: &str,
+    takes: &[&str],
+    args: &[String],
+) -> Result<(Opts, Workload), String> {
+    let (o, positional) = parse_opts(command, takes, args)?;
+    if let Some(arg) = positional.first() {
+        return Err(format!("{command} takes no argument {arg}"));
+    }
     let w = o
         .workload
         .clone()
@@ -256,7 +319,7 @@ fn parse_faults(o: &Opts, cfg: &SystemConfig) -> Result<Option<FaultPlan>, Morph
 }
 
 fn cmd_run(args: &[String]) -> i32 {
-    let (o, w) = match parse_workload_opts(args) {
+    let (o, w) = match parse_workload_opts("run", RUN_OPTIONS, args) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
@@ -385,59 +448,6 @@ fn run_sampling(sim: &mut SystemSim, w: &Workload, p: &Policy) -> i32 {
     0
 }
 
-fn cmd_compare(args: &[String]) -> i32 {
-    let (o, w) = match parse_workload_opts(args) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let cfg = config(&o);
-    let names = match matrix_policies(cfg.n_cores()) {
-        Ok(names) => names,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let cells = match build_cells(&names, &w, &cfg) {
-        Ok(cells) => cells,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return 2;
-        }
-    };
-    let jobs = o.jobs.unwrap_or_else(default_jobs);
-    let matrix = match run_cells(&cfg, &cells, jobs) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("run failed: {e}");
-            return 1;
-        }
-    };
-    let base = matrix.results[0].mean_throughput();
-    println!("{}:", w.name());
-    for (r, secs) in matrix.results.iter().zip(&matrix.timing.cell_seconds) {
-        println!(
-            "  {:<12} throughput {:.3}  ({:.3}x baseline)  [{secs:.2}s]",
-            r.policy_name,
-            r.mean_throughput(),
-            r.mean_throughput() / base
-        );
-    }
-    let t = &matrix.timing;
-    println!(
-        "{} cells in {:.2}s with {} jobs ({:.2} cells/s, {:.2}x vs serial)",
-        t.cells(),
-        t.wall_seconds,
-        matrix.jobs,
-        t.cells_per_sec(),
-        t.parallel_speedup()
-    );
-    0
-}
-
 /// One matrix cell per policy name, all on the same workload and seed.
 fn build_cells(
     names: &[String],
@@ -451,7 +461,7 @@ fn build_cells(
 }
 
 fn cmd_matrix(args: &[String]) -> i32 {
-    let (o, w) = match parse_workload_opts(args) {
+    let (o, w) = match parse_workload_opts("matrix", MATRIX_OPTIONS, args) {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
@@ -493,7 +503,6 @@ fn cmd_matrix(args: &[String]) -> i32 {
         jobs: o.jobs.unwrap_or_else(default_jobs),
         cell_timeout_seconds: o.cell_timeout,
         retries: o.retries,
-        ..SuperviseOptions::default()
     };
     if o.chaos_verify {
         return chaos_verify(&cfg, &cells, &names, chaos, &options, o.run_dir.as_deref());
@@ -551,40 +560,26 @@ fn figure_ids() -> String {
 /// none is named) at the run length, seed and worker count of the
 /// shared options, which default to `run`'s.
 fn cmd_figures(args: &[String]) -> i32 {
-    let mut figures = Vec::new();
-    let mut opts = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--epochs" | "--cycles" | "--seed" | "--jobs" => {
-                opts.push(a.clone());
-                opts.extend(it.next().cloned());
-            }
-            other if other.starts_with('-') => {
-                eprintln!(
-                    "error: figures takes only --epochs, --cycles, --seed and --jobs, not {other}"
-                );
-                return 2;
-            }
-            id => match FIGURES.iter().find(|(name, _)| *name == id) {
-                Some(figure) => figures.push(figure),
-                None => {
-                    eprintln!(
-                        "error: unknown figure {id}; expected one of {}",
-                        figure_ids()
-                    );
-                    return 2;
-                }
-            },
-        }
-    }
-    let o = match parse_opts(&opts) {
-        Ok(o) => o,
+    let (o, ids) = match parse_opts("figures", FIGURES_OPTIONS, args) {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
             return 2;
         }
     };
+    let mut figures = Vec::new();
+    for id in &ids {
+        match FIGURES.iter().find(|(name, _)| name == id) {
+            Some(figure) => figures.push(figure),
+            None => {
+                eprintln!(
+                    "error: unknown figure {id}; expected one of {}",
+                    figure_ids()
+                );
+                return 2;
+            }
+        }
+    }
     if figures.is_empty() {
         figures = FIGURES.iter().collect();
     }
@@ -602,11 +597,20 @@ fn cmd_figures(args: &[String]) -> i32 {
     0
 }
 
+/// Prints one row per cell — its throughput also relative to the first
+/// cell's, when that cell has a result — then the status summary and
+/// [`MatrixTiming`].
 fn print_supervised(names: &[String], m: &SupervisedMatrix) {
+    let base = m.results.first().and_then(Option::as_ref);
     for (i, (report, result)) in m.reports.iter().zip(&m.results).enumerate() {
-        let throughput = match result {
-            Some(r) => format!("throughput {:.3}", r.mean_throughput()),
-            None => match report.failures.first() {
+        let throughput = match (result, base) {
+            (Some(r), Some(b)) => format!(
+                "throughput {:.3}  ({:.3}x baseline)",
+                r.mean_throughput(),
+                r.mean_throughput() / b.mean_throughput()
+            ),
+            (Some(r), None) => format!("throughput {:.3}", r.mean_throughput()),
+            (None, _) => match report.failures.first() {
                 Some(f) => format!("no result ({f})"),
                 None => "no result".to_string(),
             },
@@ -620,12 +624,14 @@ fn print_supervised(names: &[String], m: &SupervisedMatrix) {
             report.retries
         );
     }
-    let health = m.health();
+    let t = &m.timing;
     println!(
-        "{} in {:.2}s with {} jobs",
-        health.summary(),
-        m.timing.wall_seconds,
-        m.jobs
+        "{} in {:.2}s with {} jobs ({:.2} cells/s, {:.2}x vs serial)",
+        m.summary(),
+        t.wall_seconds,
+        m.jobs,
+        t.cells_per_sec(),
+        t.parallel_speedup()
     );
 }
 

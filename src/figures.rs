@@ -5,7 +5,7 @@
 //!
 //! Every generator but two takes its run length and seed from the
 //! caller's [`SystemConfig`] (the `morph` CLI builds it exactly as for
-//! `run` and `compare`) and runs its (workload, policy) cells through
+//! `run` and `matrix`) and runs its (workload, policy) cells through
 //! [`run_cells`] on the given number of worker threads. Each cell is a
 //! pure function of the configuration and the cell, so a report does not
 //! depend on the worker count. `fig05` and `table04` are

@@ -131,12 +131,10 @@ fn small_matrix(n: usize) -> (SystemConfig, Vec<MatrixCell>) {
     (cfg, cells)
 }
 
-/// Supervision options tuned for test speed: near-instant backoff.
+/// Supervision options with `jobs` workers and the default retries.
 fn quick_supervision(jobs: usize) -> SuperviseOptions {
     SuperviseOptions {
         jobs,
-        backoff_base_seconds: 0.001,
-        backoff_cap_seconds: 0.01,
         ..SuperviseOptions::default()
     }
 }
@@ -164,19 +162,8 @@ fn panicking_cell_is_isolated_and_the_matrix_completes_around_it() {
         .unwrap();
     assert!(!m.is_complete());
     assert!(!m.was_interrupted());
-    let health = m.health();
-    assert_eq!(
-        health.count(CellStatus::Completed),
-        3,
-        "{}",
-        health.summary()
-    );
-    assert_eq!(
-        health.count(CellStatus::Degraded),
-        1,
-        "{}",
-        health.summary()
-    );
+    assert_eq!(m.count(CellStatus::Completed), 3, "{}", m.summary());
+    assert_eq!(m.count(CellStatus::Degraded), 1, "{}", m.summary());
     assert!(m.results[2].is_none());
     assert!(matches!(
         m.reports[2].failures[0],
@@ -229,7 +216,7 @@ fn interrupted_run_resumes_from_the_journal_bit_identically() {
         .run(&cfg, &cells)
         .unwrap();
     assert!(m.was_interrupted());
-    assert_eq!(m.health().count(CellStatus::Completed), 2);
+    assert_eq!(m.count(CellStatus::Completed), 2);
 
     // Round 2: resume — completed cells come back from the journal, the
     // rest run fresh, and the whole matrix matches the unfaulted run.
@@ -240,7 +227,13 @@ fn interrupted_run_resumes_from_the_journal_bit_identically() {
         .run(&cfg, &cells)
         .unwrap();
     assert!(m.is_complete());
-    assert_eq!(m.health().count(CellStatus::Cached), 2);
+    assert_eq!(m.count(CellStatus::Cached), 2);
+    // A cached cell reports its recorded seconds but cost this run none.
+    for (report, &seconds) in m.reports.iter().zip(&m.timing.cell_seconds) {
+        let cached = report.status == CellStatus::Cached;
+        assert!(report.seconds > 0.0, "{report:?}");
+        assert_eq!(seconds == 0.0, cached, "{report:?}");
+    }
     let resumed: Vec<RunResult> = m.results.into_iter().map(Option::unwrap).collect();
     assert_eq!(resumed, golden.results, "resume must be bit-identical");
     let _ = std::fs::remove_dir_all(&dir);
