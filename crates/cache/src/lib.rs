@@ -42,7 +42,6 @@ pub mod hierarchy;
 pub mod index;
 pub mod mshr;
 pub mod params;
-pub mod replacement;
 pub mod slice;
 pub mod stats;
 
@@ -52,7 +51,6 @@ pub use hierarchy::{Hierarchy, HierarchyParams, MemorySubsystem};
 pub use index::{CopySet, LineIndex};
 pub use mshr::MshrFile;
 pub use params::{CacheParams, LatencyParams};
-pub use replacement::TreePlru;
 pub use slice::{CacheLevel, Slice};
 pub use stats::{LevelStats, SliceStats};
 

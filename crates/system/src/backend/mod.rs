@@ -1,10 +1,8 @@
-//! The five [`MemoryBackend`] implementations, one file per backend:
+//! The four [`MemoryBackend`] implementations, one file per backend:
 //!
 //! * [`StaticBackend`] — an LRU hierarchy pinned to one `(x:y:z)`
 //!   topology with the paper's static-latency assumption;
 //! * [`MorphBackend`] — the hierarchy managed by the MorphCache engine;
-//! * [`IdealBackend`] — the §5.1 ideal offline scheme (per-epoch trial
-//!   runs over static candidates);
 //! * `PippSystem` / `DsrSystem` from `morph-baselines`, which already
 //!   serve accesses as [`MemorySubsystem`](morph_cache::MemorySubsystem)s
 //!   and implement [`MemoryBackend`]'s epoch hooks directly (`pipp.rs` /
@@ -15,15 +13,15 @@
 //! [`from_policy`] maps a [`Policy`] onto a boxed backend; external
 //! policies can skip it entirely and hand
 //! [`SystemSim::with_backend`](crate::sim::SystemSim::with_backend) any
-//! other [`MemoryBackend`] implementation.
+//! other [`MemoryBackend`] implementation. The §5.1 ideal offline scheme
+//! is not a backend: it is composed from static runs by
+//! [`ideal_offline_throughput`](crate::experiment::ideal_offline_throughput).
 
 mod dsr;
-mod ideal;
 mod morph;
 mod pipp;
 mod static_topo;
 
-pub use ideal::IdealBackend;
 pub use morph::MorphBackend;
 pub use static_topo::StaticBackend;
 
@@ -51,7 +49,6 @@ pub fn from_policy(
     Ok(match policy {
         Policy::Static(t) => Box::new(StaticBackend::new(cfg, *t)?),
         Policy::Morph(mc) => Box::new(MorphBackend::new(cfg, workload.app_ids(n), *mc)?),
-        Policy::IdealOffline(cands) => Box::new(IdealBackend::new(cfg, cands.clone())?),
         Policy::Pipp => Box::new(PippSystem::new(
             n,
             cfg.hierarchy.l1,
@@ -144,7 +141,6 @@ mod tests {
         for p in [
             Policy::baseline(4),
             Policy::morph(&cfg),
-            Policy::IdealOffline(vec![SymmetricTopology::new(4, 1, 1, 4).unwrap()]),
             Policy::Pipp,
             Policy::Dsr,
         ] {
@@ -159,7 +155,6 @@ mod tests {
         fn assert_send<T: Send + ?Sized>() {}
         assert_send::<StaticBackend>();
         assert_send::<MorphBackend>();
-        assert_send::<IdealBackend>();
         assert_send::<dyn MemoryBackend>();
     }
 }

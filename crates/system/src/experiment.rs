@@ -1,5 +1,6 @@
 //! One-call experiment runners used by the CLI, the figure generators,
-//! examples and tests, including the parallel experiment matrix.
+//! examples and tests, including the parallel experiment matrix, and the
+//! §5.1 ideal offline scheme composed from static runs.
 //!
 //! The matrix fans independent (workload, policy) cells out over scoped
 //! worker threads ([`run_cells`]). Every cell carries its own seed
@@ -91,6 +92,28 @@ impl RunResult {
         }
         acc
     }
+}
+
+/// The §5.1 ideal offline scheme's throughput: the mean over epochs of
+/// each epoch's best throughput among `statics`, as if the machine
+/// switched to that epoch's best static topology for free.
+///
+/// `statics` are runs of one workload, seed and configuration under
+/// different static topologies, so their epochs line up; the result is
+/// at least every run's [`mean_throughput`](RunResult::mean_throughput).
+/// Epochs past the shortest run are ignored, and no runs give 0.
+/// DESIGN.md §7.8 says why this, not the literal snapshot-trial-restore
+/// scheme, is the bound: trialling one epoch at a time is greedy.
+pub fn ideal_offline_throughput(statics: &[&RunResult]) -> f64 {
+    let epochs = statics.iter().map(|r| r.epochs.len()).min().unwrap_or(0);
+    if epochs == 0 {
+        return 0.0;
+    }
+    let best = |i: usize| {
+        let throughputs = statics.iter().map(|r| r.epochs[i].throughput());
+        throughputs.fold(f64::MIN, f64::max)
+    };
+    (0..epochs).map(best).sum::<f64>() / epochs as f64
 }
 
 /// Runs `workload` under `policy` for the configured number of epochs.
@@ -239,6 +262,40 @@ mod tests {
         assert_eq!(r.throughput_series().len(), 4);
         assert_eq!(r.policy_name, "(4:1:1)");
         assert!(r.total_misses_by_core().iter().sum::<u64>() > 0);
+    }
+
+    /// A run whose epochs have the given throughputs, on one core.
+    fn series(throughputs: &[f64]) -> RunResult {
+        let epoch = |(i, &t): (usize, &f64)| EpochResult {
+            epoch: i as u64,
+            ipcs: vec![t],
+            misses_by_core: vec![0],
+            accesses: 0,
+            accesses_by_core: vec![0],
+            reconfig_events: 0,
+            asymmetric_events: 0,
+            asymmetric: false,
+            l2_grouping: "[0]".into(),
+            l3_grouping: "[0]".into(),
+            chosen_topology: None,
+        };
+        RunResult {
+            policy_name: "static".into(),
+            workload_name: "w".into(),
+            epochs: throughputs.iter().enumerate().map(epoch).collect(),
+        }
+    }
+
+    #[test]
+    fn ideal_offline_takes_each_epochs_best_static() {
+        let (a, b) = (series(&[1.0, 3.0]), series(&[2.0, 2.0]));
+        // Epoch 0 takes b's 2, epoch 1 takes a's 3: above either run.
+        assert_eq!(ideal_offline_throughput(&[&a, &b]), 2.5);
+        assert_eq!(a.mean_throughput().max(b.mean_throughput()), 2.0);
+        // One static alone is its own mean, bit for bit.
+        let c = series(&[0.3, 0.7, 0.1]);
+        assert_eq!(ideal_offline_throughput(&[&c]), c.mean_throughput());
+        assert_eq!(ideal_offline_throughput(&[]), 0.0);
     }
 
     #[test]

@@ -25,6 +25,9 @@ use std::path::{Path, PathBuf};
 /// Version tag of the journal's manifest and cell files.
 pub const JOURNAL_SCHEMA: &str = "morph-journal/v1";
 
+/// The manifest's file name; a directory holding one is a journal.
+const MANIFEST: &str = "manifest.json";
+
 /// An open checkpoint journal: the run directory plus the cell results
 /// recovered from a previous (interrupted) run against it.
 #[derive(Debug)]
@@ -52,7 +55,7 @@ impl RunJournal {
         };
         std::fs::create_dir_all(dir).map_err(|e| io("creating", e))?;
         let manifest = manifest_json(cfg, cells).render();
-        let manifest_path = dir.join("manifest.json");
+        let manifest_path = dir.join(MANIFEST);
         if manifest_path.exists() {
             let found = std::fs::read_to_string(&manifest_path)
                 .map_err(|e| io("reading manifest in", e))?;
@@ -65,7 +68,7 @@ impl RunJournal {
                 )));
             }
         } else {
-            write_atomic(dir, "manifest.json", &manifest)?;
+            write_atomic(dir, MANIFEST, &manifest)?;
         }
         let mut cached = Vec::with_capacity(cells.len());
         for (i, cell) in cells.iter().enumerate() {
@@ -84,6 +87,29 @@ impl RunJournal {
             dir: dir.to_path_buf(),
             cached,
         })
+    }
+
+    /// [`open`](Self::open) for a run that continues an earlier one:
+    /// `dir` must already hold a journal, so a missing or mistyped
+    /// directory fails instead of silently starting over.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MorphError::Journal`] if `dir` has no manifest, before
+    /// creating anything, and otherwise the errors of
+    /// [`open`](Self::open).
+    pub fn resume(
+        dir: &Path,
+        cfg: &SystemConfig,
+        cells: &[MatrixCell],
+    ) -> Result<Self, MorphError> {
+        if !dir.join(MANIFEST).is_file() {
+            return Err(MorphError::Journal(format!(
+                "nothing to resume: {} holds no {MANIFEST}",
+                dir.display()
+            )));
+        }
+        Self::open(dir, cfg, cells)
     }
 
     /// Results recovered from a previous run, in cell order (`None` for
@@ -342,6 +368,19 @@ mod tests {
         assert_eq!(cached, r);
         assert_eq!(secs, 1.25);
         assert!(resumed.cached()[1].is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn resume_needs_an_existing_journal() {
+        let (cfg, cells) = small_matrix();
+        let dir = temp_dir("resume");
+        let err = RunJournal::resume(&dir, &cfg, &cells).unwrap_err();
+        assert!(matches!(err, MorphError::Journal(_)), "{err}");
+        assert!(!dir.exists(), "a failed resume creates nothing");
+        RunJournal::open(&dir, &cfg, &cells).unwrap();
+        let resumed = RunJournal::resume(&dir, &cfg, &cells).unwrap();
+        assert_eq!(resumed.cached_cells(), 0);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

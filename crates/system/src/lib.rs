@@ -4,10 +4,11 @@
 //! trace-driven cores (`morph-cpu`), synthetic workloads (`morph-trace`),
 //! the inclusive cache hierarchy (`morph-cache`), the segmented-bus timing
 //! constants (`morph-interconnect`) and a topology policy — static
-//! `(x:y:z)`, the adaptive MorphCache engine (`morphcache`), the ideal
-//! offline scheme of §5.1, or the PIPP/DSR baselines (`morph-baselines`)
-//! — into epoch-driven runs that produce the numbers behind every table
-//! and figure of the paper.
+//! `(x:y:z)`, the adaptive MorphCache engine (`morphcache`), or the
+//! PIPP/DSR baselines (`morph-baselines`) — into epoch-driven runs that
+//! produce the numbers behind every table and figure of the paper. The
+//! ideal offline scheme of §5.1 is not a policy: it is composed from the
+//! static runs of one workload.
 //!
 //! * [`config`] — [`config::SystemConfig`]: geometry, epochs, seeds;
 //! * [`workload`] — [`workload::Workload`]: a Table 5 mix, an arbitrary
@@ -15,7 +16,7 @@
 //! * [`policy`] — [`policy::Policy`] and the [`policy::MemoryBackend`]
 //!   trait every scheme runs through (a `MemorySubsystem` plus the
 //!   epoch hooks);
-//! * [`backend`] — the five backend implementations and
+//! * [`backend`] — the four backend implementations and
 //!   [`backend::from_policy`];
 //! * [`sim`] — [`sim::SystemSim`]: the simulator shell and the one way
 //!   to build a run (`new` or `with_backend`, then optionally
@@ -30,8 +31,10 @@
 //! * [`faults`] — deterministic fault injection into the simulated
 //!   machine ([`faults::FaultPlan`]) behind the
 //!   [`faults::FaultInjector`] trait;
-//! * [`experiment`] — the one-call runner [`experiment::run_workload`]
-//!   and the parallel matrix ([`experiment::run_cells`]);
+//! * [`experiment`] — the one-call runner [`experiment::run_workload`],
+//!   the parallel matrix ([`experiment::run_cells`]) and the ideal
+//!   offline scheme composed from static runs
+//!   ([`experiment::ideal_offline_throughput`]);
 //! * [`supervisor`] — supervised matrix execution: panic isolation,
 //!   per-cell deadlines, retry with deterministic backoff, graceful
 //!   shutdown ([`supervisor::Supervisor`]), and the execution-level
@@ -79,7 +82,8 @@ pub mod prelude {
     pub use crate::backend::from_policy;
     pub use crate::config::SystemConfig;
     pub use crate::experiment::{
-        alone_ipcs, default_jobs, run_cells, run_workload, ExperimentMatrix, MatrixCell, RunResult,
+        alone_ipcs, default_jobs, ideal_offline_throughput, run_cells, run_workload,
+        ExperimentMatrix, MatrixCell, RunResult,
     };
     pub use crate::faults::{FaultInjector, FaultKind, FaultPlan, NoFaults};
     pub use crate::journal::RunJournal;

@@ -10,10 +10,12 @@ use morphcache::{
     GroupingMode, MorphConfig, MorphEngine, MorphError, ReconfigOutcome, SymmetricTopology,
 };
 
-/// Context the epoch loop hands a backend at the edges of an epoch: the
-/// cores and streams (so a backend can clone them for trial runs), the
-/// scheduler driving them, and the fault injector whose decisions apply
-/// this epoch.
+/// Context the epoch loop hands a backend at the edges of an epoch. The
+/// library's backends read only the epoch index and the fault injector
+/// whose decisions apply this epoch; none reads `cycles`, `scheduler`,
+/// `cores` or `streams`. Those stay because the repository benchmark
+/// (`src/bin/morph-bench/`) builds this struct as a literal, so removing
+/// them is a change to the benchmark.
 pub struct EpochCtx<'a> {
     /// 0-based index of the epoch being run (warm-up epochs included).
     pub epoch: u64,
@@ -40,19 +42,21 @@ pub struct BoundaryReport {
     pub asymmetric_events: usize,
     /// Whether the configuration after the boundary is asymmetric.
     pub asymmetric: bool,
-    /// For the ideal offline scheme: the topology chosen for the epoch.
+    /// The topology a backend chose for the epoch; every library backend
+    /// leaves it `None`. It stays because the repository benchmark builds
+    /// and hashes it, so removing it is a change to the benchmark.
     pub chosen_topology: Option<String>,
 }
 
 /// A memory system pluggable into the epoch-driven simulator.
 ///
-/// All five policies — static topologies, MorphCache, the §5.1 ideal
-/// offline scheme, PIPP and DSR — implement this trait (see
-/// [`crate::backend`]), so the epoch loop, fault injection and event
-/// probes treat them uniformly, and new policies are plug-ins rather
-/// than new enum arms. The trait is object-safe and `Send`, which is
-/// what lets [`crate::experiment::run_cells`] fan independent matrix
-/// cells out across threads.
+/// All four policies — static topologies, MorphCache, PIPP and DSR —
+/// implement this trait (see [`crate::backend`]), so the epoch loop,
+/// fault injection and event probes treat them uniformly, and new
+/// policies are plug-ins rather than new enum arms. The trait is
+/// object-safe and `Send`, which is what lets
+/// [`crate::experiment::run_cells`] fan independent matrix cells out
+/// across threads.
 ///
 /// Every backend is a [`MemorySubsystem`]: its `access` serves each
 /// memory access of an epoch, and the epoch loop hands the backend to
@@ -61,8 +65,8 @@ pub struct BoundaryReport {
 ///
 /// The epoch protocol, driven by the loop in `epoch.rs`:
 ///
-/// 1. [`begin_epoch`](Self::begin_epoch) — reset per-epoch statistics,
-///    read fault decisions, optionally trial-run and commit a topology;
+/// 1. [`begin_epoch`](Self::begin_epoch) — reset per-epoch statistics
+///    and read fault decisions;
 /// 2. [`MemorySubsystem::access`] — every memory access of the epoch;
 /// 3. [`misses_by_core`](Self::misses_by_core) — the epoch's per-core
 ///    miss counts, read after the run;
@@ -72,13 +76,11 @@ pub struct BoundaryReport {
 ///    post-boundary grouping descriptions for the epoch's result row.
 pub trait MemoryBackend: MemorySubsystem + Send {
     /// Prepares the backend for an epoch: statistics windows open here,
-    /// and backends that pick a topology per epoch (the ideal offline
-    /// scheme) trial-run and commit it here.
+    /// and this epoch's fault decisions are read from `ctx.faults`.
     ///
     /// # Errors
     ///
-    /// Returns a [`MorphError`] if the backend cannot set up the epoch
-    /// (e.g. no candidate topology is applicable).
+    /// Returns a [`MorphError`] if the backend cannot set up the epoch.
     fn begin_epoch(&mut self, ctx: &mut EpochCtx<'_>) -> Result<(), MorphError>;
 
     /// Digests the finished epoch (per-core `ipcs` and `misses`) and
@@ -128,9 +130,6 @@ pub enum Policy {
     /// The adaptive MorphCache engine; remote (merged) hits pay the
     /// segmented-bus overhead (25/45 cycles).
     Morph(MorphConfig),
-    /// The §5.1 ideal offline scheme: every epoch is run under each
-    /// candidate static topology from a snapshot and the best is kept.
-    IdealOffline(Vec<SymmetricTopology>),
     /// PIPP \[28\] on fully shared L2 and L3.
     Pipp,
     /// DSR \[18\] on private L2 and L3 slices.
@@ -181,20 +180,6 @@ impl Policy {
         })
     }
 
-    /// The ideal offline scheme over the generic static comparison set
-    /// for `n_cores` cores ([`SymmetricTopology::static_set`]); at 16
-    /// cores these are the paper's five static topologies.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MorphError::Topology`] if `n_cores` is not a power of
-    /// two of at least 2.
-    pub fn ideal_set(n_cores: usize) -> Result<Self, MorphError> {
-        Ok(Policy::IdealOffline(SymmetricTopology::static_set(
-            n_cores,
-        )?))
-    }
-
     /// Short display name for report rows.
     pub fn name(&self) -> String {
         match self {
@@ -205,7 +190,6 @@ impl Policy {
                 GroupingMode::ArbitraryContiguous => "MorphCache(arb)".into(),
                 GroupingMode::NonNeighbor => "MorphCache(nn)".into(),
             },
-            Policy::IdealOffline(_) => "Ideal offline".into(),
             Policy::Pipp => "PIPP".into(),
             Policy::Dsr => "DSR".into(),
         }
@@ -224,7 +208,6 @@ mod tests {
         assert_eq!(Policy::morph_qos(&cfg).name(), "MorphCache+QoS");
         assert_eq!(Policy::Pipp.name(), "PIPP");
         assert_eq!(Policy::Dsr.name(), "DSR");
-        assert_eq!(Policy::ideal_set(16).unwrap().name(), "Ideal offline");
         assert_eq!(
             Policy::morph_with_grouping(&cfg, GroupingMode::NonNeighbor).name(),
             "MorphCache(nn)"

@@ -45,7 +45,7 @@ fn main() {
             eprintln!("usage: morph <list|run|matrix|figures> [options]");
             eprintln!("  morph list");
             eprintln!("  morph run --mix <1..12> | --parsec <name> | --apps a,b,c,...");
-            eprintln!("            [--policy <x:y:z|morph|morph-qos|pipp|dsr|ideal>]");
+            eprintln!("            [--policy <x:y:z|morph|morph-qos|pipp|dsr>]");
             eprintln!("            [--epochs N] [--cycles N] [--seed N] [--cores N]");
             eprintln!("            [--faults <spec>] [--validate-only] [--sampling]");
             eprintln!("  morph matrix --mix <1..12> | --parsec <name> | --apps a,b,c,...");
@@ -68,12 +68,15 @@ fn main() {
             eprintln!("  --jobs N: worker threads for matrix/figures (default: host");
             eprintln!("      parallelism); results are bit-identical for any N");
             eprintln!("  --policies p1,p2,...: matrix cells (default: the static topologies");
-            eprintln!("      of --cores, morph, pipp, dsr); rows compare to the first cell");
+            eprintln!("      of --cores, morph, pipp, dsr); rows compare to the first cell,");
+            eprintln!("      and two or more statics add a row for the ideal offline scheme");
+            eprintln!("      (each epoch on its best static topology)");
             eprintln!("  --cell-timeout SECS: deadline per cell attempt");
             eprintln!("  --retries N: retry a failed cell up to N times with");
             eprintln!("      deterministic backoff before marking it degraded (default 2)");
             eprintln!("  --run-dir DIR: journal completed cells to DIR as they finish;");
-            eprintln!("      --resume DIR reloads them and skips bit-identical cached cells");
+            eprintln!("      --resume DIR reloads the journal DIR must already hold and");
+            eprintln!("      skips its bit-identical cached cells");
             eprintln!("  --chaos spec: injected execution faults, e.g.");
             eprintln!("      panic=0@0;stall=2:30.0@0;kill=3");
             eprintln!("  --chaos-verify: run the chaos matrix (resuming across injected");
@@ -102,7 +105,7 @@ fn cmd_list() -> i32 {
     println!("\nPARSEC benchmarks (Table 4):");
     let names: Vec<&str> = parsec::PARSEC_PROFILES.iter().map(|p| p.name).collect();
     println!("  {}", names.join(", "));
-    println!("\npolicies: <x:y:z> (e.g. 16:1:1, 4:4:1), morph, morph-qos, pipp, dsr, ideal");
+    println!("\npolicies: <x:y:z> (e.g. 16:1:1, 4:4:1), morph, morph-qos, pipp, dsr");
     0
 }
 
@@ -121,6 +124,8 @@ struct Opts {
     cell_timeout: Option<f64>,
     retries: u32,
     run_dir: Option<String>,
+    /// The journal at `run_dir` must exist (`--resume`, not `--run-dir`).
+    resume: bool,
     chaos: Option<String>,
     chaos_verify: bool,
 }
@@ -185,6 +190,7 @@ fn parse_opts(
         cell_timeout: None,
         retries: 2,
         run_dir: None,
+        resume: false,
         chaos: None,
         chaos_verify: false,
     };
@@ -254,7 +260,10 @@ fn parse_opts(
                     .parse()
                     .map_err(|e| format!("--retries: {e}"))?;
             }
-            "--run-dir" | "--resume" => o.run_dir = Some(val(a)?),
+            "--run-dir" | "--resume" => {
+                o.run_dir = Some(val(a)?);
+                o.resume = a == "--resume";
+            }
             "--chaos" => o.chaos = Some(val("--chaos")?),
             "--chaos-verify" => o.chaos_verify = true,
             other => return Err(format!("unknown option {other}")),
@@ -300,7 +309,6 @@ fn policy(name: &str, cfg: &SystemConfig) -> Result<Policy, String> {
         "morph-qos" => Policy::morph_qos(cfg),
         "pipp" => Policy::Pipp,
         "dsr" => Policy::Dsr,
-        "ideal" => Policy::ideal_set(cfg.n_cores()).map_err(|e| e.to_string())?,
         topo => Policy::Static(
             SymmetricTopology::parse(topo, cfg.n_cores()).map_err(|e| e.to_string())?,
         ),
@@ -504,18 +512,28 @@ fn cmd_matrix(args: &[String]) -> i32 {
         cell_timeout_seconds: o.cell_timeout,
         retries: o.retries,
     };
+    // The journal opens before any cell runs, so `--resume` on a
+    // directory without one fails here and creates nothing.
+    let journal = o.run_dir.as_deref().map(|dir| {
+        let open = if o.resume {
+            RunJournal::resume
+        } else {
+            RunJournal::open
+        };
+        open(Path::new(dir), &cfg, &cells)
+    });
+    let journal = match journal.transpose() {
+        Ok(journal) => journal,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return 2;
+        }
+    };
     if o.chaos_verify {
         return chaos_verify(&cfg, &cells, &names, chaos, &options, o.run_dir.as_deref());
     }
     let mut sup = Supervisor::new(options).with_shutdown(ShutdownFlag::with_sigint());
-    if let Some(dir) = &o.run_dir {
-        let journal = match RunJournal::open(Path::new(dir), &cfg, &cells) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return 2;
-            }
-        };
+    if let (Some(journal), Some(dir)) = (journal, &o.run_dir) {
         if journal.cached_cells() > 0 {
             println!(
                 "resuming from {dir}: {} of {} cells cached",
@@ -535,7 +553,7 @@ fn cmd_matrix(args: &[String]) -> i32 {
             return 2;
         }
     };
-    print_supervised(&names, &m);
+    print_supervised(&cells, &names, &m);
     if m.was_interrupted() {
         if o.run_dir.is_some() {
             eprintln!("interrupted: re-run with --resume to finish the remaining cells");
@@ -598,9 +616,10 @@ fn cmd_figures(args: &[String]) -> i32 {
 }
 
 /// Prints one row per cell — its throughput also relative to the first
-/// cell's, when that cell has a result — then the status summary and
-/// [`MatrixTiming`].
-fn print_supervised(names: &[String], m: &SupervisedMatrix) {
+/// cell's, when that cell has a result — then, when two or more static
+/// cells have results, the ideal offline scheme composed from them, and
+/// last the status summary and [`MatrixTiming`].
+fn print_supervised(cells: &[MatrixCell], names: &[String], m: &SupervisedMatrix) {
     let base = m.results.first().and_then(Option::as_ref);
     for (i, (report, result)) in m.reports.iter().zip(&m.results).enumerate() {
         let throughput = match (result, base) {
@@ -622,6 +641,23 @@ fn print_supervised(names: &[String], m: &SupervisedMatrix) {
             throughput,
             report.seconds,
             report.retries
+        );
+    }
+    let statics: Vec<&RunResult> = cells
+        .iter()
+        .zip(&m.results)
+        .filter(|(cell, _)| matches!(cell.policy, Policy::Static(_)))
+        .filter_map(|(_, result)| result.as_ref())
+        .collect();
+    if statics.len() >= 2 {
+        let ideal = ideal_offline_throughput(&statics);
+        let ratio = base.map_or(String::new(), |b| {
+            format!("  ({:.3}x baseline)", ideal / b.mean_throughput())
+        });
+        println!(
+            "  {:<24} throughput {ideal:.3}{ratio}  [best of {} statics per epoch]",
+            "ideal offline",
+            statics.len()
         );
     }
     let t = &m.timing;
@@ -692,7 +728,7 @@ fn chaos_verify(
                 return 2;
             }
         };
-        print_supervised(names, &m);
+        print_supervised(cells, names, &m);
         if m.was_interrupted() {
             println!("chaos round {rounds} interrupted; resuming from the journal...");
             continue;

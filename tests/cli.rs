@@ -1,7 +1,8 @@
 //! The `morph` binary's argument handling: each subcommand rejects the
 //! options it does not read (exit 2) instead of silently ignoring them,
-//! `compare` is gone in favour of `matrix`, and `matrix` rows report
-//! throughput relative to the first cell.
+//! `compare` is gone in favour of `matrix`, `matrix` rows report
+//! throughput relative to the first cell, and `--resume` needs a journal
+//! to resume.
 
 use std::process::{Command, Output};
 
@@ -26,6 +27,13 @@ fn quick(command: &str, extra: &[&str]) -> Output {
 
 fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// The number after `throughput ` in a `matrix` row.
+fn throughput(row: &str) -> f64 {
+    let rest = row.split("throughput ").nth(1).expect("a throughput row");
+    let number = rest.split_whitespace().next().expect("a number");
+    number.parse().expect("a throughput value")
 }
 
 #[test]
@@ -65,11 +73,32 @@ fn matrix_rows_are_relative_to_the_first_cell() {
     assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
     let stdout = String::from_utf8_lossy(&out.stdout);
     let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 3, "two rows and a summary:\n{stdout}");
+    assert_eq!(lines.len(), 4, "rows, ideal, summary:\n{stdout}");
     assert!(lines[0].contains("(1.000x baseline)"), "{stdout}");
     assert!(lines[1].contains("x baseline)"), "{stdout}");
+    // Both cells are statics, so the ideal offline scheme follows them:
+    // each epoch's better static, at least either static's mean.
     assert!(
-        lines[2].contains("cells/s") && lines[2].contains("x vs serial"),
+        lines[2].contains("ideal offline") && lines[2].contains("x baseline)"),
         "{stdout}"
     );
+    let ideal = throughput(lines[2]);
+    assert!(ideal >= throughput(lines[0]) && ideal >= throughput(lines[1]));
+    assert!(
+        lines[3].contains("cells/s") && lines[3].contains("x vs serial"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn resume_needs_an_existing_journal() {
+    let dir = std::env::temp_dir().join(format!("morph-cli-resume-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.to_str().expect("a UTF-8 temp path");
+    let out = quick("matrix", &["--policies", "4:1:1", "--resume", path]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("journal error: nothing to resume"), "{err}");
+    assert!(out.stdout.is_empty(), "no cell ran");
+    assert!(!dir.exists(), "a failed resume creates nothing");
 }

@@ -32,8 +32,8 @@ fn rows_labelled(report: &str, label: &str) -> Vec<Vec<f64>> {
 
 /// Runs figure `id` and checks that it has one row per label, each of
 /// `width` finite numbers, and with `average`, an AVG row holding the
-/// column means (to the printed 3 decimals).
-fn check(id: &str, labels: &[String], width: usize, average: bool) {
+/// column means (to the printed 3 decimals). Returns the labelled rows.
+fn check(id: &str, labels: &[String], width: usize, average: bool) -> Vec<Vec<f64>> {
     let report = report(id);
     let rows: Vec<Vec<f64>> = labels
         .iter()
@@ -58,6 +58,7 @@ fn check(id: &str, labels: &[String], width: usize, average: bool) {
             "{id}: AVG column {i}: {a} vs {mean}"
         );
     }
+    rows
 }
 
 fn mixes_named(ids: impl IntoIterator<Item = usize>) -> Vec<String> {
@@ -135,7 +136,11 @@ fn fig14_has_every_mix() {
 
 #[test]
 fn fig15_has_every_mix() {
-    check("fig15", &mixes_named(1..=12), 3, true);
+    // MorphCache, best static, Ideal offline, morph/ideal.
+    for row in check("fig15", &mixes_named(1..=12), 4, true) {
+        assert!(row[2] >= row[1], "ideal below the best static: {row:?}");
+        assert!(row[1] >= 1.0, "best static below the baseline: {row:?}");
+    }
 }
 
 #[test]

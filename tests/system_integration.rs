@@ -131,11 +131,6 @@ fn multithreaded_workload_runs_under_morph() {
 fn trait_backends_match_pre_refactor_goldens() {
     let cfg = SystemConfig::quick_test(4).with_epochs(3);
     let w = Workload::named_apps(&["cactus", "libq", "gobmk", "perl"]).unwrap();
-    let cands = vec![
-        SymmetricTopology::new(4, 1, 1, 4).unwrap(),
-        SymmetricTopology::new(1, 1, 4, 4).unwrap(),
-        SymmetricTopology::new(2, 2, 1, 4).unwrap(),
-    ];
     let goldens = [
         (
             "baseline",
@@ -172,18 +167,6 @@ fn trait_backends_match_pre_refactor_goldens() {
             [17164, 17492, 17215],
             "[0][1][2][3]",
             "[0][1][2][3]",
-        ),
-        (
-            "ideal",
-            Policy::IdealOffline(cands),
-            [
-                4601677429153074652,
-                4600831127209505311,
-                4600738463504905296,
-            ],
-            [16150, 16831, 17470],
-            "[0-3]",
-            "[0-3]",
         ),
         (
             "pipp",
@@ -269,28 +252,4 @@ fn parallel_matrix_is_bit_identical_to_sequential() {
     assert_eq!(seq.jobs, 1);
     assert_eq!(par.jobs, 4);
     assert_eq!(par.timing.cells(), 5);
-}
-
-#[test]
-fn ideal_offline_at_least_matches_its_worst_candidate() {
-    let mut cfg = cfg();
-    cfg.n_epochs = 3;
-    let w = mixed_workload();
-    let cands = vec![
-        SymmetricTopology::new(8, 1, 1, 8).unwrap(),
-        SymmetricTopology::new(1, 1, 8, 8).unwrap(),
-    ];
-    let cells = vec![
-        MatrixCell::new(w.clone(), Policy::Static(cands[0]), cfg.seed),
-        MatrixCell::new(w.clone(), Policy::Static(cands[1]), cfg.seed),
-        MatrixCell::new(w.clone(), Policy::IdealOffline(cands.clone()), cfg.seed),
-    ];
-    let r = run_cells(&cfg, &cells, default_jobs()).unwrap().results;
-    let worst = r[0].mean_throughput().min(r[1].mean_throughput());
-    assert!(
-        r[2].mean_throughput() >= worst * 0.95,
-        "ideal {} vs worst candidate {}",
-        r[2].mean_throughput(),
-        worst
-    );
 }
