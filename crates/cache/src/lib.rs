@@ -87,6 +87,13 @@ pub type SliceId = usize;
 /// must be below `u16::MAX + 1`; constructors enforce this bound once.
 pub const MAX_CORES: usize = 1 << 16;
 
+/// Most ways one set of a [`CacheLevel`] may span over all its slices
+/// (slices × ways per slice). Each set keeps a 16-bit recency clock that
+/// renumbers the set's live stamps when it runs out; with at most this
+/// many of them, at least 32,766 stamps pass between two renumberings of
+/// one set. Allows 2048 cores at 16 ways per slice.
+pub const MAX_SET_WAYS: usize = 1 << 15;
+
 /// Errors produced when configuring cache structures.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {

@@ -12,7 +12,10 @@
 //! Both keep their ways in one private tag store, the only code that
 //! knows the array format. The store is a grid of rows of ways: a `Slice`
 //! keeps set `i` in row `i`, and a `CacheLevel` keeps set `i` of slice `s`
-//! in row `i * n_slices + s`.
+//! in row `i * n_slices + s`. A `Slice` stores the 8-byte recency stamps
+//! its caller supplies; a `CacheLevel` stores 2-byte values of one
+//! recency clock per set, because only the ways of one set are ever
+//! ranked against each other.
 
 use crate::events::{CacheEventSink, Level};
 use crate::group::Grouping;
@@ -20,7 +23,7 @@ use crate::index::{CopySet, LineIndex};
 use crate::params::CacheParams;
 use crate::prefetch;
 use crate::stats::{LevelStats, SliceStats};
-use crate::{ConfigError, CoreId, Line, SliceId, MAX_CORES};
+use crate::{ConfigError, CoreId, Line, SliceId, MAX_CORES, MAX_SET_WAYS};
 
 /// One resident cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +32,10 @@ pub struct Entry {
     pub line: Line,
     /// Core that brought the line in.
     pub owner: CoreId,
-    /// Monotonic recency stamp (larger = more recent).
+    /// Recency stamp (larger = more recent). A [`Slice`] returns the
+    /// stamp its caller installed; a [`CacheLevel`] returns its set's
+    /// clock value, which orders the entries of one set only and may be
+    /// renumbered while the line is resident.
     pub stamp: u64,
     /// Whether the line has been written since installation.
     pub dirty: bool,
@@ -37,6 +43,10 @@ pub struct Entry {
 
 /// Sentinel marking an invalid way in the compact tag array.
 const NO_LINE: Line = Line::MAX;
+
+/// The last value a set's recency clock issues before it renumbers; one
+/// below the invalid-way sentinel `u16::MAX`.
+const MAX_CLOCK: u16 = u16::MAX - 1;
 
 /// Widest merged group, in ways (member slices × ways per slice), that a
 /// [`CacheLevel`] serves by scanning tag rows. Only while some group is
@@ -54,35 +64,66 @@ fn owner_bits(core: CoreId) -> u16 {
     core as u16
 }
 
+/// The width of the recency stamps a [`TagStore`] keeps: `u64` for a
+/// [`Slice`] (caller-supplied), `u16` for a [`CacheLevel`] (per-set clock
+/// values).
+trait Stamp: Copy + Ord + Into<u64> {
+    /// Marks an invalid way; no installed entry carries it.
+    const INVALID: Self;
+
+    /// The way's victim rank: `stamp + 1`, wrapping [`Self::INVALID`]
+    /// to 0, so an invalid way ranks below every installed one.
+    fn rank(self) -> Self;
+}
+
+impl Stamp for u64 {
+    const INVALID: Self = u64::MAX;
+
+    #[inline]
+    fn rank(self) -> Self {
+        self.wrapping_add(1)
+    }
+}
+
+impl Stamp for u16 {
+    const INVALID: Self = u16::MAX;
+
+    #[inline]
+    fn rank(self) -> Self {
+        self.wrapping_add(1)
+    }
+}
+
 /// `rows × ways` cache ways in struct-of-arrays layout.
 ///
 /// Way `w` of row `r` is flat slot `r * ways + w` of four parallel arrays:
-/// 8-byte line addresses (`tags`), recency stamps, 2-byte owners and
-/// packed dirty bits. Probes scan one row of `tags` contiguously and
-/// placement scans one row of `stamps`; owners and dirty bits are touched
-/// only by the paths that need them. A way is valid iff its tag is not
-/// [`NO_LINE`]. An invalid way carries stamp `u64::MAX`, which no
-/// installed entry carries, so validity is also readable from the stamps
-/// alone and [`Self::victim`] needs a single pass. [`Entry`] is the
-/// exchange type at the boundary, materialized from the arrays on demand.
+/// 8-byte line addresses (`tags`), recency stamps of width `S`, 2-byte
+/// owners and packed dirty bits. Probes scan one row of `tags`
+/// contiguously and placement scans one row of `stamps`; owners and dirty
+/// bits are touched only by the paths that need them. A way is valid iff
+/// its tag is not [`NO_LINE`]. An invalid way carries stamp
+/// [`Stamp::INVALID`], which no installed entry carries, so validity is
+/// also readable from the stamps alone and [`Self::victim`] needs a single
+/// pass. [`Entry`] is the exchange type at the boundary, materialized from
+/// the arrays on demand with its stamp widened to `u64`.
 #[derive(Debug, Clone)]
-struct TagStore {
+struct TagStore<S> {
     ways: usize,
     tags: Vec<Line>,
-    stamps: Vec<u64>,
+    stamps: Vec<S>,
     /// Owning core of each way, narrowed with [`owner_bits`].
     owners: Vec<u16>,
     /// Dirty bits, one per way slot, packed 64 per word.
     dirty: Vec<u64>,
 }
 
-impl TagStore {
+impl<S: Stamp> TagStore<S> {
     fn new(rows: usize, ways: usize) -> Self {
         let slots = rows * ways;
         Self {
             ways,
             tags: vec![NO_LINE; slots],
-            stamps: vec![u64::MAX; slots],
+            stamps: vec![S::INVALID; slots],
             owners: vec![0; slots],
             dirty: vec![0; slots.div_ceil(64)],
         }
@@ -116,7 +157,7 @@ impl TagStore {
         Entry {
             line: self.tags[idx],
             owner: CoreId::from(self.owners[idx]),
-            stamp: self.stamps[idx],
+            stamp: self.stamps[idx].into(),
             dirty: self.dirty_bit(idx),
         }
     }
@@ -124,7 +165,7 @@ impl TagStore {
     #[inline]
     fn clear_slot(&mut self, idx: usize) {
         self.tags[idx] = NO_LINE;
-        self.stamps[idx] = u64::MAX;
+        self.stamps[idx] = S::INVALID;
         self.write_dirty_bit(idx, false);
     }
 
@@ -143,17 +184,18 @@ impl TagStore {
             .position(|&t| t == line)
     }
 
-    /// The recency stamp of `(row, way)` (`u64::MAX` on an invalid way).
+    /// The recency stamp of `(row, way)` ([`Stamp::INVALID`] on an
+    /// invalid way).
     #[inline]
-    fn stamp(&self, row: usize, way: usize) -> u64 {
+    fn stamp(&self, row: usize, way: usize) -> S {
         self.stamps[self.base(row) + way]
     }
 
     /// Refreshes the recency stamp of `(row, way)` (no-op on an invalid
     /// way).
     #[inline]
-    fn touch(&mut self, row: usize, way: usize, stamp: u64) {
-        debug_assert_ne!(stamp, u64::MAX, "stamp u64::MAX marks an invalid way");
+    fn touch(&mut self, row: usize, way: usize, stamp: S) {
+        debug_assert!(stamp != S::INVALID, "the invalid-way stamp was issued");
         let idx = self.base(row) + way;
         if self.tags[idx] != NO_LINE {
             self.stamps[idx] = stamp;
@@ -175,44 +217,50 @@ impl TagStore {
     /// also compare candidates across rows.
     ///
     /// One pass over the row's stamps answers both questions, because an
-    /// invalid way's stamp is `u64::MAX` and no installed entry carries
-    /// it. Every row has at least one way (validated geometry), so there
-    /// is always a victim.
+    /// invalid way's stamp is [`Stamp::INVALID`], which no installed entry
+    /// carries and [`Stamp::rank`] wraps to 0: the victim is the first way
+    /// of least rank. Every row has at least one way (validated geometry),
+    /// so there is always a victim.
+    ///
+    /// One compare per way keeps the scan branch-free: the compiler turns
+    /// it into conditional moves. A form that tested validity and recency
+    /// separately compiled to a data-dependent branch, which mispredicted
+    /// on most fills and cost about 40% of cache replay time.
     #[inline]
     fn victim(&self, row: usize) -> (usize, u64) {
         let base = self.base(row);
-        let mut invalid = None;
-        let (mut lru, mut lru_stamp) = (0, u64::MAX);
+        let (mut victim, mut rank) = (0, S::INVALID);
         for (w, &st) in self.stamps[base..base + self.ways].iter().enumerate() {
-            if st == u64::MAX {
-                if invalid.is_none() {
-                    invalid = Some(w);
-                }
-            } else if st < lru_stamp {
-                lru_stamp = st;
-                lru = w;
+            if st.rank() < rank {
+                (victim, rank) = (w, st.rank());
             }
         }
-        match invalid {
-            Some(w) => (w, 0),
-            None => (lru, lru_stamp + 1),
-        }
+        (victim, rank.into())
     }
 
-    /// Installs `entry` at `(row, way)`, returning the entry it displaced.
+    /// Installs `line`, owned by `owner`, at `(row, way)` with `stamp`,
+    /// returning the entry it displaced.
     ///
     /// Always inlined: `Slice::fill` and `CacheLevel::insert` both call
     /// it, once per L1 miss and per L2/L3 fill, and with two callers the
     /// compiler otherwise keeps it out of line.
     #[inline(always)]
-    fn install(&mut self, row: usize, way: usize, entry: Entry) -> Option<Entry> {
-        debug_assert_ne!(entry.stamp, u64::MAX, "stamp u64::MAX marks an invalid way");
+    fn install(
+        &mut self,
+        row: usize,
+        way: usize,
+        line: Line,
+        owner: CoreId,
+        stamp: S,
+        dirty: bool,
+    ) -> Option<Entry> {
+        debug_assert!(stamp != S::INVALID, "the invalid-way stamp was issued");
         let idx = self.base(row) + way;
         let displaced = (self.tags[idx] != NO_LINE).then(|| self.entry_at(idx));
-        self.tags[idx] = entry.line;
-        self.stamps[idx] = entry.stamp;
-        self.owners[idx] = owner_bits(entry.owner);
-        self.write_dirty_bit(idx, entry.dirty);
+        self.tags[idx] = line;
+        self.stamps[idx] = stamp;
+        self.owners[idx] = owner_bits(owner);
+        self.write_dirty_bit(idx, dirty);
         displaced
     }
 
@@ -277,6 +325,33 @@ impl TagStore {
     }
 }
 
+impl TagStore<u16> {
+    /// Renumbers the live stamps of `rows` to `1..=k` in their current
+    /// order and returns `k`. Relative order within the rows, and so
+    /// every victim choice and best-copy choice among their ways, is
+    /// unchanged.
+    ///
+    /// Cold: a set renumbers at most once per 32,766 of its stamps.
+    #[cold]
+    #[inline(never)]
+    fn renumber(&mut self, rows: std::ops::Range<usize>) -> u16 {
+        let run = &mut self.stamps[rows.start * self.ways..rows.end * self.ways];
+        let mut live: Vec<(u16, usize)> = run
+            .iter()
+            .enumerate()
+            .filter(|&(_, &st)| st != u16::INVALID)
+            .map(|(i, &st)| (st, i))
+            .collect();
+        live.sort_unstable();
+        let mut k = 0;
+        for (_, i) in live {
+            k += 1;
+            run[i] = k;
+        }
+        k
+    }
+}
+
 /// A physical cache slice: `sets × ways` ways, set `i` in row `i` of the
 /// tag store.
 ///
@@ -286,7 +361,7 @@ impl TagStore {
 #[derive(Debug, Clone)]
 pub struct Slice {
     params: CacheParams,
-    store: TagStore,
+    store: TagStore<u64>,
     /// Access statistics for this slice.
     pub stats: SliceStats,
 }
@@ -324,7 +399,8 @@ impl Slice {
     pub fn fill(&mut self, set: usize, entry: Entry) -> Option<Entry> {
         self.stats.insertions += 1;
         let (way, _) = self.store.victim(set);
-        self.store.install(set, way, entry)
+        self.store
+            .install(set, way, entry.line, entry.owner, entry.stamp, entry.dirty)
     }
 
     /// Removes `line` if resident, returning the removed entry.
@@ -376,16 +452,25 @@ pub struct Displaced {
 /// array per slice (the previous layout), the same scans took one
 /// *dependent* host-cache miss per member, because member rows of the same
 /// set live hundreds of KiB apart.
+///
+/// Recency is kept **per set**: global LRU (§2.2) only ever ranks the ways
+/// of one set, across member slices, so each set has one 16-bit clock
+/// shared by its rows in every slice, and each way stores a 2-byte stamp.
+/// When a set's clock runs out, the set's live stamps are renumbered
+/// `1..=k` in order (one contiguous run in the set-major layout) and the
+/// clock continues from `k`. [`MAX_SET_WAYS`] bounds `k`, so renumbering
+/// is rare and changes no decision.
 #[derive(Debug, Clone)]
 pub struct CacheLevel {
     level: Level,
     /// Per-slice geometry (all slices of a level are identical).
     params: CacheParams,
     n_slices: usize,
-    store: TagStore,
+    store: TagStore<u16>,
     slice_stats: Vec<SliceStats>,
     grouping: Grouping,
-    stamp: u64,
+    /// Recency clock of each set: the last stamp issued to a way of it.
+    clocks: Vec<u16>,
     /// Level-wide line → (slice, way) residency index, kept in sync with
     /// every install/invalidate so multi-member group operations touch
     /// only the rows that actually hold the line (one probe-chain walk)
@@ -405,11 +490,18 @@ impl CacheLevel {
     /// # Panics
     ///
     /// Panics if `n_slices` exceeds [`MAX_CORES`]: the per-way owner
-    /// arrays could not hold every core id losslessly.
+    /// arrays could not hold every core id losslessly. Panics if a set
+    /// spans more than [`MAX_SET_WAYS`] ways over all slices: the 16-bit
+    /// per-set recency clocks could not renumber it with room to spare.
     pub fn new(level: Level, n_slices: usize, slice_params: CacheParams) -> Self {
         assert!(
             n_slices <= MAX_CORES,
             "a level of {n_slices} slices exceeds MAX_CORES ({MAX_CORES})"
+        );
+        assert!(
+            n_slices * slice_params.ways() <= MAX_SET_WAYS,
+            "a level of {n_slices} slices x {} ways exceeds MAX_SET_WAYS ({MAX_SET_WAYS})",
+            slice_params.ways()
         );
         Self {
             level,
@@ -418,7 +510,7 @@ impl CacheLevel {
             store: TagStore::new(n_slices * slice_params.sets(), slice_params.ways()),
             slice_stats: vec![SliceStats::default(); n_slices],
             grouping: Grouping::private(n_slices),
-            stamp: 0,
+            clocks: vec![0; slice_params.sets()],
             // Levels start all-private; the index appears with the first
             // grouping wide enough to need it (see `set_grouping`).
             index: None,
@@ -528,9 +620,16 @@ impl CacheLevel {
         self.index.is_some()
     }
 
-    fn next_stamp(&mut self) -> u64 {
-        self.stamp += 1;
-        self.stamp
+    /// Advances the recency clock of `set` and returns the stamp it
+    /// issues. A clock at [`MAX_CLOCK`] first renumbers the set's live
+    /// stamps and continues from their count.
+    fn next_stamp(&mut self, set: usize) -> u16 {
+        if self.clocks[set] == MAX_CLOCK {
+            let rows = self.row(set, 0)..self.row(set + 1, 0);
+            self.clocks[set] = self.store.renumber(rows);
+        }
+        self.clocks[set] += 1;
+        self.clocks[set]
     }
 
     /// Hints the CPU to fetch what a [`Self::lookup`] of `line` by `core`
@@ -576,7 +675,7 @@ impl CacheLevel {
             let row = self.row(set, s);
             return match self.store.probe(row, line) {
                 Some(way) => {
-                    let stamp = self.next_stamp();
+                    let stamp = self.next_stamp(set);
                     self.store.touch(row, way, stamp);
                     let local = s == core;
                     if local {
@@ -609,7 +708,7 @@ impl CacheLevel {
             }
         }
         // Collect every member slice holding the line.
-        let mut best: Option<(SliceId, usize, u64)> = None;
+        let mut best: Option<(SliceId, usize, u16)> = None;
         let mut duplicates: [Option<SliceId>; 4] = [None; 4];
         let mut n_dup = 0usize;
         for &s in members {
@@ -654,7 +753,7 @@ impl CacheLevel {
         }
         match best {
             Some((s, way, _)) => {
-                let stamp = self.next_stamp();
+                let stamp = self.next_stamp(set);
                 self.store.touch(self.row(set, s), way, stamp);
                 let local = s == core;
                 if local {
@@ -721,7 +820,7 @@ impl CacheLevel {
         // group costs one pass over each member's stamp row. Member rows
         // of one set are adjacent in the set-major layout, so the group
         // scan streams through contiguous memory. Live stamps are unique
-        // within a level, so member order only decides among invalid ways.
+        // within a set, so member order only decides among invalid ways.
         let (mut s, (mut w, mut rank)) = (core, self.store.victim(self.row(set, core)));
         for &m in self.grouping.group_members(core) {
             if rank == 0 {
@@ -734,18 +833,11 @@ impl CacheLevel {
                 }
             }
         }
-        let stamp = self.next_stamp();
+        let stamp = self.next_stamp(set);
         self.slice_stats[s].insertions += 1;
-        let displaced = self.store.install(
-            self.row(set, s),
-            w,
-            Entry {
-                line,
-                owner: core,
-                stamp,
-                dirty,
-            },
-        );
+        let displaced = self
+            .store
+            .install(self.row(set, s), w, line, core, stamp, dirty);
         if let Some(ix) = self.index.as_mut() {
             if let Some(e) = &displaced {
                 ix.remove(e.line, s);
@@ -840,8 +932,8 @@ impl CacheLevel {
         self.store.lines().count()
     }
 
-    /// Clears recency stamps' origin by resetting statistics only (stamps
-    /// themselves are monotonic for the lifetime of the level).
+    /// Resets the level's and every slice's access statistics. Recency
+    /// state (stamps and per-set clocks) is left as it is.
     pub fn reset_stats(&mut self) {
         self.stats.reset();
         for s in &mut self.slice_stats {
@@ -907,53 +999,114 @@ mod tests {
         assert_eq!(s.fill(0, set0_entry(5, 12)), Some(set0_entry(2, 9)));
     }
 
-    /// A `Slice` and a one-slice `CacheLevel` keep the same ways in the
-    /// same tag store under different row maps. Driven in lockstep, with
-    /// the slice's stamp advanced the way the level advances its own (once
-    /// per hit, once per fill), they must agree on every hit or miss, on
-    /// every displaced entry and on the final contents.
+    /// An entry without its stamp: a `Slice` returns the stamps it was
+    /// given, a `CacheLevel` its per-set clock values.
+    fn unstamped(e: Entry) -> (Line, CoreId, bool) {
+        (e.line, e.owner, e.dirty)
+    }
+
+    /// A `Slice` and a one-slice `CacheLevel` keep the same ways in
+    /// different tag stores: the slice with the 8-byte stamps it is given,
+    /// the level with its 16-bit per-set clocks. Driven in lockstep, with
+    /// the slice's stamp advanced once per hit and once per fill, they
+    /// must agree on every hit or miss, on every displaced entry and on
+    /// the final contents. The one-set geometry runs its clock through
+    /// at least three renumberings.
     #[test]
     fn slice_and_one_slice_level_agree() {
-        let params = CacheParams::new(16, 8, 64).unwrap();
-        let mut slice = Slice::new(params);
-        let mut level = CacheLevel::new(Level::L2, 1, params);
-        let mut rng = morphcache::Xoshiro256pp::seed_from_u64(0x511CE);
-        let mut stamp = 0;
-        let mut evictions = 0;
-        for _ in 0..20_000 {
-            let line = rng.range_u64(0, 4 * params.lines() as u64);
-            let write = rng.range_u32(0, 3) == 0;
-            let set = params.set_index(line);
-            let hit = level.lookup(0, line, &mut NoopSink).is_some();
-            stamp += 1;
-            match slice.probe(line) {
-                Some(way) => {
-                    assert!(hit, "slice hit, level missed {line:#x}");
-                    slice.touch(set, way, stamp);
-                    if write {
-                        slice.set_dirty(set, way);
-                        level.mark_dirty(0, line);
+        for (sets, steps) in [(16, 20_000), (1, 4 * usize::from(MAX_CLOCK))] {
+            let params = CacheParams::new(sets, 8, 64).unwrap();
+            let mut slice = Slice::new(params);
+            let mut level = CacheLevel::new(Level::L2, 1, params);
+            let mut rng = morphcache::Xoshiro256pp::seed_from_u64(0x511CE);
+            let (mut stamp, mut evictions, mut renumberings) = (0, 0, 0);
+            for _ in 0..steps {
+                let line = rng.range_u64(0, 4 * params.lines() as u64);
+                let write = rng.range_u32(0, 3) == 0;
+                let set = params.set_index(line);
+                let clock = level.clocks[set];
+                let hit = level.lookup(0, line, &mut NoopSink).is_some();
+                stamp += 1;
+                match slice.probe(line) {
+                    Some(way) => {
+                        assert!(hit, "slice hit, level missed {line:#x}");
+                        slice.touch(set, way, stamp);
+                        if write {
+                            slice.set_dirty(set, way);
+                            level.mark_dirty(0, line);
+                        }
+                    }
+                    None => {
+                        assert!(!hit, "level hit, slice missed {line:#x}");
+                        let entry = Entry {
+                            line,
+                            owner: 0,
+                            stamp,
+                            dirty: write,
+                        };
+                        let displaced = level.insert(0, line, write, &mut NoopSink);
+                        assert_eq!(
+                            slice.fill(set, entry).map(unstamped),
+                            displaced.map(|d| unstamped(d.entry))
+                        );
+                        evictions += u64::from(displaced.is_some());
                     }
                 }
-                None => {
-                    assert!(!hit, "level hit, slice missed {line:#x}");
-                    let entry = Entry {
-                        line,
-                        owner: 0,
-                        stamp,
-                        dirty: write,
-                    };
-                    let displaced = level.insert(0, line, write, &mut NoopSink);
-                    assert_eq!(slice.fill(set, entry), displaced.map(|d| d.entry));
-                    evictions += u64::from(displaced.is_some());
-                }
+                renumberings += u32::from(level.clocks[set] < clock);
             }
+            assert!(evictions > 10_000, "traffic must evict");
+            assert!(sets > 1 || renumberings >= 3, "{renumberings} renumberings");
+            assert!(
+                slice
+                    .iter_entries()
+                    .map(unstamped)
+                    .eq(level.iter_slice_entries(0).map(unstamped)),
+                "final contents differ"
+            );
         }
-        assert!(evictions > 10_000, "traffic must evict");
-        assert!(
-            slice.iter_entries().eq(level.iter_slice_entries(0)),
-            "final contents differ"
-        );
+    }
+
+    /// Renumbering a merged set mid-run keeps its recency order: after
+    /// a clock rollover, fills still evict the set's lines least recently
+    /// used first.
+    #[test]
+    fn renumbered_merged_set_evicts_in_recency_order() {
+        let mut l = level(4);
+        l.set_grouping(Grouping::all_shared(4)).unwrap();
+        let mut sink = NoopSink;
+        // Fill all 8 ways of set 0 (4 slices × 2 ways) from every core.
+        for i in 1..=8 {
+            let core = i as usize % 4;
+            assert!(l.insert(core, set0_line(i), false, &mut sink).is_none());
+        }
+        // Touch every line once, so recency runs in this order.
+        let order = [5, 2, 8, 1, 7, 3, 6, 4];
+        for (k, &i) in order.iter().enumerate() {
+            assert!(l.lookup(k % 4, set0_line(i), &mut sink).is_some());
+        }
+        // Hit the most recent line until set 0's clock rolls over.
+        let mut renumbered = false;
+        while !renumbered {
+            let clock = l.clocks[0];
+            assert!(l.lookup(1, set0_line(4), &mut sink).is_some());
+            renumbered = l.clocks[0] < clock;
+        }
+        assert_eq!(l.clocks[0], 9, "8 live stamps renumbered, then one issued");
+        assert_eq!(l.clocks[1], 0, "other sets keep their own clocks");
+        let evicted: Vec<Option<Line>> = (9..=16)
+            .map(|i| l.insert(0, set0_line(i), false, &mut sink))
+            .map(|d| d.map(|d| d.entry.line))
+            .collect();
+        assert_eq!(evicted, order.map(|i| Some(set0_line(i))));
+    }
+
+    /// A set of more than `MAX_SET_WAYS` ways is refused before anything
+    /// is allocated.
+    #[test]
+    #[should_panic(expected = "exceeds MAX_SET_WAYS")]
+    fn level_wider_than_max_set_ways_panics() {
+        let params = CacheParams::new(1, 16, 64).unwrap();
+        let _ = CacheLevel::new(Level::L3, 2 * MAX_SET_WAYS / 16, params);
     }
 
     #[test]

@@ -64,17 +64,15 @@ impl Acfv {
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
-    /// Records the eviction of `tag`: clears its bit.
-    pub fn record_evict(&mut self, tag: u64) {
+    /// Records the eviction of `tag`: clears its bit, returning whether
+    /// it was set (the line was actively reused this epoch and not yet
+    /// evicted).
+    pub fn record_evict(&mut self, tag: u64) -> bool {
         let i = self.hash.index(tag, self.bits);
-        self.words[i / 64] &= !(1u64 << (i % 64));
-    }
-
-    /// Whether `tag`'s bit is currently set (it was actively reused this
-    /// epoch and not yet evicted).
-    pub fn test(&self, tag: u64) -> bool {
-        let i = self.hash.index(tag, self.bits);
-        self.words[i / 64] & (1u64 << (i % 64)) != 0
+        let mask = 1u64 << (i % 64);
+        let was_set = self.words[i / 64] & mask != 0;
+        self.words[i / 64] &= !mask;
+        was_set
     }
 
     /// `|ACFV|`: the number of ones.
@@ -180,8 +178,9 @@ mod tests {
         assert!(v.is_empty());
         v.record_insert(42);
         assert_eq!(v.popcount(), 1);
-        v.record_evict(42);
+        assert!(v.record_evict(42), "42's bit was set");
         assert!(v.is_empty());
+        assert!(!v.record_evict(42), "42's bit is clear");
         // Evicting every inserted tag empties the vector, collisions and
         // repeated tags included.
         for seed in 0..256 {

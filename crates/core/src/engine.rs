@@ -26,6 +26,7 @@
 use crate::acfv::Acfv;
 use crate::config::{ConflictPolicy, GroupingMode, MorphConfig};
 use crate::error::MorphError;
+use crate::hash::HashKind;
 use crate::msat::Utilization;
 use crate::topology::{self, is_partition};
 use crate::CacheLevelId;
@@ -72,8 +73,16 @@ pub struct ReconfigOutcome {
 /// Per-level footprint and grouping state.
 #[derive(Debug, Clone)]
 struct LevelState {
-    /// `acfv[slice][core]` — one vector per core per slice (Fig. 4).
-    acfv: Vec<Vec<Acfv>>,
+    /// Slice `s`'s vector for core `c` (Fig. 4) at `acfv[s * n + c]`,
+    /// created by the pair's first insert or hit. A slice only receives
+    /// events from the cores of its groups, so most pairs never get one;
+    /// an absent vector reads as all zero.
+    acfv: Vec<Option<Box<Acfv>>>,
+    /// Slices (== cores) of the level.
+    n: usize,
+    /// Length and hash of every vector.
+    bits: usize,
+    hash: HashKind,
     groups: Vec<Vec<usize>>,
     /// Lines per slice at this level (utilization denominator).
     slice_lines: usize,
@@ -88,11 +97,12 @@ struct LevelState {
 }
 
 impl LevelState {
-    fn new(n: usize, bits: usize, hash: crate::hash::HashKind, slice_lines: usize) -> Self {
+    fn new(n: usize, bits: usize, hash: HashKind, slice_lines: usize) -> Self {
         Self {
-            acfv: (0..n)
-                .map(|_| (0..n).map(|_| Acfv::new(bits, hash)).collect())
-                .collect(),
+            acfv: vec![None; n * n],
+            n,
+            bits,
+            hash,
             groups: (0..n).map(|s| vec![s]).collect(),
             slice_lines,
             reused_churn: vec![0; n],
@@ -128,11 +138,35 @@ impl LevelState {
         }
     }
 
+    /// Sets `line`'s bit in slice `slice`'s vector for `core`, creating
+    /// the vector on the pair's first event.
+    fn record_insert(&mut self, slice: usize, core: usize, line: u64) {
+        let (bits, hash) = (self.bits, self.hash);
+        self.acfv[slice * self.n + core]
+            .get_or_insert_with(|| Box::new(Acfv::new(bits, hash)))
+            .record_insert(line);
+    }
+
+    /// Counts an eviction of `owner`'s line from `slice` and clears its
+    /// bit. An absent vector has no bit set, so it stays absent and the
+    /// eviction is not reused churn.
+    fn record_evict(&mut self, slice: usize, owner: usize, line: u64) {
+        self.total_churn[slice] += 1;
+        if let Some(v) = &mut self.acfv[slice * self.n + owner] {
+            if v.record_evict(line) {
+                self.reused_churn[slice] += 1;
+            }
+        }
+    }
+
     /// OR of the per-core vectors of one slice: the slice's footprint.
     fn slice_footprint(&self, slice: usize) -> Acfv {
-        let mut v = self.acfv[slice][0].clone();
-        for core in 1..self.acfv[slice].len() {
-            v.union_with(&self.acfv[slice][core]);
+        let mut v = Acfv::new(self.bits, self.hash);
+        for u in self.acfv[slice * self.n..(slice + 1) * self.n]
+            .iter()
+            .flatten()
+        {
+            v.union_with(u);
         }
         v
     }
@@ -166,10 +200,8 @@ impl LevelState {
     }
 
     fn reset(&mut self) {
-        for row in &mut self.acfv {
-            for v in row {
-                v.reset();
-            }
+        for v in self.acfv.iter_mut().flatten() {
+            v.reset();
         }
         self.reused_churn.iter_mut().for_each(|c| *c = 0);
         self.total_churn.iter_mut().for_each(|c| *c = 0);
@@ -235,11 +267,11 @@ impl MorphEngine {
                 right: n,
             });
         }
-        if config.acfv_bits == 0 {
+        if !config.acfv_bits.is_power_of_two() {
             return Err(MorphError::InvalidConfig {
                 field: "acfv_bits",
-                value: 0,
-                constraint: "must be positive",
+                value: config.acfv_bits as u64,
+                constraint: "must be a nonzero power of two",
             });
         }
         if !config.l2_slice_lines.is_power_of_two() {
@@ -298,23 +330,25 @@ impl MorphEngine {
 
     /// Records a line installed into `slice` on behalf of `owner`.
     pub fn on_inserted(&mut self, level: CacheLevelId, slice: usize, owner: usize, line: u64) {
-        self.level_mut(level).acfv[slice][owner].record_insert(line);
+        self.level_mut(level).record_insert(slice, owner, line);
     }
 
     /// Records an eviction of `owner`'s line from `slice`.
     pub fn on_evicted(&mut self, level: CacheLevelId, slice: usize, owner: usize, line: u64) {
-        let state = self.level_mut(level);
-        state.total_churn[slice] += 1;
-        if state.acfv[slice][owner].test(line) {
-            state.reused_churn[slice] += 1;
-        }
-        state.acfv[slice][owner].record_evict(line);
+        self.level_mut(level).record_evict(slice, owner, line);
     }
 
     /// Records an active reuse (hit) of a resident line — see the
     /// reproduction note in [`crate::acfv`].
     pub fn on_touched(&mut self, level: CacheLevelId, slice: usize, core: usize, line: u64) {
-        self.level_mut(level).acfv[slice][core].record_insert(line);
+        self.level_mut(level).record_insert(slice, core, line);
+    }
+
+    fn level(&self, level: CacheLevelId) -> &LevelState {
+        match level {
+            CacheLevelId::L2 => &self.l2,
+            CacheLevelId::L3 => &self.l3,
+        }
     }
 
     fn level_mut(&mut self, level: CacheLevelId) -> &mut LevelState {
@@ -324,13 +358,16 @@ impl MorphEngine {
         }
     }
 
+    /// Number of ACFVs materialized at `level`.
+    #[cfg(test)]
+    fn materialized(&self, level: CacheLevelId) -> usize {
+        self.level(level).acfv.iter().flatten().count()
+    }
+
     /// Utilization (ones-fraction of the juxtaposed ACFV) of the group
     /// containing `slice` at `level`. Exposed for instrumentation.
     pub fn group_utilization(&self, level: CacheLevelId, slice: usize) -> f64 {
-        let state = match level {
-            CacheLevelId::L2 => &self.l2,
-            CacheLevelId::L3 => &self.l3,
-        };
+        let state = self.level(level);
         // Groups always partition the slice space, so a valid index is
         // found; an out-of-range probe reads as an empty (0.0) group
         // instead of panicking mid-epoch.
@@ -447,10 +484,7 @@ impl MorphEngine {
             let mut span = p.half_a.clone();
             span.extend(p.half_b.iter().copied());
             span.sort_unstable();
-            let state = match p.level {
-                CacheLevelId::L2 => &self.l2,
-                CacheLevelId::L3 => &self.l3,
-            };
+            let state = self.level(p.level);
             // Only check groups that still exist exactly as merged.
             if !state.groups.contains(&span) {
                 continue;
@@ -475,10 +509,7 @@ impl MorphEngine {
                         continue;
                     }
                 }
-                let state = match p.level {
-                    CacheLevelId::L2 => &mut self.l2,
-                    CacheLevelId::L3 => &mut self.l3,
-                };
+                let state = self.level_mut(p.level);
                 // The `contains` check above guarantees the position
                 // exists; guarded rather than unwrapped so a racing edit
                 // to that check can never panic an epoch.
@@ -528,10 +559,7 @@ impl MorphEngine {
     /// Condition (ii), data sharing: both sides highly utilized by threads
     /// of one address space with significant ACFV overlap.
     fn mergeable(&self, level: CacheLevelId, a: &[usize], b: &[usize]) -> bool {
-        let state = match level {
-            CacheLevelId::L2 => &self.l2,
-            CacheLevelId::L3 => &self.l3,
-        };
+        let state = self.level(level);
         let (ua, ub) = (state.utilization(a), state.utilization(b));
         let (ca, cb) = (self.config.msat.classify(ua), self.config.msat.classify(ub));
         let exactly_one_high = (ca == Utilization::High) != (cb == Utilization::High);
@@ -575,10 +603,7 @@ impl MorphEngine {
     /// destructive interference — only the idle and lost-sharing signals
     /// are unambiguous.
     fn splittable(&self, level: CacheLevelId, a: &[usize], b: &[usize]) -> bool {
-        let state = match level {
-            CacheLevelId::L2 => &self.l2,
-            CacheLevelId::L3 => &self.l3,
-        };
+        let state = self.level(level);
         let (ua, ub) = (state.utilization(a), state.utilization(b));
         let combined = (ua * a.len() as f64 + ub * b.len() as f64) / (a.len() + b.len()) as f64;
         if combined < self.config.msat.low() {
@@ -1343,6 +1368,41 @@ mod tests {
                 assert!(refines(&out.l2_groups, &out.l3_groups), "seed {seed}");
             }
         }
+    }
+
+    /// A slice only hears from its group's cores, so a 1024-slice engine
+    /// fed private traffic holds one vector per core per level, not
+    /// 1024², before and after a round resets them.
+    #[test]
+    fn only_slice_core_pairs_with_events_hold_vectors() {
+        let mut e = fresh(1024);
+        for c in 0..1024 {
+            let line = c as u64 * 8191;
+            for level in [CacheLevelId::L2, CacheLevelId::L3] {
+                e.on_inserted(level, c, c, line);
+                e.on_touched(level, c, c, line + 1);
+                e.on_evicted(level, c, c, line);
+            }
+        }
+        assert_eq!(e.materialized(CacheLevelId::L2), 1024);
+        assert_eq!(e.materialized(CacheLevelId::L3), 1024);
+        e.reconfigure(0).unwrap();
+        assert_eq!(e.materialized(CacheLevelId::L2), 1024);
+        assert_eq!(e.materialized(CacheLevelId::L3), 1024);
+        assert_eq!(e.group_utilization(CacheLevelId::L2, 5), 0.0);
+    }
+
+    #[test]
+    fn evicting_from_an_absent_vector_creates_none() {
+        let mut e = fresh(4);
+        e.on_evicted(CacheLevelId::L2, 0, 1, 42);
+        assert_eq!(e.materialized(CacheLevelId::L2), 0);
+        assert_eq!((e.l2.total_churn[0], e.l2.reused_churn[0]), (1, 0));
+        // Once the pair has a vector, evicting a set bit is reused churn.
+        e.on_touched(CacheLevelId::L2, 0, 1, 42);
+        e.on_evicted(CacheLevelId::L2, 0, 1, 42);
+        assert_eq!(e.materialized(CacheLevelId::L2), 1);
+        assert_eq!((e.l2.total_churn[0], e.l2.reused_churn[0]), (2, 1));
     }
 
     #[test]

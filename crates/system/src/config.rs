@@ -1,6 +1,6 @@
 //! System-level run configuration.
 
-use morph_cache::{HierarchyParams, MAX_CORES};
+use morph_cache::{HierarchyParams, MAX_CORES, MAX_SET_WAYS};
 use morph_cpu::CoreParams;
 use morphcache::MorphError;
 
@@ -107,8 +107,10 @@ impl SystemConfig {
     /// Rejects configurations the simulator cannot run: a zero-length
     /// epoch, a zero or epoch-exceeding scheduler quantum, no measured
     /// epochs, a core/slice count that is zero, not a power of two
-    /// (buddy merging needs power-of-two groups) or above [`MAX_CORES`]
-    /// (caches store owners as 2-byte core ids).
+    /// (buddy merging needs power-of-two groups), above [`MAX_CORES`]
+    /// (caches store owners as 2-byte core ids) or so large that one L2
+    /// or L3 set spans more than [`MAX_SET_WAYS`] ways over all slices
+    /// (its 16-bit recency clock could not renumber it).
     ///
     /// # Errors
     ///
@@ -140,6 +142,18 @@ impl SystemConfig {
         }
         if n > MAX_CORES {
             return field("n_cores", n as u64, "must not exceed 65536");
+        }
+        let ways = self
+            .hierarchy
+            .l2_slice
+            .ways()
+            .max(self.hierarchy.l3_slice.ways());
+        if n * ways > MAX_SET_WAYS {
+            return field(
+                "n_cores",
+                n as u64,
+                "times the ways of an L2 or L3 slice must not exceed 32768",
+            );
         }
         Ok(())
     }
@@ -209,5 +223,23 @@ mod tests {
         reject(&|c| c.hierarchy.n_cores = 0, "n_cores");
         reject(&|c| c.hierarchy.n_cores = 3, "n_cores");
         reject(&|c| c.hierarchy.n_cores = MAX_CORES * 2, "n_cores");
+        // One L3 set of 4096 cores × 16 ways, or of 2048 cores × §5.4's
+        // 32 ways, spans 65,536 ways.
+        reject(&|c| c.hierarchy.n_cores = 4096, "n_cores");
+        let double_ways = |c: &mut SystemConfig| {
+            c.hierarchy = c.hierarchy.with_doubled_associativity().unwrap();
+        };
+        reject(
+            &|c| {
+                double_ways(c);
+                c.hierarchy.n_cores = 2048;
+            },
+            "n_cores",
+        );
+        // Exactly MAX_SET_WAYS ways per set is allowed.
+        assert!(SystemConfig::paper(2048).validate().is_ok());
+        let mut c = SystemConfig::paper(1024);
+        double_ways(&mut c);
+        assert!(c.validate().is_ok());
     }
 }

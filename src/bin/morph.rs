@@ -12,6 +12,7 @@
 //! morph figures fig13 sec24 --epochs 2         # the paper's figures
 //! ```
 
+use std::io::Write;
 use std::path::Path;
 
 use morph_system::experiment::{default_jobs, run_cells, MatrixCell};
@@ -19,6 +20,37 @@ use morph_system::prelude::*;
 use morphcache_repro::figures::FIGURES;
 
 use morph_trace::{mixes, parsec, spec};
+
+/// `print!` for results: a failed write to standard output ends `morph`
+/// through [`stdout_failed`] instead of panicking.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        if let Err(e) = write!(std::io::stdout(), $($arg)*) {
+            stdout_failed(&e)
+        }
+    };
+}
+
+/// `println!` for results, ending `morph` like [`out!`] when standard
+/// output fails.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        if let Err(e) = writeln!(std::io::stdout(), $($arg)*) {
+            stdout_failed(&e)
+        }
+    };
+}
+
+/// Ends `morph` after a failed write to standard output. A reader that
+/// has gone (`morph list | head -1`) got all it wanted, so a broken pipe
+/// exits 0 without a word; any other failure is reported and exits 1.
+fn stdout_failed(e: &std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("error: writing standard output: {e}");
+    std::process::exit(1)
+}
 
 /// The policy set `matrix` sweeps over at `n` cores by default: every
 /// static topology of `SymmetricTopology::static_set(n)` plus the
@@ -94,18 +126,18 @@ fn main() {
 }
 
 fn cmd_list() -> i32 {
-    println!("multiprogrammed mixes (Table 5):");
+    outln!("multiprogrammed mixes (Table 5):");
     for m in mixes::all_mixes() {
         let names: Vec<&str> = m.benchmarks.iter().map(|b| b.name).collect();
-        println!("  {}  {:?}  {}", m.name(), m.composition, names.join(","));
+        outln!("  {}  {:?}  {}", m.name(), m.composition, names.join(","));
     }
-    println!("\nSPEC CPU 2006 benchmarks (Table 4):");
+    outln!("\nSPEC CPU 2006 benchmarks (Table 4):");
     let names: Vec<&str> = spec::SPEC_PROFILES.iter().map(|p| p.name).collect();
-    println!("  {}", names.join(", "));
-    println!("\nPARSEC benchmarks (Table 4):");
+    outln!("  {}", names.join(", "));
+    outln!("\nPARSEC benchmarks (Table 4):");
     let names: Vec<&str> = parsec::PARSEC_PROFILES.iter().map(|p| p.name).collect();
-    println!("  {}", names.join(", "));
-    println!("\npolicies: <x:y:z> (e.g. 16:1:1, 4:4:1), morph, morph-qos, pipp, dsr");
+    outln!("  {}", names.join(", "));
+    outln!("\npolicies: <x:y:z> (e.g. 16:1:1, 4:4:1), morph, morph-qos, pipp, dsr");
     0
 }
 
@@ -369,7 +401,7 @@ fn cmd_run(args: &[String]) -> i32 {
         }
     };
     if o.validate_only {
-        println!(
+        outln!(
             "configuration OK: {} cores, {} epochs x {} cycles, policy {}",
             cfg.n_cores(),
             cfg.n_epochs,
@@ -392,9 +424,9 @@ fn cmd_run(args: &[String]) -> i32 {
             return 1;
         }
     };
-    println!("{} under {}:", r.workload_name, r.policy_name);
+    outln!("{} under {}:", r.workload_name, r.policy_name);
     for e in &r.epochs {
-        println!(
+        outln!(
             "  epoch {:>2}: throughput {:.3}  events {}  L2 {}  L3 {}",
             e.epoch,
             e.throughput(),
@@ -403,7 +435,7 @@ fn cmd_run(args: &[String]) -> i32 {
             e.l3_grouping
         );
     }
-    println!(
+    outln!(
         "mean throughput {:.3}; {} reconfigurations, {:.0}% asymmetric",
         r.mean_throughput(),
         r.total_reconfigs(),
@@ -427,9 +459,9 @@ fn run_sampling(sim: &mut SystemSim, w: &Workload, p: &Policy) -> i32 {
             return 1;
         }
     };
-    println!("{} under {} (sampled):", w.name(), p.name());
+    outln!("{} under {} (sampled):", w.name(), p.name());
     for (e, &detailed) in r.epochs.iter().zip(&r.simulated) {
-        println!(
+        outln!(
             "  epoch {:>2}{} throughput {:.3}  L2 {}  L3 {}",
             e.epoch,
             if detailed { "*" } else { " " },
@@ -438,7 +470,7 @@ fn run_sampling(sim: &mut SystemSim, w: &Workload, p: &Policy) -> i32 {
             e.l3_grouping
         );
     }
-    println!(
+    outln!(
         "{} phases; {}/{} epochs simulated in detail; mean throughput {:.3}",
         r.phases,
         r.simulated_epochs(),
@@ -446,7 +478,7 @@ fn run_sampling(sim: &mut SystemSim, w: &Workload, p: &Policy) -> i32 {
         r.mean_throughput()
     );
     if let Some(x) = r.extrapolated {
-        println!(
+        outln!(
             "extrapolated miss rates: L1 {:.3}  L2 {:.3}  L3 {:.3}",
             x[0].miss_rate(),
             x[1].miss_rate(),
@@ -535,7 +567,7 @@ fn cmd_matrix(args: &[String]) -> i32 {
     let mut sup = Supervisor::new(options).with_shutdown(ShutdownFlag::with_sigint());
     if let (Some(journal), Some(dir)) = (journal, &o.run_dir) {
         if journal.cached_cells() > 0 {
-            println!(
+            outln!(
                 "resuming from {dir}: {} of {} cells cached",
                 journal.cached_cells(),
                 cells.len()
@@ -605,7 +637,7 @@ fn cmd_figures(args: &[String]) -> i32 {
     let jobs = o.jobs.unwrap_or_else(default_jobs);
     for (id, figure) in figures {
         match figure(&cfg, jobs) {
-            Ok(report) => print!("{report}"),
+            Ok(report) => out!("{report}"),
             Err(e) => {
                 eprintln!("figure {id} failed: {e}");
                 return 1;
@@ -634,7 +666,7 @@ fn print_supervised(cells: &[MatrixCell], names: &[String], m: &SupervisedMatrix
                 None => "no result".to_string(),
             },
         };
-        println!(
+        outln!(
             "  {:<12} {:<11} {}  [{:.2}s, {} retries]",
             names.get(i).map_or("?", String::as_str),
             report.status.label(),
@@ -654,14 +686,14 @@ fn print_supervised(cells: &[MatrixCell], names: &[String], m: &SupervisedMatrix
         let ratio = base.map_or(String::new(), |b| {
             format!("  ({:.3}x baseline)", ideal / b.mean_throughput())
         });
-        println!(
+        outln!(
             "  {:<24} throughput {ideal:.3}{ratio}  [best of {} statics per epoch]",
             "ideal offline",
             statics.len()
         );
     }
     let t = &m.timing;
-    println!(
+    outln!(
         "{} in {:.2}s with {} jobs ({:.2} cells/s, {:.2}x vs serial)",
         m.summary(),
         t.wall_seconds,
@@ -697,7 +729,7 @@ fn chaos_verify(
             std::env::temp_dir().join(format!("morph-chaos-verify-{}", std::process::id()))
         }
     };
-    println!(
+    outln!(
         "chaos-verify: golden serial run of {} cells...",
         cells.len()
     );
@@ -730,7 +762,7 @@ fn chaos_verify(
         };
         print_supervised(cells, names, &m);
         if m.was_interrupted() {
-            println!("chaos round {rounds} interrupted; resuming from the journal...");
+            outln!("chaos round {rounds} interrupted; resuming from the journal...");
             continue;
         }
         break m;
@@ -751,7 +783,7 @@ fn chaos_verify(
         .map(|(i, _)| i)
         .collect();
     if mismatches.is_empty() {
-        println!(
+        outln!(
             "chaos-verify OK: {} cells bit-identical to the golden run after {rounds} round(s)",
             cells.len()
         );

@@ -1,10 +1,11 @@
 //! The `morph` binary's argument handling: each subcommand rejects the
 //! options it does not read (exit 2) instead of silently ignoring them,
 //! `compare` is gone in favour of `matrix`, `matrix` rows report
-//! throughput relative to the first cell, and `--resume` needs a journal
-//! to resume.
+//! throughput relative to the first cell, `--resume` needs a journal
+//! to resume, and a reader that stops early ends `morph` quietly.
 
-use std::process::{Command, Output};
+use std::io::BufRead;
+use std::process::{Child, Command, Output, Stdio};
 
 /// A 4-core, one-epoch workload small enough for a debug build.
 const QUICK: [&str; 8] = [
@@ -101,4 +102,42 @@ fn resume_needs_an_existing_journal() {
     assert!(err.contains("journal error: nothing to resume"), "{err}");
     assert!(out.stdout.is_empty(), "no cell ran");
     assert!(!dir.exists(), "a failed resume creates nothing");
+}
+
+/// Starts `morph` with standard output and standard error piped.
+fn spawn(args: &[&str]) -> Child {
+    Command::new(env!("CARGO_BIN_EXE_morph"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the morph binary starts")
+}
+
+/// Waits for `child` after its reader has gone: it must exit 0 and not
+/// panic on the closed pipe.
+fn assert_quiet_exit(child: Child) {
+    let out = child.wait_with_output().expect("morph exits");
+    let err = stderr(&out);
+    assert!(!err.contains("panicked"), "{err}");
+    assert_eq!(out.status.code(), Some(0), "{err}");
+}
+
+#[test]
+fn a_closed_stdout_ends_morph_quietly() {
+    // `morph list | head -1`: one line read, then the pipe is dropped.
+    let mut list = spawn(&["list"]);
+    let mut first = String::new();
+    std::io::BufReader::new(list.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("a first line");
+    assert!(first.starts_with("multiprogrammed mixes"), "{first}");
+    assert_quiet_exit(list);
+    // A run prints only after it simulates, so every one of its writes
+    // meets the closed pipe.
+    let mut args = vec!["run"];
+    args.extend(QUICK);
+    let mut run = spawn(&args);
+    drop(run.stdout.take());
+    assert_quiet_exit(run);
 }
