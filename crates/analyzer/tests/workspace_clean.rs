@@ -14,7 +14,7 @@ use morph_analyzer::{build_workspace, PASS_NAMES};
 /// The number of justified allow directives currently in the tree. Bump
 /// this DOWN when you discharge one; bumping it up needs a reason in
 /// review.
-const PINNED_ALLOW_COUNT: usize = 9;
+const PINNED_ALLOW_COUNT: usize = 8;
 
 /// The ceiling the allow budget must stay strictly under (the count
 /// before the call-graph passes started discharging proofs).

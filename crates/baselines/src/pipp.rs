@@ -330,15 +330,6 @@ impl PippSystem {
         &self.l2.alloc
     }
 
-    /// L2 miss rate so far.
-    pub fn l2_miss_rate(&self) -> f64 {
-        if self.l2.accesses == 0 {
-            0.0
-        } else {
-            self.l2.misses as f64 / self.l2.accesses as f64
-        }
-    }
-
     fn fill_l1(&mut self, core: CoreId, line: Line) {
         self.stamp += 1;
         let set = self.l1_params.set_index(line);

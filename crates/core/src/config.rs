@@ -99,14 +99,6 @@ impl MorphConfig {
         }
     }
 
-    /// Paper defaults with QoS throttling enabled (§5.3).
-    pub fn paper_qos() -> Self {
-        Self {
-            qos: true,
-            ..Self::paper()
-        }
-    }
-
     /// Paper defaults with one-to-one ("oracle-sized") decision vectors
     /// for the given slice geometries: `acfv_bits` = the larger slice's
     /// line count, so utilization estimates resolve the full 0..1 range.
@@ -153,6 +145,5 @@ mod tests {
         assert_eq!(c.policy, ConflictPolicy::MergeAggressive);
         assert_eq!(c.grouping, GroupingMode::BuddyPowerOfTwo);
         assert!(!c.qos);
-        assert!(MorphConfig::paper_qos().qos);
     }
 }

@@ -60,12 +60,6 @@ impl Xoshiro256pp {
         result
     }
 
-    /// Next raw 32-bit output (upper half of a 64-bit draw).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform draw in `[0, bound)` using Lemire's multiply-shift
     /// rejection method (unbiased).
     #[inline]

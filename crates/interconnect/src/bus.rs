@@ -37,9 +37,6 @@ pub struct SegmentedBus {
     pending: Vec<Option<u64>>,
     /// Cycle until which each segment is busy transferring.
     busy_until: Vec<u64>,
-    /// Extra transfer cycles charged per segment (NUCA hop latency for
-    /// groups spanning more tiles than one die; zero by default).
-    segment_extra: Vec<u64>,
     /// Per-segment round-robin pointer (component index to consider first).
     rr: Vec<usize>,
     now: u64,
@@ -56,16 +53,10 @@ impl SegmentedBus {
             n_segments: 1,
             pending: vec![None; n],
             busy_until: vec![0; n],
-            segment_extra: vec![0; n.max(1)],
             rr: vec![0; n],
             now: 0,
             stats: BusStats::default(),
         }
-    }
-
-    /// Number of components attached.
-    pub fn n_components(&self) -> usize {
-        self.n
     }
 
     /// Number of isolated segments in the current configuration.
@@ -122,31 +113,6 @@ impl SegmentedBus {
         }
         self.segment_of = segment_of;
         self.n_segments = groups.len();
-        // A reconfiguration invalidates any distance-based extras; the
-        // caller re-derives them for the new groups (NucaModel does this).
-        self.segment_extra = vec![0; groups.len()];
-        Ok(())
-    }
-
-    /// Sets per-segment extra transfer cycles (on top of
-    /// [`TRANSACTION_CYCLES`]), one entry per current segment. The NUCA
-    /// model uses this to charge hop latency to segments whose group
-    /// spans more tiles than the baseline die; [`SegmentedBus::configure`]
-    /// resets all extras to zero.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InterconnectError::InvalidSegments`] unless `extra` has
-    /// exactly [`SegmentedBus::n_segments`] entries.
-    pub fn set_segment_extra_cycles(&mut self, extra: &[u64]) -> Result<(), InterconnectError> {
-        if extra.len() != self.n_segments {
-            return Err(InterconnectError::InvalidSegments(format!(
-                "{} extra-cycle entries for {} segments",
-                extra.len(),
-                self.n_segments
-            )));
-        }
-        self.segment_extra = extra.to_vec();
         Ok(())
     }
 
@@ -191,7 +157,7 @@ impl SegmentedBus {
             if let Some((pos, c, issued)) = winner {
                 self.stats.transactions += 1;
                 self.stats.wait_cycles += self.now - issued;
-                self.busy_until[seg] = self.now + TRANSACTION_CYCLES + self.segment_extra[seg];
+                self.busy_until[seg] = self.now + TRANSACTION_CYCLES;
                 self.rr[seg] = pos + 1;
                 granted.push(c);
             }
@@ -213,19 +179,6 @@ impl SegmentedBus {
             self.cycle();
         }
         self.now - start
-    }
-
-    /// Analytic M/D/1 queueing estimate of the mean wait (in bus cycles)
-    /// for a segment receiving `lambda` transactions per bus cycle with
-    /// deterministic service time [`TRANSACTION_CYCLES`].
-    ///
-    /// Saturated or over-saturated segments (`ρ >= 1`) report the wait at
-    /// ρ = 0.99 — the simulator treats that as "heavily congested" rather
-    /// than diverging.
-    pub fn estimated_wait(lambda: f64) -> f64 {
-        let s = TRANSACTION_CYCLES as f64;
-        let rho = (lambda * s).min(0.99);
-        rho * s / (2.0 * (1.0 - rho))
     }
 }
 
@@ -349,56 +302,5 @@ mod tests {
             2,
             "both pending requests grant in parallel segments"
         );
-    }
-
-    #[test]
-    fn segment_extra_cycles_extend_the_busy_window() {
-        let mut bus = SegmentedBus::new(4);
-        bus.configure(&[vec![0, 1], vec![2, 3]]).unwrap();
-        bus.set_segment_extra_cycles(&[2, 0]).unwrap();
-        bus.request(0);
-        bus.request(1);
-        bus.request(2);
-        bus.request(3);
-        assert_eq!(bus.cycle().len(), 2);
-        // Segment 1 (no extra) frees after 3 cycles; segment 0 after 5.
-        assert!(bus.cycle().is_empty());
-        assert!(bus.cycle().is_empty());
-        assert_eq!(bus.cycle(), vec![3], "plain segment grants first");
-        assert!(bus.cycle().is_empty());
-        assert_eq!(
-            bus.cycle(),
-            vec![1],
-            "extended segment grants 2 cycles later"
-        );
-    }
-
-    #[test]
-    fn segment_extras_validate_length_and_reset_on_configure() {
-        let mut bus = SegmentedBus::new(4);
-        bus.configure(&[vec![0, 1], vec![2, 3]]).unwrap();
-        assert!(
-            bus.set_segment_extra_cycles(&[1]).is_err(),
-            "length mismatch"
-        );
-        bus.set_segment_extra_cycles(&[7, 7]).unwrap();
-        // Reconfiguring drops the extras back to zero.
-        bus.configure(&[vec![0, 1, 2, 3]]).unwrap();
-        bus.request(0);
-        bus.request(1);
-        assert_eq!(bus.cycle().len(), 1);
-        assert!(bus.cycle().is_empty());
-        assert!(bus.cycle().is_empty());
-        assert_eq!(bus.cycle().len(), 1, "default 3-cycle transaction restored");
-    }
-
-    #[test]
-    fn mdl_wait_grows_with_load() {
-        let low = SegmentedBus::estimated_wait(0.05);
-        let high = SegmentedBus::estimated_wait(0.30);
-        assert!(low < high);
-        assert!(low >= 0.0);
-        // Saturation clamps rather than diverges.
-        assert!(SegmentedBus::estimated_wait(10.0).is_finite());
     }
 }

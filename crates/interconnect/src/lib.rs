@@ -14,9 +14,11 @@
 //!   [`arbiter::ArbiterTree`] (the Fig. 9 hierarchy with `Fwdreq`
 //!   masking and Fig. 11 `BusAcq` generation).
 //! * [`bus`] — the behavioural model: [`bus::SegmentedBus`] simulates
-//!   per-segment transactions cycle by cycle and exposes a contention
-//!   (queueing) estimate that the system simulator folds into merged-hit
-//!   latencies.
+//!   per-segment transactions cycle by cycle. The system simulator does
+//!   not run it or model bus queueing: a merged hit pays a fixed
+//!   pipelined-bus overhead (10 core cycles, from the [`floorplan`]
+//!   model) plus the [`nuca`] hops. The lattice model check uses it to
+//!   confirm that every reachable grouping is a valid bus segmentation.
 //! * [`floorplan`] — the analytic model behind Table 2 and the 15-cycle
 //!   merged-access overhead, generalized past the paper's 16-tile die
 //!   via [`Floorplan::for_cores`].

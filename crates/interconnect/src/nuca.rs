@@ -10,11 +10,12 @@
 //! classic non-uniform cache access (NUCA) distance term, applied at bus
 //! granularity rather than per-bank.
 //!
-//! The model is deliberately degenerate at the paper's scale: for any
-//! covering span ≤ 16 tiles it adds **zero** cycles, so a 16-core system
-//! is bit-identical with or without it.
-
-use crate::InterconnectError;
+//! A group's covering span is the smallest power of two at least as wide
+//! as the range of tiles it covers
+//! (`morphcache::topology::covering_pow2_span`); the backends charge the
+//! widest group's span. The model is deliberately degenerate at the
+//! paper's scale: for any covering span ≤ 16 tiles it adds **zero**
+//! cycles, so a 16-core system is bit-identical with or without it.
 
 /// Hop-latency model: extra core cycles per merged access as a function
 /// of the group's covering span in tiles.
@@ -33,15 +34,9 @@ impl NucaModel {
     /// a 1 GHz segmented bus make one extra bus hop cost 5 core cycles,
     /// and the 16-tile die is the zero-cost threshold.
     pub fn paper() -> Self {
-        Self::for_frequencies(5.0, 1.0)
-    }
-
-    /// Builds the model from core/bus clocks: one bus cycle per doubling,
-    /// expressed in core cycles (rounded to the nearest integer).
-    pub fn for_frequencies(core_ghz: f64, bus_ghz: f64) -> Self {
         Self {
             tile_span_threshold: 16,
-            hop_cycles_per_doubling: (core_ghz / bus_ghz).round() as u64,
+            hop_cycles_per_doubling: 5,
         }
     }
 
@@ -57,45 +52,6 @@ impl NucaModel {
             extra += self.hop_cycles_per_doubling;
         }
         extra
-    }
-
-    /// The smallest *aligned* power-of-two block of tiles covering every
-    /// member of `group` — the wire span that a merged group's bus
-    /// segment must traverse. Singletons (and the empty group) span 1.
-    pub fn covering_span(group: &[usize]) -> usize {
-        let (Some(&lo), Some(&hi)) = (group.iter().min(), group.iter().max()) else {
-            return 1;
-        };
-        let mut size = 1usize;
-        while lo / size != hi / size {
-            size *= 2;
-        }
-        size
-    }
-
-    /// Per-segment extra transfer cycles for a bus configuration, ready
-    /// to feed [`crate::SegmentedBus::set_segment_extra_cycles`]: entry
-    /// `i` is [`NucaModel::extra_merged_cycles`] of group `i`'s covering
-    /// span. All-zero whenever every group fits the threshold.
-    pub fn segment_extra_cycles(&self, groups: &[Vec<usize>]) -> Vec<u64> {
-        groups
-            .iter()
-            .map(|g| self.extra_merged_cycles(Self::covering_span(g)))
-            .collect()
-    }
-
-    /// Applies [`NucaModel::segment_extra_cycles`] to a configured bus.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InterconnectError::InvalidSegments`] if `groups` does
-    /// not match the bus's current segment count.
-    pub fn apply_to_bus(
-        &self,
-        bus: &mut crate::SegmentedBus,
-        groups: &[Vec<usize>],
-    ) -> Result<(), InterconnectError> {
-        bus.set_segment_extra_cycles(&self.segment_extra_cycles(groups))
     }
 }
 
@@ -128,62 +84,5 @@ mod tests {
         // Non-power-of-two spans round up to the next doubling.
         assert_eq!(m.extra_merged_cycles(17), 5);
         assert_eq!(m.extra_merged_cycles(33), 10);
-    }
-
-    #[test]
-    fn covering_span_is_the_smallest_aligned_block() {
-        assert_eq!(NucaModel::covering_span(&[]), 1);
-        assert_eq!(NucaModel::covering_span(&[5]), 1);
-        assert_eq!(NucaModel::covering_span(&[0, 1]), 2);
-        assert_eq!(NucaModel::covering_span(&[1, 2]), 4, "misaligned pair");
-        assert_eq!(NucaModel::covering_span(&[0, 15]), 16);
-        assert_eq!(
-            NucaModel::covering_span(&[16, 31]),
-            16,
-            "aligned upper block"
-        );
-        assert_eq!(
-            NucaModel::covering_span(&[15, 16]),
-            32,
-            "straddles the die seam"
-        );
-        assert_eq!(NucaModel::covering_span(&[0, 63]), 64);
-    }
-
-    #[test]
-    fn segment_extras_are_all_zero_for_any_16_core_configuration() {
-        let m = NucaModel::paper();
-        let groups: Vec<Vec<usize>> = vec![(0..8).collect(), (8..12).collect(), (12..16).collect()];
-        assert_eq!(m.segment_extra_cycles(&groups), vec![0, 0, 0]);
-    }
-
-    #[test]
-    fn segment_extras_charge_only_wide_groups() {
-        let m = NucaModel::paper();
-        let groups: Vec<Vec<usize>> =
-            vec![(0..32).collect(), (32..48).collect(), (48..64).collect()];
-        assert_eq!(m.segment_extra_cycles(&groups), vec![5, 0, 0]);
-        let whole: Vec<Vec<usize>> = vec![(0..64).collect()];
-        assert_eq!(m.segment_extra_cycles(&whole), vec![10]);
-    }
-
-    #[test]
-    fn applies_to_a_configured_bus() {
-        let m = NucaModel::paper();
-        let groups: Vec<Vec<usize>> = vec![(0..32).collect(), (32..64).collect()];
-        let mut bus = crate::SegmentedBus::new(64);
-        bus.configure(&groups).unwrap();
-        m.apply_to_bus(&mut bus, &groups).unwrap();
-        // One transaction now occupies the segment for 3 + 5 cycles.
-        bus.request(0);
-        bus.request(1);
-        assert_eq!(bus.cycle().len(), 1);
-        for _ in 0..7 {
-            assert!(
-                bus.cycle().is_empty(),
-                "segment busy for the hop-extended transfer"
-            );
-        }
-        assert_eq!(bus.cycle().len(), 1);
     }
 }

@@ -5,7 +5,7 @@ use morph_cpu::CoreParams;
 use morphcache::MorphError;
 
 /// Everything needed to construct and drive one simulated run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Cache hierarchy geometry and latencies.
     pub hierarchy: HierarchyParams,

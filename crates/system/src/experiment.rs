@@ -77,21 +77,6 @@ impl RunResult {
     pub fn total_accesses(&self) -> u64 {
         self.epochs.iter().map(|e| e.accesses).sum()
     }
-
-    /// Per-core total misses over the run (QoS analysis, §5.3).
-    pub fn total_misses_by_core(&self) -> Vec<u64> {
-        if self.epochs.is_empty() {
-            return Vec::new();
-        }
-        let n = self.epochs[0].misses_by_core.len();
-        let mut acc = vec![0u64; n];
-        for e in &self.epochs {
-            for (a, &m) in acc.iter_mut().zip(e.misses_by_core.iter()) {
-                *a += m;
-            }
-        }
-        acc
-    }
 }
 
 /// The §5.1 ideal offline scheme's throughput: the mean over epochs of
@@ -215,38 +200,6 @@ pub fn run_cells(
     Supervisor::new(options).run(cfg, cells)?.into_matrix()
 }
 
-/// Per-application "alone" IPCs for the weighted/fair speedup metrics:
-/// each application runs by itself on a single-core hierarchy with the
-/// same slice geometry. The solo runs are independent, so they fan out
-/// through [`run_cells`] on `jobs` workers like any other matrix.
-///
-/// # Errors
-///
-/// Returns a [`MorphError`] if any solo run fails (see [`run_workload`]).
-pub fn alone_ipcs(
-    cfg: &SystemConfig,
-    workload: &Workload,
-    jobs: usize,
-) -> Result<Vec<f64>, MorphError> {
-    let mut solo_cfg = *cfg;
-    solo_cfg.hierarchy.n_cores = 1;
-    let cells: Vec<MatrixCell> = (0..cfg.n_cores())
-        .map(|c| {
-            MatrixCell::new(
-                Workload::Apps(vec![workload.profile_of(c)]),
-                Policy::baseline(1),
-                cfg.seed,
-            )
-        })
-        .collect();
-    let matrix = run_cells(&solo_cfg, &cells, jobs)?;
-    Ok(matrix
-        .results
-        .iter()
-        .map(|r| r.mean_ipcs().first().copied().unwrap_or(0.0))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,7 +214,6 @@ mod tests {
         assert!(r.mean_throughput() > 0.0);
         assert_eq!(r.throughput_series().len(), 4);
         assert_eq!(r.policy_name, "(4:1:1)");
-        assert!(r.total_misses_by_core().iter().sum::<u64>() > 0);
     }
 
     /// A run whose epochs have the given throughputs, on one core.
@@ -303,14 +255,15 @@ mod tests {
         let cfg = SystemConfig::quick_test(4).with_epochs(2);
         let w1 = Workload::named_apps(&["gcc", "hmmer", "mcf", "libq"]).unwrap();
         let w2 = Workload::named_apps(&["astar", "milc", "lbm", "sjeng"]).unwrap();
+        let private = Policy::Static(morphcache::SymmetricTopology::parse("1:1:4", 4).unwrap());
         let cells = vec![
             MatrixCell::new(w1.clone(), Policy::baseline(4), cfg.seed),
-            MatrixCell::new(w2.clone(), Policy::static_topology("1:1:4", 4), cfg.seed),
+            MatrixCell::new(w2.clone(), private.clone(), cfg.seed),
         ];
         let par = run_cells(&cfg, &cells, 2).unwrap().results;
         let ser = [
             run_workload(&cfg, &w1, &Policy::baseline(4)).unwrap(),
-            run_workload(&cfg, &w2, &Policy::static_topology("1:1:4", 4)).unwrap(),
+            run_workload(&cfg, &w2, &private).unwrap(),
         ];
         assert_eq!(par[0], ser[0]);
         assert_eq!(par[1], ser[1]);
@@ -359,14 +312,5 @@ mod tests {
         ];
         let err = run_cells(&cfg, &cells, 4).unwrap_err();
         assert!(matches!(err, MorphError::Topology(_)), "{err}");
-    }
-
-    #[test]
-    fn alone_ipcs_positive() {
-        let cfg = SystemConfig::quick_test(2).with_epochs(2);
-        let w = Workload::named_apps(&["gcc", "libq"]).unwrap();
-        let alone = alone_ipcs(&cfg, &w, 2).unwrap();
-        assert_eq!(alone.len(), 2);
-        assert!(alone.iter().all(|&i| i > 0.0));
     }
 }

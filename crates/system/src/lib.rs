@@ -82,8 +82,8 @@ pub mod prelude {
     pub use crate::backend::from_policy;
     pub use crate::config::SystemConfig;
     pub use crate::experiment::{
-        alone_ipcs, default_jobs, ideal_offline_throughput, run_cells, run_workload,
-        ExperimentMatrix, MatrixCell, RunResult,
+        default_jobs, ideal_offline_throughput, run_cells, run_workload, ExperimentMatrix,
+        MatrixCell, RunResult,
     };
     pub use crate::faults::{FaultInjector, FaultKind, FaultPlan, NoFaults};
     pub use crate::journal::RunJournal;

@@ -145,16 +145,6 @@ impl Policy {
         )
     }
 
-    /// A static topology parsed from `"x:y:z"`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed or non-covering topology string.
-    pub fn static_topology(s: &str, n_cores: usize) -> Self {
-        // morph-lint: allow(no-panic-in-lib, reason = "convenience constructor with a documented # Panics contract for literal topology strings; fallible callers use SymmetricTopology::parse directly")
-        Policy::Static(SymmetricTopology::parse(s, n_cores).expect("valid topology string"))
-    }
-
     /// MorphCache with paper defaults, decision vectors calibrated to the
     /// configured slice geometry (see `MorphConfig::calibrated`).
     pub fn morph(cfg: &SystemConfig) -> Self {

@@ -493,7 +493,10 @@ mod tests {
         // small relative to the phase signal.
         let mut cfg = SystemConfig::quick_test(4).with_epochs(16);
         cfg.epoch_cycles = 1_500_000;
-        for policy in [Policy::baseline(4), Policy::static_topology("1:1:4", 4)] {
+        for policy in [
+            Policy::baseline(4),
+            Policy::Static(morphcache::SymmetricTopology::parse("1:1:4", 4).unwrap()),
+        ] {
             let (full, full_levels) = full_reference(&cfg, &policy);
             let mut sim = SystemSim::new(cfg, &workload(), &policy).unwrap();
             let sampled = run_sampled(&mut sim, &SamplingConfig::default()).unwrap();

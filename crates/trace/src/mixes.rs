@@ -26,14 +26,6 @@ impl Mix {
     pub fn name(&self) -> String {
         format!("MIX {:02}", self.id)
     }
-
-    /// Whether this is one of the low-variation mixes the paper calls out
-    /// (§6: "There is little variation in the ACFs of the applications in
-    /// these two mixes, MIX 04 and MIX 08"), on which PIPP/DSR tie or beat
-    /// MorphCache.
-    pub fn is_low_variation(&self) -> bool {
-        self.id == 4 || self.id == 8
-    }
 }
 
 /// Raw Table 5 contents: `(id, composition, benchmark shorthand list)`.
@@ -184,16 +176,6 @@ mod tests {
     fn mix_names_format() {
         assert_eq!(mix(1).unwrap().name(), "MIX 01");
         assert_eq!(mix(12).unwrap().name(), "MIX 12");
-    }
-
-    #[test]
-    fn low_variation_mixes_are_4_and_8() {
-        let flagged: Vec<usize> = all_mixes()
-            .iter()
-            .filter(|m| m.is_low_variation())
-            .map(|m| m.id)
-            .collect();
-        assert_eq!(flagged, vec![4, 8]);
     }
 
     #[test]

@@ -37,18 +37,6 @@ pub trait AccessStream {
     /// Produces the next reference.
     fn next_access(&mut self) -> Access;
 
-    /// Draws and discards `n` references — the fast-forward primitive of
-    /// representative-interval sampling. A skipped interval must advance
-    /// the stream's RNG exactly as a simulated one would (every stream
-    /// draw also feeds the epoch-boundary phase redraw), so skipping is
-    /// a full draw of each reference, merely without a simulator
-    /// attached.
-    fn skip_accesses(&mut self, n: u64) {
-        for _ in 0..n {
-            self.next_access();
-        }
-    }
-
     /// Advances to the next epoch (phase change).
     fn advance_epoch(&mut self);
 
@@ -560,20 +548,6 @@ mod tests {
         let writes = (0..40_000).filter(|_| s.next_access().is_write).count();
         let frac = writes as f64 / 40_000.0;
         assert!((frac - 0.25).abs() < 0.02, "write fraction {frac}");
-    }
-
-    #[test]
-    fn skip_accesses_advances_like_drawing() {
-        let p = spec::profile("gcc").unwrap();
-        let mut a = SyntheticStream::new(p, StreamConfig::single_threaded(0, 23));
-        let mut b = SyntheticStream::new(p, StreamConfig::single_threaded(0, 23));
-        a.skip_accesses(5000);
-        for _ in 0..5000 {
-            b.next_access();
-        }
-        for _ in 0..100 {
-            assert_eq!(a.next_access(), b.next_access());
-        }
     }
 
     #[test]

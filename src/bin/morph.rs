@@ -17,7 +17,7 @@ use std::path::Path;
 
 use morph_system::experiment::{default_jobs, run_cells, MatrixCell};
 use morph_system::prelude::*;
-use morphcache_repro::figures::FIGURES;
+use morphcache_repro::figures::{Runs, FIGURES};
 
 use morph_trace::{mixes, parsec, spec};
 
@@ -608,7 +608,8 @@ fn figure_ids() -> String {
 
 /// `morph figures [ID ...]`: prints the named figures (all of them when
 /// none is named) at the run length, seed and worker count of the
-/// shared options, which default to `run`'s.
+/// shared options, which default to `run`'s. The figures share one run
+/// table, so a cell two figures need is simulated once.
 fn cmd_figures(args: &[String]) -> i32 {
     let (o, ids) = match parse_opts("figures", FIGURES_OPTIONS, args) {
         Ok(parsed) => parsed,
@@ -634,9 +635,9 @@ fn cmd_figures(args: &[String]) -> i32 {
         figures = FIGURES.iter().collect();
     }
     let cfg = config(&o);
-    let jobs = o.jobs.unwrap_or_else(default_jobs);
+    let mut runs = Runs::new(o.jobs.unwrap_or_else(default_jobs));
     for (id, figure) in figures {
-        match figure(&cfg, jobs) {
+        match figure(&cfg, &mut runs) {
             Ok(report) => out!("{report}"),
             Err(e) => {
                 eprintln!("figure {id} failed: {e}");

@@ -5,11 +5,16 @@
 //!
 //! Every generator but two takes its run length and seed from the
 //! caller's [`SystemConfig`] (the `morph` CLI builds it exactly as for
-//! `run` and `matrix`) and runs its (workload, policy) cells through
-//! [`run_cells`] on the given number of worker threads. Each cell is a
-//! pure function of the configuration and the cell, so a report does not
-//! depend on the worker count. `fig05` and `table04` are
-//! characterization studies with fixed configurations of their own.
+//! `run` and `matrix`) and asks one shared [`Runs`] table for its
+//! (workload, policy) cells. The table simulates each distinct
+//! (configuration, cell) pair once, on the table's worker count, and
+//! hands every later figure that asks for it the same result: Figs. 13,
+//! 14 and 15 share one 72-cell grid, and Fig. 14's alone IPCs are
+//! one-core cells of the same table. Each cell is a pure function of the
+//! configuration and the cell, so a report depends neither on the worker
+//! count nor on which figures ran before it. `fig05` and `table04` are
+//! characterization studies with fixed configurations and probed runs of
+//! their own.
 
 use morph_cache::{ConfigError, HierarchyParams};
 use morph_interconnect::{ArbiterHierarchyModel, Floorplan, SynthesisParams};
@@ -19,9 +24,9 @@ use morph_system::probes::{AcfvSweepProbe, FootprintProbe};
 use morph_trace::{mixes, parsec, spec};
 use morphcache::{GroupingMode, HashKind};
 
-/// A figure generator: the run configuration and worker count in, the
-/// report out.
-pub type Figure = fn(&SystemConfig, usize) -> Result<String, MorphError>;
+/// A figure generator: the run configuration and the shared run table
+/// in, the report out.
+pub type Figure = fn(&SystemConfig, &mut Runs) -> Result<String, MorphError>;
 
 /// Every figure, by ID, in the order `morph figures` runs them.
 pub const FIGURES: [(&str, Figure); 13] = [
@@ -40,6 +45,74 @@ pub const FIGURES: [(&str, Figure); 13] = [
     ("sec55", sec55),
 ];
 
+/// The runs the figures share: every (configuration, cell) pair
+/// simulated so far, with its result. Entries are keyed by the whole
+/// configuration and cell, never by display name (every solo run is
+/// named `"1 apps"`).
+pub struct Runs {
+    jobs: usize,
+    entries: Vec<(SystemConfig, MatrixCell, RunResult)>,
+}
+
+impl Runs {
+    /// An empty table whose cells run on `jobs` worker threads.
+    pub fn new(jobs: usize) -> Self {
+        Self {
+            jobs,
+            entries: Vec::new(),
+        }
+    }
+
+    /// The number of distinct (configuration, cell) pairs simulated.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether nothing has been simulated yet.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Every policy on every workload under `cfg`, workload-major, each
+    /// cell on the configuration's seed. Cells the table lacks run first,
+    /// each once, as one [`run_cells`] matrix; if one fails, its error
+    /// is returned and the table keeps only what it held before.
+    fn grid(
+        &mut self,
+        cfg: &SystemConfig,
+        workloads: &[Workload],
+        policies: &[Policy],
+    ) -> Result<Vec<RunResult>, MorphError> {
+        // Each cell's index in the table once the cells it lacks are
+        // appended, in order of first request.
+        let mut new: Vec<MatrixCell> = Vec::new();
+        let mut slots = Vec::new();
+        for w in workloads {
+            for p in policies {
+                let cell = MatrixCell::new(w.clone(), p.clone(), cfg.seed);
+                let held = self.entries.iter().map(|(c, m, _)| (c, m));
+                let mut table = held.chain(new.iter().map(|m| (cfg, m)));
+                match table.position(|(c, m)| c == cfg && *m == cell) {
+                    Some(i) => slots.push(i),
+                    None => {
+                        slots.push(self.entries.len() + new.len());
+                        new.push(cell);
+                    }
+                }
+            }
+        }
+        if !new.is_empty() {
+            let results = run_cells(cfg, &new, self.jobs)?.results;
+            let runs = new.into_iter().zip(results).map(|(m, r)| (*cfg, m, r));
+            self.entries.extend(runs);
+        }
+        Ok(slots
+            .into_iter()
+            .map(|i| self.entries[i].2.clone())
+            .collect())
+    }
+}
+
 /// A table row: its label and its values.
 type Row = (String, Vec<f64>);
 
@@ -47,25 +120,6 @@ type Row = (String, Vec<f64>);
 fn banner(what: &str, paper_ref: &str) -> String {
     let rule = "#".repeat(64);
     format!("\n{rule}\n# {what}\n# Reproduces: {paper_ref}\n{rule}\n")
-}
-
-/// Runs every policy on every workload as one matrix, workload-major,
-/// each cell on the configuration's seed.
-fn grid(
-    cfg: &SystemConfig,
-    workloads: &[Workload],
-    policies: &[Policy],
-    jobs: usize,
-) -> Result<Vec<RunResult>, MorphError> {
-    let cells: Vec<MatrixCell> = workloads
-        .iter()
-        .flat_map(|w| {
-            policies
-                .iter()
-                .map(|p| MatrixCell::new(w.clone(), p.clone(), cfg.seed))
-        })
-        .collect();
-    Ok(run_cells(cfg, &cells, jobs)?.results)
 }
 
 /// The five static topologies of §5, baseline `(16:1:1)` first.
@@ -110,14 +164,14 @@ fn normalized(row: &[RunResult]) -> Vec<f64> {
 }
 
 /// Each workload's throughput under every policy but the first,
-/// normalized to the first, from one [`grid`].
+/// normalized to the first, from one [`Runs::grid`].
 fn normalized_grid(
     cfg: &SystemConfig,
+    runs: &mut Runs,
     workloads: &[Workload],
     policies: &[Policy],
-    jobs: usize,
 ) -> Result<Vec<Row>, MorphError> {
-    let results = grid(cfg, workloads, policies, jobs)?;
+    let results = runs.grid(cfg, workloads, policies)?;
     let rows = workloads.iter().zip(results.chunks(policies.len()));
     Ok(rows.map(|(w, row)| (w.name(), normalized(row))).collect())
 }
@@ -139,14 +193,14 @@ fn averaged(title: &str, columns: &[impl AsRef<str>], rows: &[Row]) -> Table {
 /// Figure 2, the motivation study: (a) MIX 01's throughput over time
 /// under four static topologies, normalized per epoch to the all-shared
 /// `(16:1:1)`; (b) dedup and freqmine under the same topologies.
-fn fig02(cfg: &SystemConfig, jobs: usize) -> Result<String, MorphError> {
+fn fig02(cfg: &SystemConfig, runs: &mut Runs) -> Result<String, MorphError> {
     let topologies = statics(cfg)?;
     let n = topologies.len();
     let mut workloads = mixes_by_id(&[1])?;
     for app in ["dedup", "freqmine"] {
         workloads.push(Workload::parsec(app).map_err(MorphError::Workload)?);
     }
-    let results = grid(cfg, &workloads, &topologies, jobs)?;
+    let results = runs.grid(cfg, &workloads, &topologies)?;
 
     let base = results[0].throughput_series();
     let epochs: Vec<String> = (0..cfg.n_epochs).map(|e| format!("ep{e}")).collect();
@@ -181,7 +235,7 @@ fn fig02(cfg: &SystemConfig, jobs: usize) -> Result<String, MorphError> {
 /// Figure 5: correlation between |ACFV| and the oracle footprint of one
 /// L2 slice running hmmer, as the vector length sweeps 2..512 bits, for
 /// the XOR and modulo hash functions.
-fn fig05(_: &SystemConfig, _: usize) -> Result<String, MorphError> {
+fn fig05(_: &SystemConfig, _: &mut Runs) -> Result<String, MorphError> {
     // Single core, private slices (the paper collects this on one slice).
     // The hierarchy is the 1/8-scale variant so that hmmer's per-epoch L2
     // footprint is O(100) lines: a hashed bit vector can only track
@@ -226,7 +280,7 @@ fn fig05(_: &SystemConfig, _: usize) -> Result<String, MorphError> {
 
 /// Table 2: segmented-bus arbiter area and delay, recomputed from the
 /// Table 1 constants and the Fig. 12 floorplan.
-fn table02(_: &SystemConfig, _: usize) -> Result<String, MorphError> {
+fn table02(_: &SystemConfig, _: &mut Runs) -> Result<String, MorphError> {
     let p = SynthesisParams::paper();
     let fp = Floorplan::paper();
     let l2 = ArbiterHierarchyModel::new(&fp.l2_slice_positions(0), &p);
@@ -302,7 +356,7 @@ fn paired(measured: [f64; 4], paper: [f64; 4]) -> Vec<String> {
 /// Table 4: per-benchmark ACF characterization, measured on the
 /// synthetic streams with the oracle footprint probe (hit-based active
 /// footprints, private slices) next to the published targets.
-fn table04(_: &SystemConfig, _: usize) -> Result<String, MorphError> {
+fn table04(_: &SystemConfig, _: &mut Runs) -> Result<String, MorphError> {
     let cols = |l2, l3| {
         [
             "L2 ACF", "(paper)", l2, "(paper)", "L3 ACF", "(paper)", l3, "(paper)",
@@ -359,10 +413,10 @@ fn table04(_: &SystemConfig, _: usize) -> Result<String, MorphError> {
 /// Figure 13: multiprogrammed throughput of MorphCache and the static
 /// topologies, normalized to the all-shared `(16:1:1)`, on the twelve
 /// Table 5 mixes.
-fn fig13(cfg: &SystemConfig, jobs: usize) -> Result<String, MorphError> {
+fn fig13(cfg: &SystemConfig, runs: &mut Runs) -> Result<String, MorphError> {
     let policies = [statics(cfg)?, vec![Policy::morph(cfg)]].concat();
     let mixes = all_mixes();
-    let rows = normalized_grid(cfg, &mixes, &policies, jobs)?;
+    let rows = normalized_grid(cfg, runs, &mixes, &policies)?;
     let t = averaged(
         "throughput normalized to (16:1:1)",
         &names(&policies[1..]),
@@ -381,22 +435,35 @@ fn fig13(cfg: &SystemConfig, jobs: usize) -> Result<String, MorphError> {
 /// Figure 14: weighted (WS) and fair (FS) speedup of MorphCache against
 /// the best static topology per metric, with each application's solo
 /// run on one private hierarchy as its "alone" IPC.
-fn fig14(cfg: &SystemConfig, jobs: usize) -> Result<String, MorphError> {
+fn fig14(cfg: &SystemConfig, runs: &mut Runs) -> Result<String, MorphError> {
     let policies = [statics(cfg)?, vec![Policy::morph(cfg)]].concat();
     let n_static = policies.len() - 1;
     let mixes = all_mixes();
-    let results = grid(cfg, &mixes, &policies, jobs)?;
+    let results = runs.grid(cfg, &mixes, &policies)?;
+    // Each application alone: a one-core cell with the same slice geometry.
+    let n = cfg.n_cores();
+    let mut solo_cfg = *cfg;
+    solo_cfg.hierarchy.n_cores = 1;
+    let solos: Vec<Workload> = mixes
+        .iter()
+        .flat_map(|mix| (0..n).map(|c| Workload::Apps(vec![mix.profile_of(c)])))
+        .collect();
+    let alone: Vec<f64> = runs
+        .grid(&solo_cfg, &solos, &[Policy::baseline(1)])?
+        .iter()
+        .map(|r| r.mean_ipcs().first().copied().unwrap_or(0.0))
+        .collect();
     let best_static = |v: &[f64]| v[..n_static].iter().copied().fold(f64::MIN, f64::max);
     let mut rows = Vec::new();
-    for (mix, row) in mixes.iter().zip(results.chunks(policies.len())) {
-        let alone = alone_ipcs(cfg, mix, jobs)?;
+    let per_mix = results.chunks(policies.len()).zip(alone.chunks(n));
+    for (mix, (row, alone)) in mixes.iter().zip(per_mix) {
         let ws: Vec<f64> = row
             .iter()
-            .map(|r| weighted_speedup(&r.mean_ipcs(), &alone))
+            .map(|r| weighted_speedup(&r.mean_ipcs(), alone))
             .collect();
         let fs: Vec<f64> = row
             .iter()
-            .map(|r| fair_speedup(&r.mean_ipcs(), &alone))
+            .map(|r| fair_speedup(&r.mean_ipcs(), alone))
             .collect();
         let speedups = vec![
             ws[n_static],
@@ -421,11 +488,11 @@ fn fig14(cfg: &SystemConfig, jobs: usize) -> Result<String, MorphError> {
 /// Figure 15: MorphCache against the ideal offline scheme, which runs
 /// each epoch on that epoch's best static topology, switching for free:
 /// the per-epoch best of the five static runs, averaged over the epochs.
-fn fig15(cfg: &SystemConfig, jobs: usize) -> Result<String, MorphError> {
+fn fig15(cfg: &SystemConfig, runs: &mut Runs) -> Result<String, MorphError> {
     let policies = [statics(cfg)?, vec![Policy::morph(cfg)]].concat();
     let n_static = policies.len() - 1;
     let mixes = all_mixes();
-    let results = grid(cfg, &mixes, &policies, jobs)?;
+    let results = runs.grid(cfg, &mixes, &policies)?;
     let mut rows = Vec::new();
     for (mix, row) in mixes.iter().zip(results.chunks(policies.len())) {
         let (static_runs, morph) = row.split_at(n_static);
@@ -448,10 +515,10 @@ fn fig15(cfg: &SystemConfig, jobs: usize) -> Result<String, MorphError> {
 
 /// Figure 16: multithreaded (PARSEC) performance of MorphCache and the
 /// static topologies, normalized to the all-shared baseline.
-fn fig16(cfg: &SystemConfig, jobs: usize) -> Result<String, MorphError> {
+fn fig16(cfg: &SystemConfig, runs: &mut Runs) -> Result<String, MorphError> {
     let policies = [statics(cfg)?, vec![Policy::morph(cfg)]].concat();
     let apps = parsec_apps();
-    let rows = normalized_grid(cfg, &apps, &policies, jobs)?;
+    let rows = normalized_grid(cfg, runs, &apps, &policies)?;
     let t = averaged(
         "performance normalized to (16:1:1)",
         &names(&policies[1..]),
@@ -468,11 +535,11 @@ fn fig16(cfg: &SystemConfig, jobs: usize) -> Result<String, MorphError> {
 
 /// Figure 17: MorphCache against PIPP \[28\] and DSR \[18\], both
 /// extended to the L2+L3 hierarchy, on the twelve mixes.
-fn fig17(cfg: &SystemConfig, jobs: usize) -> Result<String, MorphError> {
+fn fig17(cfg: &SystemConfig, runs: &mut Runs) -> Result<String, MorphError> {
     let baseline = Policy::baseline(cfg.n_cores());
     let policies = [baseline, Policy::Pipp, Policy::Dsr, Policy::morph(cfg)];
     let mixes = all_mixes();
-    let rows = normalized_grid(cfg, &mixes, &policies, jobs)?;
+    let rows = normalized_grid(cfg, runs, &mixes, &policies)?;
     let t = averaged(
         "throughput normalized to (16:1:1)",
         &names(&policies[1..]),
@@ -506,11 +573,11 @@ fn reconfig_table(title: &str, results: &[RunResult]) -> Table {
 /// §2.4: the number of reconfigurations (merges + splits) and the share
 /// that left an asymmetric configuration, for the multiprogrammed mixes
 /// and the multithreaded applications.
-fn sec24(cfg: &SystemConfig, jobs: usize) -> Result<String, MorphError> {
+fn sec24(cfg: &SystemConfig, runs: &mut Runs) -> Result<String, MorphError> {
     let mut workloads = all_mixes();
     let n_mixes = workloads.len();
     workloads.extend(parsec_apps());
-    let results = grid(cfg, &workloads, &[Policy::morph(cfg)], jobs)?;
+    let results = runs.grid(cfg, &workloads, &[Policy::morph(cfg)])?;
     let (multiprogrammed, multithreaded) = results.split_at(n_mixes);
     Ok(banner("§2.4: reconfiguration counts and asymmetry", "§2.4")
         + &reconfig_table("multiprogrammed mixes", multiprogrammed).render()
@@ -527,12 +594,12 @@ fn sec24(cfg: &SystemConfig, jobs: usize) -> Result<String, MorphError> {
 /// individual applications; throttling the MSAT on observed miss
 /// increases bounds each application's slowdown relative to its private
 /// fair share.
-fn sec53(cfg: &SystemConfig, jobs: usize) -> Result<String, MorphError> {
+fn sec53(cfg: &SystemConfig, runs: &mut Runs) -> Result<String, MorphError> {
     let n = cfg.n_cores();
     let private = Policy::Static(SymmetricTopology::new(1, 1, n, n)?);
     let policies = [private, Policy::morph(cfg), Policy::morph_qos(cfg)];
     let mixes = mixes_by_id(&[1, 2, 3, 4, 5, 6])?;
-    let results = grid(cfg, &mixes, &policies, jobs)?;
+    let results = runs.grid(cfg, &mixes, &policies)?;
     let mut rows = Vec::new();
     for (mix, row) in mixes.iter().zip(results.chunks(policies.len())) {
         let fair = row[0].mean_ipcs();
@@ -581,7 +648,7 @@ fn with_hierarchy(
 /// §5.4: the sensitivity of MorphCache's gain over the `(n:1:1)`
 /// baseline to the L2 and L3 slice sizes, doubled associativity, and an
 /// 8-core CMP, on MIX 02, 05 and 08.
-fn sec54(cfg: &SystemConfig, jobs: usize) -> Result<String, MorphError> {
+fn sec54(cfg: &SystemConfig, runs: &mut Runs) -> Result<String, MorphError> {
     let mixes = mixes_by_id(&[2, 5, 8])?;
     // The 8-core variant runs the first 8 applications of each mix.
     let first_eight = |m: &Workload| Workload::Apps((0..8).map(|c| m.profile_of(c)).collect());
@@ -611,7 +678,7 @@ fn sec54(cfg: &SystemConfig, jobs: usize) -> Result<String, MorphError> {
     let mut t = Table::new("MorphCache gain over (n:1:1) baseline, %", &["gain %"]);
     for (label, variant, workloads) in variants {
         let policies = [Policy::baseline(variant.n_cores()), Policy::morph(&variant)];
-        let rows = normalized_grid(&variant, workloads, &policies, jobs)?;
+        let rows = normalized_grid(&variant, runs, workloads, &policies)?;
         let gains: Vec<f64> = rows.iter().map(|(_, r)| r[0] - 1.0).collect();
         t.row_f64(label, &[mean(&gains) * 100.0], 2);
     }
@@ -624,14 +691,14 @@ fn sec54(cfg: &SystemConfig, jobs: usize) -> Result<String, MorphError> {
 /// §5.5: the relaxed grouping modes — arbitrary (non-power-of-two)
 /// neighboring group sizes and non-neighbor sharing, which pays the
 /// physical-superset latency penalty.
-fn sec55(cfg: &SystemConfig, jobs: usize) -> Result<String, MorphError> {
+fn sec55(cfg: &SystemConfig, runs: &mut Runs) -> Result<String, MorphError> {
     let policies = [
         Policy::morph(cfg),
         Policy::morph_with_grouping(cfg, GroupingMode::ArbitraryContiguous),
         Policy::morph_with_grouping(cfg, GroupingMode::NonNeighbor),
     ];
     let mixes = mixes_by_id(&[1, 2, 3, 5])?;
-    let rows = normalized_grid(cfg, &mixes, &policies, jobs)?;
+    let rows = normalized_grid(cfg, runs, &mixes, &policies)?;
     let cols = ["arbitrary contiguous", "non-neighbor"];
     let title = "throughput normalized to default (buddy power-of-two) MorphCache";
     Ok(banner("§5.5: relaxed grouping modes", "§5.5")

@@ -1,13 +1,15 @@
 //! Every figure of `morph figures` at a tiny scale (1 measured epoch of
 //! 20,000 cycles, the CLI's configuration otherwise): each report has one
 //! row of numbers per workload, and an AVG row that averages every
-//! column where the figure has one.
+//! column where the figure has one. Figures that share a run table
+//! simulate each distinct cell once and print what they print alone.
 
 use morph_system::prelude::*;
 use morph_trace::{mixes, parsec, spec};
-use morphcache_repro::figures::FIGURES;
+use morphcache_repro::figures::{Runs, FIGURES};
 
-fn report(id: &str) -> String {
+/// Figure `id` at the tiny scale, its cells taken from and added to `runs`.
+fn report_on(id: &str, runs: &mut Runs) -> String {
     let cfg = SystemConfig::preset(16)
         .with_epochs(1)
         .with_epoch_cycles(20_000);
@@ -15,7 +17,12 @@ fn report(id: &str) -> String {
         .iter()
         .find(|(name, _)| *name == id)
         .expect("known figure");
-    figure(&cfg, 2).unwrap_or_else(|e| panic!("{id} failed: {e}"))
+    figure(&cfg, runs).unwrap_or_else(|e| panic!("{id} failed: {e}"))
+}
+
+/// Figure `id` at the tiny scale on a fresh run table.
+fn report(id: &str) -> String {
+    report_on(id, &mut Runs::new(2))
 }
 
 /// The cells of every row of `report` labelled `label`, as numbers (NaN
@@ -180,4 +187,57 @@ fn sec54_has_every_variant() {
 #[test]
 fn sec55_has_four_mixes() {
     check("sec55", &mixes_named([1, 2, 3, 5]), 2, true);
+}
+
+#[test]
+fn figs_13_to_15_share_one_grid_and_fig14_adds_one_solo_per_app() {
+    let mut runs = Runs::new(2);
+    let fig13 = report_on("fig13", &mut runs);
+    assert_eq!(
+        runs.len(),
+        72,
+        "the five statics and MorphCache on 12 mixes"
+    );
+    let fig15 = report_on("fig15", &mut runs);
+    assert_eq!(runs.len(), 72, "fig15 reruns none of fig13's cells");
+    let fig14 = report_on("fig14", &mut runs);
+    let mut apps: Vec<&str> = mixes::all_mixes()
+        .iter()
+        .flat_map(|m| m.benchmarks.iter().map(|p| p.name))
+        .collect();
+    apps.sort_unstable();
+    apps.dedup();
+    assert_eq!(apps.len(), 29, "distinct SPEC applications of Table 5");
+    assert_eq!(
+        runs.len(),
+        72 + 29,
+        "one solo cell per distinct application"
+    );
+    for (id, shared) in [("fig13", fig13), ("fig15", fig15), ("fig14", fig14)] {
+        assert_eq!(shared, report(id), "{id}: shared table vs a fresh one");
+    }
+}
+
+#[test]
+fn a_full_run_simulates_each_distinct_cell_once() {
+    // How many cells the shared table holds after each figure. fig05 and
+    // table04 run probed simulations of their own and are left out here.
+    let expected = [
+        ("fig02", 15),
+        ("table02", 15),
+        ("fig13", 82),
+        ("fig14", 111),
+        ("fig15", 111),
+        ("fig16", 173),
+        ("fig17", 197),
+        ("sec24", 197),
+        ("sec53", 203),
+        ("sec54", 227),
+        ("sec55", 235),
+    ];
+    let mut runs = Runs::new(2);
+    for (id, cells) in expected {
+        report_on(id, &mut runs);
+        assert_eq!(runs.len(), cells, "cells after {id}");
+    }
 }

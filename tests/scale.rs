@@ -34,7 +34,7 @@ fn policy(name: &str, cfg: &SystemConfig) -> Policy {
         "morph" => Policy::morph(cfg),
         "pipp" => Policy::Pipp,
         "dsr" => Policy::Dsr,
-        topo => Policy::static_topology(topo, cfg.n_cores()),
+        topo => Policy::Static(SymmetricTopology::parse(topo, cfg.n_cores()).unwrap()),
     }
 }
 
@@ -70,7 +70,7 @@ fn nuca_latencies_charge_wide_groups_and_spare_the_paper_die() {
     // 16 cores: the widest possible group spans exactly one die, so the
     // static backend keeps the §4 flat-latency assumption untouched.
     let cfg = SystemConfig::quick_test(16);
-    let b = from_policy(&cfg, &w16, &Policy::static_topology("16:1:1", 16)).unwrap();
+    let b = from_policy(&cfg, &w16, &policy("16:1:1", &cfg)).unwrap();
     let lat = b.as_hierarchy().unwrap().params().latency;
     assert_eq!(lat.l2_merged, lat.l2_local, "flat at 16 cores");
     assert_eq!(lat.l3_merged, lat.l3_local, "flat at 16 cores");
@@ -79,14 +79,14 @@ fn nuca_latencies_charge_wide_groups_and_spare_the_paper_die() {
     // doublings past the die, i.e. 2 bus hops = 10 core cycles on each
     // merged path.
     let cfg = cfg64();
-    let b = from_policy(&cfg, &w16, &Policy::static_topology("64:1:1", 64)).unwrap();
+    let b = from_policy(&cfg, &w16, &policy("64:1:1", &cfg)).unwrap();
     let lat = b.as_hierarchy().unwrap().params().latency;
     assert_eq!(lat.l2_merged, lat.l2_local + 10);
     assert_eq!(lat.l3_merged, lat.l3_local + 10);
 
     // 64 cores, groups of 16: every group still fits one die, so no
     // hops are charged even though the machine is 4 dies wide.
-    let b = from_policy(&cfg, &w16, &Policy::static_topology("16:1:4", 64)).unwrap();
+    let b = from_policy(&cfg, &w16, &policy("16:1:4", &cfg)).unwrap();
     let lat = b.as_hierarchy().unwrap().params().latency;
     assert_eq!(lat.l2_merged, lat.l2_local, "16-wide groups pay no hops");
     assert_eq!(lat.l3_merged, lat.l3_local);

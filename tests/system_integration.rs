@@ -21,8 +21,8 @@ fn every_policy_completes_and_reports() {
     let w = mixed_workload();
     let policies = vec![
         Policy::baseline(8),
-        Policy::static_topology("1:1:8", 8),
-        Policy::static_topology("2:2:2", 8),
+        Policy::Static(SymmetricTopology::parse("1:1:8", 8).unwrap()),
+        Policy::Static(SymmetricTopology::parse("2:2:2", 8).unwrap()),
         Policy::morph(&cfg),
         Policy::morph_qos(&cfg),
         Policy::Pipp,
@@ -146,7 +146,7 @@ fn trait_backends_match_pre_refactor_goldens() {
         ),
         (
             "static 1:1:4",
-            Policy::static_topology("1:1:4", 4),
+            Policy::Static(SymmetricTopology::parse("1:1:4", 4).unwrap()),
             [
                 4601521613751850304,
                 4601228350122805318,
@@ -244,7 +244,11 @@ fn parallel_matrix_is_bit_identical_to_sequential() {
         MatrixCell::new(w4.clone(), Policy::morph(&cfg), 22),
         MatrixCell::new(w4.clone(), Policy::Pipp, 33),
         MatrixCell::new(w4.clone(), Policy::Dsr, 44),
-        MatrixCell::new(w4, Policy::static_topology("2:2:1", 4), 55),
+        MatrixCell::new(
+            w4,
+            Policy::Static(SymmetricTopology::parse("2:2:1", 4).unwrap()),
+            55,
+        ),
     ];
     let seq = run_cells(&cfg, &cells, 1).unwrap();
     let par = run_cells(&cfg, &cells, 4).unwrap();
