@@ -35,10 +35,10 @@
 //!   `Lattice::successors`).
 //! * *L2 split* of any non-singleton L2 group into its halves.
 //! * *L3 split* of a non-singleton L3 group into its halves, legal only
-//!   when no L2 group straddles the two halves (the split-aggressive
-//!   policy instead forces the L2 split first; that composite lands in a
-//!   state this model also reaches via L2-split then L3-split, so the
-//!   merge-aggressive rule set spans both policies' reachable sets).
+//!   when no L2 group straddles the two halves (a split-first policy
+//!   that forced the L2 split first would land in a state this model
+//!   also reaches via L2-split then L3-split, so the engine's merge-first
+//!   rule set spans both policies' reachable sets).
 //!
 //! # Closed-form cross-check
 //!

@@ -11,7 +11,7 @@ use crate::{ConfigError, SliceId};
 
 /// A partition of `n` slices into shared groups.
 ///
-/// Invariants (enforced by all constructors and mutators):
+/// Invariants (enforced by all constructors):
 /// * every slice belongs to exactly one group;
 /// * group member lists are sorted ascending;
 /// * groups are non-empty.
@@ -108,11 +108,6 @@ impl Grouping {
         self.group_of.len()
     }
 
-    /// Number of groups in the partition.
-    pub fn n_groups(&self) -> usize {
-        self.groups.len()
-    }
-
     /// The group index for `slice`.
     ///
     /// # Panics
@@ -141,60 +136,6 @@ impl Grouping {
         self.groups.iter().map(|g| g.as_slice())
     }
 
-    /// Merges the groups containing `a` and `b` into one group.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] if either slice is out of range, or if both
-    /// already belong to the same group.
-    pub fn merge_pair(&mut self, a: SliceId, b: SliceId) -> Result<(), ConfigError> {
-        let n = self.n_slices();
-        if a >= n {
-            return Err(ConfigError::SliceOutOfRange(a, n));
-        }
-        if b >= n {
-            return Err(ConfigError::SliceOutOfRange(b, n));
-        }
-        let (ga, gb) = (self.group_of[a], self.group_of[b]);
-        if ga == gb {
-            return Err(ConfigError::InvalidGrouping(format!(
-                "slices {a} and {b} are already in the same group"
-            )));
-        }
-        let (keep, drop) = (ga.min(gb), ga.max(gb));
-        let moved = std::mem::take(&mut self.groups[drop]);
-        self.groups[keep].extend(moved);
-        self.groups[keep].sort_unstable();
-        self.groups.remove(drop);
-        self.rebuild_index();
-        Ok(())
-    }
-
-    /// Splits the group containing `slice` into two groups: members `< at`
-    /// and members `>= at` (by slice id).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError::InvalidGrouping`] if the split would leave an
-    /// empty side (e.g. splitting a singleton group).
-    pub fn split_at(&mut self, slice: SliceId, at: SliceId) -> Result<(), ConfigError> {
-        let n = self.n_slices();
-        if slice >= n {
-            return Err(ConfigError::SliceOutOfRange(slice, n));
-        }
-        let g = self.group_of[slice];
-        let (low, high): (Vec<_>, Vec<_>) = self.groups[g].iter().partition(|&&s| s < at);
-        if low.is_empty() || high.is_empty() {
-            return Err(ConfigError::InvalidGrouping(format!(
-                "split at {at} leaves an empty side"
-            )));
-        }
-        self.groups[g] = low;
-        self.groups.push(high);
-        self.rebuild_index();
-        Ok(())
-    }
-
     /// True if every group of `self` is contained in a single group of
     /// `coarser` — i.e. `self` refines `coarser`. The hierarchy requires
     /// the L2 grouping to refine the L3 grouping (inclusion safety,
@@ -207,27 +148,6 @@ impl Grouping {
             let g0 = coarser.group_of(members[0]);
             members.iter().all(|&s| coarser.group_of(s) == g0)
         })
-    }
-
-    /// True if every group is an aligned power-of-two range of consecutive
-    /// slices — the "buddy" restriction of the default MorphCache design
-    /// (neighbor-only sharing among 2/4/8/16 slices, relaxed in §5.5).
-    pub fn is_buddy_aligned(&self) -> bool {
-        self.groups.iter().all(|members| {
-            let len = members.len();
-            len.is_power_of_two()
-                && members[0] % len == 0
-                && members.windows(2).all(|w| w[1] == w[0] + 1)
-        })
-    }
-
-    /// True if every group consists of consecutive slices (no alignment or
-    /// power-of-two requirement) — the "arbitrary neighboring group sizes"
-    /// extension of §5.5.
-    pub fn is_contiguous(&self) -> bool {
-        self.groups
-            .iter()
-            .all(|members| members.windows(2).all(|w| w[1] == w[0] + 1))
     }
 
     /// A canonical string such as `[0-3][4-5][6][7]` describing the
@@ -249,14 +169,6 @@ impl Grouping {
         }
         out
     }
-
-    fn rebuild_index(&mut self) {
-        for (g, members) in self.groups.iter().enumerate() {
-            for &s in members {
-                self.group_of[s] = g;
-            }
-        }
-    }
 }
 
 impl std::fmt::Display for Grouping {
@@ -272,8 +184,7 @@ mod tests {
     #[test]
     fn private_is_singletons() {
         let g = Grouping::private(4);
-        assert_eq!(g.n_groups(), 4);
-        assert!(g.is_buddy_aligned());
+        assert_eq!(g.iter().count(), 4);
         for s in 0..4 {
             assert_eq!(g.group_members(s), &[s]);
         }
@@ -282,17 +193,15 @@ mod tests {
     #[test]
     fn all_shared_is_one_group() {
         let g = Grouping::all_shared(16);
-        assert_eq!(g.n_groups(), 1);
+        assert_eq!(g.iter().count(), 1);
         assert_eq!(g.members(0).len(), 16);
-        assert!(g.is_buddy_aligned());
     }
 
     #[test]
     fn contiguous_grouping() {
         let g = Grouping::contiguous(16, 4).unwrap();
-        assert_eq!(g.n_groups(), 4);
+        assert_eq!(g.iter().count(), 4);
         assert_eq!(g.group_members(5), &[4, 5, 6, 7]);
-        assert!(g.is_buddy_aligned());
         assert!(Grouping::contiguous(16, 3).is_err());
         assert!(Grouping::contiguous(16, 0).is_err());
     }
@@ -304,31 +213,6 @@ mod tests {
         assert!(Grouping::from_groups(4, vec![vec![0, 1], vec![3]]).is_err());
         assert!(Grouping::from_groups(4, vec![vec![0, 1, 2, 3], vec![]]).is_err());
         assert!(Grouping::from_groups(4, vec![vec![0, 1, 2, 4]]).is_err());
-    }
-
-    #[test]
-    fn merge_pair_combines_groups() {
-        let mut g = Grouping::private(8);
-        g.merge_pair(2, 3).unwrap();
-        assert_eq!(g.group_members(2), &[2, 3]);
-        assert_eq!(g.n_groups(), 7);
-        // Merging already-merged slices fails.
-        assert!(g.merge_pair(2, 3).is_err());
-        // Merge the dual with another dual -> quad.
-        g.merge_pair(0, 1).unwrap();
-        g.merge_pair(0, 2).unwrap();
-        assert_eq!(g.group_members(1), &[0, 1, 2, 3]);
-        assert!(g.is_buddy_aligned());
-    }
-
-    #[test]
-    fn split_at_divides_group() {
-        let mut g = Grouping::all_shared(8);
-        g.split_at(0, 4).unwrap();
-        assert_eq!(g.group_members(0), &[0, 1, 2, 3]);
-        assert_eq!(g.group_members(5), &[4, 5, 6, 7]);
-        assert!(g.split_at(6, 4).is_err(), "empty side split must fail");
-        assert!(g.is_buddy_aligned());
     }
 
     #[test]
@@ -346,39 +230,6 @@ mod tests {
         let straddle =
             Grouping::from_groups(8, vec![vec![3, 4], vec![0, 1, 2], vec![5, 6, 7]]).unwrap();
         assert!(!straddle.refines(&l3));
-    }
-
-    #[test]
-    fn buddy_alignment_detection() {
-        let ok = Grouping::from_groups(8, vec![vec![0, 1], vec![2, 3], vec![4, 5, 6, 7]]).unwrap();
-        assert!(ok.is_buddy_aligned());
-        // Size 2 group at odd offset is not buddy aligned.
-        let bad =
-            Grouping::from_groups(8, vec![vec![0], vec![1, 2], vec![3], vec![4, 5, 6, 7]]).unwrap();
-        assert!(!bad.is_buddy_aligned());
-        assert!(bad.is_contiguous());
-        // Non-neighbor group (§5.5 relaxation) is neither.
-        let nn = Grouping::from_groups(4, vec![vec![0, 2], vec![1], vec![3]]).unwrap();
-        assert!(!nn.is_buddy_aligned());
-        assert!(!nn.is_contiguous());
-    }
-
-    #[test]
-    fn merges_keep_a_partition() {
-        for seed in 0..256 {
-            let mut rng = morphcache::Xoshiro256pp::seed_from_u64(seed);
-            let mut g = Grouping::private(8);
-            for _ in 0..rng.range_usize(0, 10) {
-                // A merge may legitimately fail; the partition must hold
-                // either way.
-                let _ = g.merge_pair(rng.range_usize(0, 8), rng.range_usize(0, 8));
-                let groups: Vec<Vec<usize>> = g.iter().map(|m| m.to_vec()).collect();
-                assert!(
-                    morphcache::topology::is_partition(&groups, 8),
-                    "seed {seed}"
-                );
-            }
-        }
     }
 
     #[test]

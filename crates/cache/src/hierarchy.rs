@@ -601,8 +601,7 @@ mod tests {
     #[test]
     fn merged_l3_serves_remote_hits() {
         let mut h = h4();
-        let mut g = Grouping::private(4);
-        g.merge_pair(0, 1).unwrap();
+        let g = Grouping::from_groups(4, vec![vec![0, 1], vec![2], vec![3]]).unwrap();
         h.set_l3_grouping(g).unwrap();
         let mut sink = NoopSink;
         h.access(0, 0x1000, false, &mut sink);
@@ -617,8 +616,7 @@ mod tests {
     #[test]
     fn l2_merge_requires_l3_merge_first() {
         let mut h = h4();
-        let mut g = Grouping::private(4);
-        g.merge_pair(0, 1).unwrap();
+        let g = Grouping::from_groups(4, vec![vec![0, 1], vec![2], vec![3]]).unwrap();
         assert!(
             h.set_l2_grouping(g.clone()).is_err(),
             "L2 merge with split L3 must fail"
@@ -630,8 +628,7 @@ mod tests {
     #[test]
     fn l3_split_requires_l2_split_first() {
         let mut h = h4();
-        let mut g = Grouping::private(4);
-        g.merge_pair(0, 1).unwrap();
+        let g = Grouping::from_groups(4, vec![vec![0, 1], vec![2], vec![3]]).unwrap();
         h.set_l3_grouping(g.clone()).unwrap();
         h.set_l2_grouping(g.clone()).unwrap();
         // Splitting L3 while L2 is merged violates inclusion safety.
@@ -644,8 +641,7 @@ mod tests {
     #[test]
     fn l3_split_back_invalidates_unbacked_l2_lines() {
         let mut h = h4();
-        let mut g = Grouping::private(4);
-        g.merge_pair(0, 1).unwrap();
+        let g = Grouping::from_groups(4, vec![vec![0, 1], vec![2], vec![3]]).unwrap();
         h.set_l3_grouping(g).unwrap();
         let mut sink = NoopSink;
         // Fill enough distinct lines from core 0 that some L3 copies land
@@ -666,9 +662,7 @@ mod tests {
         let mut h = h4();
         let mut sink = NoopSink;
         // Shared L2+L3 pairs.
-        let mut g = Grouping::private(4);
-        g.merge_pair(0, 1).unwrap();
-        g.merge_pair(2, 3).unwrap();
+        let g = Grouping::from_groups(4, vec![vec![0, 1], vec![2, 3]]).unwrap();
         h.set_l3_grouping(g.clone()).unwrap();
         h.set_l2_grouping(g).unwrap();
         for _ in 0..20_000 {

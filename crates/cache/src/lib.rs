@@ -31,8 +31,7 @@
 //! let lat = h.access(0, 0x4_0000, false, &mut sink); // cold miss -> memory
 //! assert!(lat >= h.params().latency.memory);
 //! // Merge L3 slices 0 and 1 into a shared group.
-//! let mut g = Grouping::private(4);
-//! g.merge_pair(0, 1).unwrap();
+//! let g = Grouping::from_groups(4, vec![vec![0, 1], vec![2], vec![3]]).unwrap();
 //! h.set_l3_grouping(g).unwrap();
 //! ```
 

@@ -16,20 +16,47 @@
 //! * **inclusion safety**: an L2 merge requires the corresponding L3
 //!   slices merged (they are merged on demand), and an L3 split requires
 //!   the covered L2 slices already split;
-//! * **conflicts** (Fig. 6) are arbitrated by the configured policy —
-//!   merge-aggressive considers merges first (the default), the
-//!   split-aggressive alternative considers splits first.
+//! * **conflicts** (Fig. 6) are arbitrated as the paper does by default:
+//!   "MorphCache, by default, favors a merge" (§2.4), so merges are
+//!   considered before splits.
 //!
 //! The engine owns only abstract footprint state; the caller applies the
 //! returned groupings to the actual hierarchy and interconnect.
 
 use crate::acfv::Acfv;
-use crate::config::{ConflictPolicy, GroupingMode, MorphConfig};
+use crate::config::{GroupingMode, MorphConfig};
 use crate::error::MorphError;
 use crate::hash::HashKind;
-use crate::msat::Utilization;
+use crate::msat::{Msat, Utilization};
 use crate::topology::{self, is_partition};
 use crate::CacheLevelId;
+
+/// The hash of every decision vector. The vectors are one-to-one with
+/// the larger slice's lines (see [`MorphEngine::new`]), which only
+/// approximates the paper's collision-free mapping if the hash is close
+/// to uniform on structured tag sequences; plain XOR folding is visibly
+/// biased on strided tags.
+const HASH: HashKind = HashKind::Mix;
+
+/// Minimum overlap fraction (common ones / smaller popcount) for the
+/// shared-data merge condition (§2.2 condition (ii)). Corrected overlap
+/// (chance-collision-adjusted) of truly disjoint footprints is ~0;
+/// thrashing halves the residency of shared lines in each slice,
+/// quartering the measurable overlap, so the trigger sits well below the
+/// naive 0.3.
+const OVERLAP_THRESHOLD: f64 = 0.15;
+
+/// Upper bound on the *combined* utilization at which a capacity merge
+/// still yields the "moderately utilized merged cache" of §2.2: merging
+/// is pointless (or harmful, given the merged-hit latency) when the
+/// pooled group would still be saturated.
+const MERGE_FIT_THRESHOLD: f64 = 0.75;
+
+/// A group whose epoch evictions exceed this multiple of its line
+/// capacity *while its ACFV shows almost no reuse* is a streaming
+/// polluter: it is excluded from capacity merges, since pooling with it
+/// donates capacity to dead lines.
+const CHURN_POLLUTION_THRESHOLD: f64 = 1.0;
 
 /// Merge or split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,9 +107,8 @@ struct LevelState {
     acfv: Vec<Option<Box<Acfv>>>,
     /// Slices (== cores) of the level.
     n: usize,
-    /// Length and hash of every vector.
+    /// Length of every vector.
     bits: usize,
-    hash: HashKind,
     groups: Vec<Vec<usize>>,
     /// Lines per slice at this level (utilization denominator).
     slice_lines: usize,
@@ -97,12 +123,11 @@ struct LevelState {
 }
 
 impl LevelState {
-    fn new(n: usize, bits: usize, hash: HashKind, slice_lines: usize) -> Self {
+    fn new(n: usize, bits: usize, slice_lines: usize) -> Self {
         Self {
             acfv: vec![None; n * n],
             n,
             bits,
-            hash,
             groups: (0..n).map(|s| vec![s]).collect(),
             slice_lines,
             reused_churn: vec![0; n],
@@ -141,9 +166,9 @@ impl LevelState {
     /// Sets `line`'s bit in slice `slice`'s vector for `core`, creating
     /// the vector on the pair's first event.
     fn record_insert(&mut self, slice: usize, core: usize, line: u64) {
-        let (bits, hash) = (self.bits, self.hash);
+        let bits = self.bits;
         self.acfv[slice * self.n + core]
-            .get_or_insert_with(|| Box::new(Acfv::new(bits, hash)))
+            .get_or_insert_with(|| Box::new(Acfv::new(bits, HASH)))
             .record_insert(line);
     }
 
@@ -161,7 +186,7 @@ impl LevelState {
 
     /// OR of the per-core vectors of one slice: the slice's footprint.
     fn slice_footprint(&self, slice: usize) -> Acfv {
-        let mut v = Acfv::new(self.bits, self.hash);
+        let mut v = Acfv::new(self.bits, HASH);
         for u in self.acfv[slice * self.n..(slice + 1) * self.n]
             .iter()
             .flatten()
@@ -215,6 +240,8 @@ pub struct MorphEngine {
     /// Address-space (application) id of each core.
     apps: Vec<usize>,
     config: MorphConfig,
+    /// Merge/split aggressiveness thresholds, throttled by QoS (§5.3).
+    msat: Msat,
     l2: LevelState,
     l3: LevelState,
     log: Vec<ReconfigEvent>,
@@ -249,9 +276,9 @@ impl MorphEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`MorphError::InvalidConfig`] if `n` is not a nonzero power
-    /// of two or the configured ACFV/slice geometry is degenerate, and
-    /// [`MorphError::Mismatch`] if `apps.len() != n`.
+    /// Returns [`MorphError::InvalidConfig`] if `n` or either slice line
+    /// count is not a nonzero power of two, and [`MorphError::Mismatch`]
+    /// if `apps.len() != n`.
     pub fn new(n: usize, apps: Vec<usize>, config: MorphConfig) -> Result<Self, MorphError> {
         if !n.is_power_of_two() {
             return Err(MorphError::InvalidConfig {
@@ -265,13 +292,6 @@ impl MorphEngine {
                 what: "app ids vs slices",
                 left: apps.len(),
                 right: n,
-            });
-        }
-        if !config.acfv_bits.is_power_of_two() {
-            return Err(MorphError::InvalidConfig {
-                field: "acfv_bits",
-                value: config.acfv_bits as u64,
-                constraint: "must be a nonzero power of two",
             });
         }
         if !config.l2_slice_lines.is_power_of_two() {
@@ -288,12 +308,25 @@ impl MorphEngine {
                 constraint: "must be a nonzero power of two",
             });
         }
+        // Decision vectors one-to-one with the larger slice's lines: the
+        // paper's accurate option, "a one-to-one mapping of the cache
+        // lines to the bits in ACFV at the cost of additional hardware"
+        // (§2.1). The estimator still applies the linear-counting
+        // correction `n̂ = -bits·ln(1-f)` before comparing against the
+        // MSAT, because hash collisions make the raw ones-fraction
+        // saturate.
+        let bits = config.l2_slice_lines.max(config.l3_slice_lines);
         Ok(Self {
             n,
             apps,
-            l2: LevelState::new(n, config.acfv_bits, config.hash, config.l2_slice_lines),
-            l3: LevelState::new(n, config.acfv_bits, config.hash, config.l3_slice_lines),
+            l2: LevelState::new(n, bits, config.l2_slice_lines),
+            l3: LevelState::new(n, bits, config.l3_slice_lines),
             config,
+            // With the reuse-based estimator, measured utilizations land
+            // on the Table 4 ACF scale, whose published low/high class
+            // boundary sits at ≈ 0.5 — the (60,30) MSAT of the paper
+            // applies to raw |ACFV| bit fractions, a different scale.
+            msat: Msat::new(0.50, 0.30),
             log: Vec::new(),
             prev_misses: None,
             merged_last_round: false,
@@ -306,11 +339,6 @@ impl MorphEngine {
     /// Number of slices per level.
     pub fn n_slices(&self) -> usize {
         self.n
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &MorphConfig {
-        &self.config
     }
 
     /// Current L2 grouping.
@@ -391,9 +419,9 @@ impl MorphEngine {
                         .zip(misses.iter())
                         .any(|(&p, &c)| c as f64 > p as f64 * 1.05 + 16.0);
                     if hurt {
-                        self.config.msat.throttle_up();
+                        self.msat.throttle_up();
                     } else {
-                        self.config.msat.throttle_down();
+                        self.msat.throttle_down();
                     }
                 }
             }
@@ -424,20 +452,10 @@ impl MorphEngine {
         let mut events = Vec::new();
         self.blacklist.retain(|(_, _, until)| *until > epoch);
         self.check_probation(epoch, &mut events);
-        match self.config.policy {
-            ConflictPolicy::MergeAggressive => {
-                self.do_merges(CacheLevelId::L3, epoch, &mut events);
-                self.do_merges(CacheLevelId::L2, epoch, &mut events);
-                self.do_splits(CacheLevelId::L2, epoch, &mut events);
-                self.do_splits(CacheLevelId::L3, epoch, &mut events);
-            }
-            ConflictPolicy::SplitAggressive => {
-                self.do_splits(CacheLevelId::L2, epoch, &mut events);
-                self.do_splits(CacheLevelId::L3, epoch, &mut events);
-                self.do_merges(CacheLevelId::L3, epoch, &mut events);
-                self.do_merges(CacheLevelId::L2, epoch, &mut events);
-            }
-        }
+        self.do_merges(CacheLevelId::L3, epoch, &mut events);
+        self.do_merges(CacheLevelId::L2, epoch, &mut events);
+        self.do_splits(CacheLevelId::L2, epoch, &mut events);
+        self.do_splits(CacheLevelId::L3, epoch, &mut events);
         self.merged_last_round = events.iter().any(|e| e.kind == ReconfigKind::Merge);
         self.l2.reset();
         self.l3.reset();
@@ -496,18 +514,12 @@ impl MorphEngine {
             if post < p.pre_perf * 0.95 {
                 // Revert. The L2 refinement is preserved: an L3 revert is
                 // skipped if an L2 group straddles the halves.
-                if p.level == CacheLevelId::L3 {
-                    let straddles = self.l2.groups.iter().any(|g| {
-                        g.iter().any(|s| p.half_a.contains(s))
-                            && g.iter().any(|s| p.half_b.contains(s))
-                    });
-                    if straddles {
-                        // Cannot revert yet (inclusion); re-check next
-                        // epoch — the straddling L2 merge has its own
-                        // probation entry and may be reverted first.
-                        self.probation.push(p);
-                        continue;
-                    }
+                if p.level == CacheLevelId::L3 && straddles(&self.l2.groups, &p.half_a, &p.half_b) {
+                    // Cannot revert yet (inclusion); re-check next epoch —
+                    // the straddling L2 merge has its own probation entry
+                    // and may be reverted first.
+                    self.probation.push(p);
+                    continue;
                 }
                 let state = self.level_mut(p.level);
                 // The `contains` check above guarantees the position
@@ -561,21 +573,17 @@ impl MorphEngine {
     fn mergeable(&self, level: CacheLevelId, a: &[usize], b: &[usize]) -> bool {
         let state = self.level(level);
         let (ua, ub) = (state.utilization(a), state.utilization(b));
-        let (ca, cb) = (self.config.msat.classify(ua), self.config.msat.classify(ub));
+        let (ca, cb) = (self.msat.classify(ua), self.msat.classify(ub));
         let exactly_one_high = (ca == Utilization::High) != (cb == Utilization::High);
         let combined = (ua * a.len() as f64 + ub * b.len() as f64) / (a.len() + b.len()) as f64;
         // A polluter churns heavily while reusing almost nothing — a
         // streaming access pattern. It is excluded from capacity merges:
         // pooling with it donates capacity to dead lines.
         let polluter = |g: &[usize]| {
-            state.total_churn_rate(g) > self.config.churn_pollution_threshold
-                && state.acfv_utilization(g) < self.config.msat.low()
+            state.total_churn_rate(g) > CHURN_POLLUTION_THRESHOLD
+                && state.acfv_utilization(g) < self.msat.low()
         };
-        if exactly_one_high
-            && combined < self.config.merge_fit_threshold
-            && !polluter(a)
-            && !polluter(b)
-        {
+        if exactly_one_high && combined < MERGE_FIT_THRESHOLD && !polluter(a) && !polluter(b) {
             return true;
         }
         // Data sharing (condition (ii)): replication spreads the shared
@@ -587,7 +595,7 @@ impl MorphEngine {
         if ca != Utilization::Low && cb != Utilization::Low && self.shares_space(a, b) {
             let fa = state.group_footprint(a);
             let fb = state.group_footprint(b);
-            return corrected_overlap(&fa, &fb) > self.config.overlap_threshold;
+            return corrected_overlap(&fa, &fb) > OVERLAP_THRESHOLD;
         }
         false
     }
@@ -606,16 +614,16 @@ impl MorphEngine {
         let state = self.level(level);
         let (ua, ub) = (state.utilization(a), state.utilization(b));
         let combined = (ua * a.len() as f64 + ub * b.len() as f64) / (a.len() + b.len()) as f64;
-        if combined < self.config.msat.low() {
+        if combined < self.msat.low() {
             return true;
         }
         // Lost sharing: both halves pressed, same address space, but the
         // footprints no longer overlap.
-        let (ca, cb) = (self.config.msat.classify(ua), self.config.msat.classify(ub));
+        let (ca, cb) = (self.msat.classify(ua), self.msat.classify(ub));
         if ca == Utilization::High && cb == Utilization::High && self.shares_space(a, b) {
             let fa = state.group_footprint(a);
             let fb = state.group_footprint(b);
-            return corrected_overlap(&fa, &fb) <= self.config.overlap_threshold / 2.0;
+            return corrected_overlap(&fa, &fb) <= OVERLAP_THRESHOLD / 2.0;
         }
         false
     }
@@ -653,29 +661,13 @@ impl MorphEngine {
                 if self.blacklisted(level, &span) {
                     return false;
                 }
-                if !self.mergeable(level, &groups[i], &groups[j]) {
-                    return false;
-                }
-                if level == CacheLevelId::L2 {
-                    // Inclusion safety: the merged L2 span must be
-                    // covered by one L3 group, merging L3 on demand
-                    // (merge-aggressive) or requiring prior coverage
-                    // (split-aggressive).
-                    let mut span = groups[i].clone();
-                    span.extend(&groups[j]);
-                    if !covered_by_one(&span, &self.l3.groups) {
-                        match self.config.policy {
-                            // Merging at the last level is always safe
-                            // (§2.2), so the covering L3 merge can follow.
-                            ConflictPolicy::MergeAggressive => return true,
-                            ConflictPolicy::SplitAggressive => return false,
-                        }
-                    }
-                }
-                true
+                self.mergeable(level, &groups[i], &groups[j])
             });
             let Some((i, j)) = candidate else { break };
             if level == CacheLevelId::L2 {
+                // Inclusion safety: the merged L2 span must be covered by
+                // one L3 group. Merging at the last level is always safe
+                // (§2.2), so the covering L3 merge follows on demand.
                 let mut span = groups[i].clone();
                 span.extend(&groups[j]);
                 if !covered_by_one(&span, &self.l3.groups) {
@@ -727,22 +719,10 @@ impl MorphEngine {
                 if !self.splittable(level, &a, &b) {
                     continue;
                 }
-                if level == CacheLevelId::L3 {
-                    // Inclusion safety: no L2 group may straddle the split.
-                    let straddles = self.l2.groups.iter().any(|l2g| {
-                        l2g.iter().any(|s| a.contains(s)) && l2g.iter().any(|s| b.contains(s))
-                    });
-                    if straddles {
-                        match self.config.policy {
-                            // Merge-aggressive: keep the merge; skip the split.
-                            ConflictPolicy::MergeAggressive => continue,
-                            // Split-aggressive: split the straddling L2
-                            // groups first.
-                            ConflictPolicy::SplitAggressive => {
-                                self.force_l2_split(&a, &b, epoch, events);
-                            }
-                        }
-                    }
+                // Inclusion safety: no L2 group may straddle an L3 split.
+                // The merge is kept and the split skipped.
+                if level == CacheLevelId::L3 && straddles(&self.l2.groups, &a, &b) {
+                    continue;
                 }
                 let mut new_groups = groups.clone();
                 new_groups[gi] = a.clone();
@@ -800,36 +780,6 @@ impl MorphEngine {
             });
         }
     }
-
-    /// Splits every L2 group that straddles the `a`/`b` boundary (used by
-    /// the split-aggressive policy before an L3 split).
-    fn force_l2_split(
-        &mut self,
-        a: &[usize],
-        b: &[usize],
-        epoch: u64,
-        events: &mut Vec<ReconfigEvent>,
-    ) {
-        loop {
-            let straddler =
-                self.l2.groups.iter().position(|g| {
-                    g.iter().any(|s| a.contains(s)) && g.iter().any(|s| b.contains(s))
-                });
-            let Some(gi) = straddler else { break };
-            let g = self.l2.groups[gi].clone();
-            let (ga, gb): (Vec<usize>, Vec<usize>) = g.iter().partition(|s| a.contains(s));
-            self.l2.groups[gi] = ga;
-            self.l2.groups.push(gb);
-            sort_groups(&mut self.l2.groups);
-            events.push(ReconfigEvent {
-                epoch,
-                level: CacheLevelId::L2,
-                kind: ReconfigKind::Split,
-                members: g,
-                asymmetric_after: !topology::is_symmetric(&self.l2.groups, &self.l3.groups),
-            });
-        }
-    }
 }
 
 /// Sharing measure between two footprint vectors, corrected for chance
@@ -855,6 +805,13 @@ fn corrected_overlap(a: &Acfv, b: &Acfv) -> f64 {
 // `crate::topology` so the static lattice model check (morph-analyzer)
 // and the runtime engine provably use the same transition rules.
 use crate::topology::{adjacent, buddy_siblings};
+
+/// True if a group of `groups` holds slices of both `a` and `b`.
+fn straddles(groups: &[Vec<usize>], a: &[usize], b: &[usize]) -> bool {
+    groups
+        .iter()
+        .any(|g| g.iter().any(|s| a.contains(s)) && g.iter().any(|s| b.contains(s)))
+}
 
 /// True if one group of `groups` contains every slice of `span`.
 fn covered_by_one(span: &[usize], groups: &[Vec<usize>]) -> bool {
@@ -900,10 +857,10 @@ mod tests {
     /// Feeds `frac` of a slice's ACFV bits as distinct inserted lines at
     /// both levels.
     fn fill(engine: &mut MorphEngine, level: CacheLevelId, slice: usize, owner: usize, frac: f64) {
-        let bits = engine.config().acfv_bits;
+        let bits = engine.l2.bits;
         let n = (frac * bits as f64) as u64;
         for i in 0..n {
-            // Use spread-out tags so the XOR hash sets ~distinct bits.
+            // Use spread-out tags so the hash sets ~distinct bits.
             engine.on_inserted(level, slice, owner, i * 8191 + slice as u64 * 7);
         }
     }
@@ -990,7 +947,7 @@ mod tests {
         let mut e = fresh(4);
         for s in 0..2 {
             // Distinct tag spaces: no overlap, different apps anyway.
-            let bits = e.config().acfv_bits;
+            let bits = e.l2.bits;
             for i in 0..((0.9 * bits as f64) as u64) {
                 e.on_inserted(CacheLevelId::L2, s, s, i * 8191 + (s as u64) * 1_000_003);
                 e.on_inserted(CacheLevelId::L3, s, s, i * 8191 + (s as u64) * 1_000_003);
@@ -1010,7 +967,7 @@ mod tests {
         // Cores 0 and 1 run threads of the same app touching the same
         // lines.
         let mut e = MorphEngine::new(4, vec![7, 7, 8, 9], cfg()).unwrap();
-        let bits = e.config().acfv_bits;
+        let bits = e.l2.bits;
         for i in 0..((0.9 * bits as f64) as u64) {
             let line = i * 8191;
             e.on_inserted(CacheLevelId::L2, 0, 0, line);
@@ -1091,34 +1048,6 @@ mod tests {
             "{:?}",
             out2.l2_groups
         );
-    }
-
-    #[test]
-    fn fig6_conflict_split_aggressive_splits() {
-        let mut c = cfg();
-        c.policy = ConflictPolicy::SplitAggressive;
-        let mut e = MorphEngine::new(4, (0..4).collect(), c).unwrap();
-        fill(&mut e, CacheLevelId::L2, 0, 0, 0.9);
-        fill(&mut e, CacheLevelId::L2, 2, 2, 0.9);
-        fill(&mut e, CacheLevelId::L3, 0, 0, 0.9);
-        fill(&mut e, CacheLevelId::L3, 2, 2, 0.9);
-        e.reconfigure(0).unwrap();
-        // Same Fig. 6 state; split-aggressive performs the splits first.
-        for s in [0usize, 1] {
-            fill(&mut e, CacheLevelId::L2, s, s, 0.95);
-            fill(&mut e, CacheLevelId::L3, s, s, 0.95);
-        }
-        for s in [2usize, 3] {
-            fill(&mut e, CacheLevelId::L2, s, s, 0.02);
-            fill(&mut e, CacheLevelId::L3, s, s, 0.02);
-        }
-        let out = e.reconfigure(1).unwrap();
-        // Split-aggressive performs the idle pair's split first, so the
-        // quad merge of the merge-aggressive policy never happens: {2,3}
-        // fall apart, and {0,1} (pressed) stays merged.
-        assert!(out.l2_groups.contains(&vec![2]), "{:?}", out.l2_groups);
-        assert!(out.l2_groups.contains(&vec![3]), "{:?}", out.l2_groups);
-        assert!(out.l2_groups.contains(&vec![0, 1]), "{:?}", out.l2_groups);
     }
 
     #[test]
@@ -1204,7 +1133,7 @@ mod tests {
     fn qos_throttles_msat_after_harmful_merge() {
         let mut e =
             MorphEngine::new(4, (0..4).collect(), MorphConfig { qos: true, ..cfg() }).unwrap();
-        let h0 = e.config().msat.high();
+        let h0 = e.msat.high();
         // Round 1 with a merge.
         fill(&mut e, CacheLevelId::L2, 0, 0, 0.9);
         fill(&mut e, CacheLevelId::L3, 0, 0, 0.9);
@@ -1213,11 +1142,11 @@ mod tests {
         assert!(out.events.iter().any(|ev| ev.kind == ReconfigKind::Merge));
         // Misses grew sharply for core 1 after the merge: throttle up.
         e.note_epoch_misses(&[100, 400, 100, 100]);
-        assert!(e.config().msat.high() > h0);
+        assert!(e.msat.high() > h0);
         // A harmless epoch throttles back down.
         e.merged_last_round = true;
         e.note_epoch_misses(&[100, 100, 100, 100]);
-        assert_eq!(e.config().msat.high(), h0);
+        assert_eq!(e.msat.high(), h0);
     }
 
     #[test]
@@ -1244,7 +1173,7 @@ mod tests {
         // Threads of one app with replicated footprints measure only Mid
         // per slice; the sharing rule must still merge them.
         let mut e = MorphEngine::new(4, vec![7, 7, 8, 9], cfg()).unwrap();
-        let bits = e.config().acfv_bits;
+        let bits = e.l2.bits;
         for i in 0..((0.42 * bits as f64) as u64) {
             let line = i * 8191;
             e.on_touched(CacheLevelId::L2, 0, 0, line);
@@ -1312,7 +1241,7 @@ mod tests {
         // low reuse, enormous dead churn.
         fill(&mut e, CacheLevelId::L3, 0, 0, 0.9);
         fill(&mut e, CacheLevelId::L3, 1, 1, 0.05);
-        for i in 0..(3 * e.config().l3_slice_lines as u64) {
+        for i in 0..(3 * e.l3.slice_lines as u64) {
             // Never-touched lines evicted: dead churn only.
             e.on_evicted(CacheLevelId::L3, 1, 1, 1_000_000 + i * 13);
         }
@@ -1332,7 +1261,7 @@ mod tests {
         // Few distinct live lines, but constant reused-line eviction:
         // capacity starvation. Touch-then-evict cycles.
         for round in 0..3u64 {
-            for i in 0..(e.config().l2_slice_lines as u64) {
+            for i in 0..(e.l2.slice_lines as u64) {
                 let line = i * 509 + round;
                 e.on_touched(CacheLevelId::L2, 0, 0, line);
                 e.on_evicted(CacheLevelId::L2, 0, 0, line);

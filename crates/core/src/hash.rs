@@ -11,14 +11,14 @@ pub enum HashKind {
     Xor,
     /// `tag mod bits`. Cheap but more collision-prone for strided tags.
     Modulo,
-    /// A multiplicative scrambler (SplitMix64 finalizer). Used by the
-    /// "accurate" decision configuration ([`MorphConfig::calibrated`]
-    /// sizes the vector one-to-one with the slice lines, which only
-    /// approximates the paper's collision-free mapping if the hash is
-    /// close to uniform on structured tag sequences — plain XOR folding
-    /// is visibly biased on strided tags).
+    /// A multiplicative scrambler (SplitMix64 finalizer): the hash of
+    /// the engine's decision vectors. [`MorphEngine::new`] sizes them
+    /// one-to-one with the slice lines, which only approximates the
+    /// paper's collision-free mapping if the hash is close to uniform on
+    /// structured tag sequences — plain XOR folding is visibly biased on
+    /// strided tags.
     ///
-    /// [`MorphConfig::calibrated`]: crate::MorphConfig::calibrated
+    /// [`MorphEngine::new`]: crate::MorphEngine::new
     Mix,
 }
 
@@ -104,7 +104,7 @@ mod tests {
 
     #[test]
     fn mix_is_near_uniform_on_strided_tags() {
-        // The engine's calibrated mode depends on low bias: hashing N
+        // The engine's decision vectors depend on low bias: hashing N
         // strided tags into 2N bits should set close to the
         // occupancy-model expectation, unlike XOR folding.
         let bits = 256;

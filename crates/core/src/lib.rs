@@ -21,15 +21,16 @@
 //!   lattice verification enumerates at 64+ slices;
 //! * [`engine`] — the per-epoch decision engine implementing the merge
 //!   rules of §2.2, the split rules of §2.3, the inclusion-safety coupling
-//!   between levels, and the split/merge conflict arbitration of §2.4
-//!   (merge-aggressive by default, split-aggressive as the alternative);
-//! * [`config`] — all tunables in one [`config::MorphConfig`].
+//!   between levels, and the paper's default split/merge conflict
+//!   arbitration of §2.4 (merges first), with the decision thresholds
+//!   the paper fixes as constants;
+//! * [`config`] — what a run varies, in one [`config::MorphConfig`]: the
+//!   grouping mode, QoS throttling and the slice geometry.
 //!
 //! This crate is deliberately free of cache-simulator dependencies: it
 //! consumes abstract insertion/eviction/touch events and produces slice
 //! groupings as plain `Vec<Vec<usize>>` partitions, which the
-//! `morph-system` crate applies to the `morph-cache` hierarchy and the
-//! `morph-interconnect` segmented bus.
+//! `morph-system` crate applies to the `morph-cache` hierarchy.
 //!
 //! # Example
 //!
@@ -37,8 +38,9 @@
 //! use morphcache::{MorphConfig, MorphEngine, CacheLevelId};
 //!
 //! // 4 slices per level, one single-threaded app per core.
+//! let config = MorphConfig::calibrated(4096, 16384);
 //! let mut engine =
-//!     MorphEngine::new(4, vec![0, 1, 2, 3], MorphConfig::paper()).expect("valid engine config");
+//!     MorphEngine::new(4, vec![0, 1, 2, 3], config).expect("valid engine config");
 //! // Feed footprint events: core 0 inserts many lines, core 1 few.
 //! for line in 0..3000u64 {
 //!     engine.on_inserted(CacheLevelId::L2, 0, 0, line);
@@ -60,7 +62,7 @@ pub mod symmetry;
 pub mod topology;
 
 pub use acfv::{Acfv, ExactFootprint};
-pub use config::{ConflictPolicy, GroupingMode, MorphConfig};
+pub use config::{GroupingMode, MorphConfig};
 pub use engine::{MorphEngine, ReconfigEvent, ReconfigKind, ReconfigOutcome};
 pub use error::{MorphError, StallDiagnostic};
 pub use hash::HashKind;

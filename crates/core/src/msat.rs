@@ -36,14 +36,8 @@ pub struct Msat {
 }
 
 impl Msat {
-    /// The paper's default: `(60, 30)`, i.e. `h = 0.6`, `l = 0.3`, with a
-    /// 5-point throttle step bounded at `(95, 5)` and not throttling below
-    /// the base.
-    pub fn paper() -> Self {
-        Self::new(0.60, 0.30)
-    }
-
-    /// Creates an MSAT with explicit bounds.
+    /// Creates an MSAT with explicit bounds, a 5-point throttle step
+    /// bounded at `(95, 5)`, and no throttling below the base.
     ///
     /// # Panics
     ///
@@ -101,26 +95,20 @@ impl Msat {
     }
 }
 
-impl Default for Msat {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn paper_values() {
-        let m = Msat::paper();
+        let m = Msat::new(0.60, 0.30);
         assert_eq!(m.high(), 0.60);
         assert_eq!(m.low(), 0.30);
     }
 
     #[test]
     fn classification_bands() {
-        let m = Msat::paper();
+        let m = Msat::new(0.60, 0.30);
         assert_eq!(m.classify(0.7), Utilization::High);
         assert_eq!(m.classify(0.45), Utilization::Mid);
         assert_eq!(m.classify(0.1), Utilization::Low);
@@ -131,7 +119,7 @@ mod tests {
 
     #[test]
     fn throttling_up_widens_and_saturates() {
-        let mut m = Msat::paper();
+        let mut m = Msat::new(0.60, 0.30);
         for _ in 0..20 {
             m.throttle_up();
         }
@@ -143,7 +131,7 @@ mod tests {
 
     #[test]
     fn throttling_down_returns_to_base() {
-        let mut m = Msat::paper();
+        let mut m = Msat::new(0.60, 0.30);
         m.throttle_up();
         m.throttle_up();
         for _ in 0..10 {

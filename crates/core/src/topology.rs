@@ -40,14 +40,17 @@ impl SymmetricTopology {
                  product must equal the core count n = {n}"
             )));
         }
-        if x * y * z != n {
-            return Err(MorphError::Topology(format!(
-                "({x}:{y}:{z}): x·y·z = {}, but the (x:y:z) product must \
-                 equal the core count n = {n}",
-                x * y * z
-            )));
+        match x.checked_mul(y).and_then(|xy| xy.checked_mul(z)) {
+            Some(product) if product == n => Ok(Self { x, y, z }),
+            Some(product) => Err(MorphError::Topology(format!(
+                "({x}:{y}:{z}): x·y·z = {product}, but the (x:y:z) product \
+                 must equal the core count n = {n}"
+            ))),
+            None => Err(MorphError::Topology(format!(
+                "({x}:{y}:{z}): x·y·z overflows; the (x:y:z) product must \
+                 equal the core count n = {n}"
+            ))),
         }
-        Ok(Self { x, y, z })
     }
 
     /// Parses `"4:4:1"` (with or without parentheses) for an `n`-core CMP.
@@ -307,6 +310,51 @@ mod tests {
             "invalid topology: (0:4:1): components must be nonzero and the \
              (x:y:z) product must equal the core count n = 4"
         );
+    }
+
+    /// One generated `(x:y:z)` component: near `usize::MAX`, a power of
+    /// two, zero, small, too large for `usize`, or not a number.
+    fn fuzz_component(rng: &mut crate::Xoshiro256pp) -> String {
+        match rng.range_usize(0, 6) {
+            0 => (usize::MAX - rng.range_usize(0, 4)).to_string(),
+            1 => (1usize << rng.range_usize(0, usize::BITS as usize)).to_string(),
+            2 => "0".into(),
+            3 => rng.range_usize(1, 33).to_string(),
+            4 => format!("{}0", usize::MAX),
+            _ => ["", " ", "-1", "x", "1.5"][rng.range_usize(0, 5)].into(),
+        }
+    }
+
+    #[test]
+    fn parse_never_panics_and_accepts_only_covering_triples() {
+        // (2^63 + 8)·2·1 wraps around to 16 in unchecked arithmetic.
+        assert!(SymmetricTopology::parse("9223372036854775816:2:1", 16).is_err());
+        let mut rng = crate::Xoshiro256pp::seed_from_u64(0x7090);
+        for i in 0..20_000 {
+            let n = 1usize << rng.range_usize(0, 11);
+            let mut parts: Vec<String> = (0..rng.range_usize(1, 5))
+                .map(|_| fuzz_component(&mut rng))
+                .collect();
+            if i % 4 == 0 {
+                // A triple whose product wraps around to exactly n:
+                // (2^(BITS-k) + n/2^k) · 2^k · 1.
+                let k = rng.range_usize(1, 4);
+                let x = (1usize << (usize::BITS as usize - k)) + (n >> k);
+                parts = vec![x.to_string(), (1usize << k).to_string(), "1".into()];
+                parts.rotate_left(rng.range_usize(0, 3));
+            }
+            let body = parts.join(":");
+            let s = match rng.range_usize(0, 4) {
+                0 => body,
+                1 => format!("({body})"),
+                2 => format!(" ( {body} ) "),
+                _ => format!("({body}"),
+            };
+            if let Ok(t) = SymmetricTopology::parse(&s, n) {
+                let product = t.x.checked_mul(t.y).and_then(|xy| xy.checked_mul(t.z));
+                assert_eq!(product, Some(n), "{s:?} accepted for n = {n}");
+            }
+        }
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //!   (the Fig. 10 two-input round-robin cell) and
 //!   [`arbiter::ArbiterTree`] (the Fig. 9 hierarchy with `Fwdreq`
 //!   masking and Fig. 11 `BusAcq` generation).
-//! * [`bus`] — the behavioural model: [`bus::SegmentedBus`] simulates
-//!   per-segment transactions cycle by cycle. The system simulator does
-//!   not run it or model bus queueing: a merged hit pays a fixed
-//!   pipelined-bus overhead (10 core cycles, from the [`floorplan`]
-//!   model) plus the [`nuca`] hops. The lattice model check uses it to
-//!   confirm that every reachable grouping is a valid bus segmentation.
+//! * [`bus`] — the switch model: [`bus::SegmentedBus`] accepts a grouping
+//!   as a segment configuration only if it partitions the components
+//!   into contiguous segments. The lattice model check uses it to
+//!   confirm that every reachable grouping is a valid bus segmentation;
+//!   [`arbiter::ArbiterTree::cycle`] models the parallel grants in
+//!   disjoint segments. The system simulator models no bus queueing: a
+//!   merged hit pays a fixed pipelined-bus overhead (10 core cycles, from
+//!   the [`floorplan`] model) plus the [`nuca`] hops.
 //! * [`floorplan`] — the analytic model behind Table 2 and the 15-cycle
 //!   merged-access overhead, generalized past the paper's 16-tile die
 //!   via [`Floorplan::for_cores`].
@@ -36,11 +38,9 @@
 //! let mut bus = SegmentedBus::new(8);
 //! bus.configure(&[vec![0, 1, 2, 3], vec![4, 5], vec![6, 7]]).unwrap();
 //! assert_eq!(bus.n_segments(), 3);
-//! // Components 0 and 4 are in different segments: parallel transactions.
-//! bus.request(0);
-//! bus.request(4);
-//! let granted = bus.cycle();
-//! assert_eq!(granted.len(), 2);
+//! // Switches join only adjacent components: {0, 2} is no segment.
+//! assert!(bus.configure(&[vec![0, 2], vec![1, 3], vec![4, 5, 6, 7]]).is_err());
+//! assert_eq!(bus.n_segments(), 3);
 //! ```
 
 pub mod arbiter;

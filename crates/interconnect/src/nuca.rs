@@ -55,12 +55,6 @@ impl NucaModel {
     }
 }
 
-impl Default for NucaModel {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -151,6 +151,18 @@ mod tests {
     }
 
     #[test]
+    fn an_overflowing_topology_literal_is_a_typed_error() {
+        // (2^(BITS-1) + 2)·2·1 wraps around to 4 in unchecked arithmetic.
+        let t = SymmetricTopology {
+            x: usize::MAX / 2 + 3,
+            y: 2,
+            z: 1,
+        };
+        let err = StaticBackend::new(&SystemConfig::quick_test(4), t).err();
+        assert!(matches!(err, Some(MorphError::Topology(_))), "{err:?}");
+    }
+
+    #[test]
     fn backends_are_send() {
         fn assert_send<T: Send + ?Sized>() {}
         assert_send::<StaticBackend>();

@@ -23,7 +23,10 @@ impl StaticBackend {
     /// groupings cannot be installed.
     pub fn new(cfg: &SystemConfig, t: SymmetricTopology) -> Result<Self, MorphError> {
         let n = cfg.n_cores();
-        if t.x * t.y * t.z != n {
+        // The fields are public, so a struct literal can bypass
+        // `SymmetricTopology::new`'s check; the product may overflow.
+        let product = t.x.checked_mul(t.y).and_then(|xy| xy.checked_mul(t.z));
+        if product != Some(n) {
             return Err(MorphError::Topology(format!(
                 "topology {t} does not cover {n} cores"
             )));

@@ -12,8 +12,9 @@
 //! and the JSON codec round-trips `f64` exactly, so a resumed matrix
 //! equals an uninterrupted one byte for byte.
 //!
-//! Seeds are stored as decimal *strings*: a `u64` seed can exceed 2^53
-//! and would silently lose precision as a JSON number.
+//! The manifest stores the configuration and the cells as strings, seeds
+//! included: a `u64` seed can exceed 2^53 and would silently lose
+//! precision as a JSON number.
 
 use crate::config::SystemConfig;
 use crate::experiment::{MatrixCell, RunResult};
@@ -152,34 +153,16 @@ fn write_atomic(dir: &Path, name: &str, content: &str) -> Result<(), MorphError>
 
 /// The manifest document: everything that determines every cell's result.
 /// Two runs agree on the journal iff their manifests render identically.
+/// It holds the whole configuration and every cell in their `Debug`
+/// renderings, the key the figures' run table uses too; a display name
+/// is no key, since "4 apps" names every four-app list.
 fn manifest_json(cfg: &SystemConfig, cells: &[MatrixCell]) -> Json {
     Json::Obj(vec![
         ("schema".into(), Json::Str(JOURNAL_SCHEMA.into())),
-        (
-            "config".into(),
-            Json::Obj(vec![
-                ("cores".into(), Json::Num(cfg.n_cores() as f64)),
-                ("epochs".into(), Json::Num(cfg.n_epochs as f64)),
-                ("epoch_cycles".into(), Json::Num(cfg.epoch_cycles as f64)),
-                ("warmup_epochs".into(), Json::Num(cfg.warmup_epochs as f64)),
-                ("quantum".into(), Json::Num(cfg.quantum as f64)),
-                ("seed".into(), Json::Str(cfg.seed.to_string())),
-            ]),
-        ),
+        ("config".into(), Json::Str(format!("{cfg:?}"))),
         (
             "cells".into(),
-            Json::Arr(
-                cells
-                    .iter()
-                    .map(|c| {
-                        Json::Obj(vec![
-                            ("workload".into(), Json::Str(c.workload.name())),
-                            ("policy".into(), Json::Str(c.policy.name())),
-                            ("seed".into(), Json::Str(c.seed.to_string())),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Json::Arr(cells.iter().map(|c| Json::Str(format!("{c:?}"))).collect()),
         ),
     ])
 }
@@ -397,6 +380,29 @@ mod tests {
         // Different cell list too.
         let fewer = &cells[..1];
         let err = RunJournal::open(&dir, &cfg, fewer).unwrap_err();
+        assert!(matches!(err, MorphError::Journal(_)), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn manifest_covers_each_app_and_the_hierarchy() {
+        let (cfg, cells) = small_matrix();
+        let dir = temp_dir("identity");
+        RunJournal::open(&dir, &cfg, &cells).unwrap();
+        // Another list of four apps: the same "4 apps" display name.
+        let other = Workload::named_apps(&["lbm", "milc", "astar", "sjeng"]).unwrap();
+        assert_eq!(other.name(), cells[0].workload.name());
+        let swapped: Vec<MatrixCell> = cells
+            .iter()
+            .map(|c| MatrixCell::new(other.clone(), c.policy.clone(), c.seed))
+            .collect();
+        let err = RunJournal::open(&dir, &cfg, &swapped).unwrap_err();
+        assert!(matches!(err, MorphError::Journal(_)), "{err}");
+        // The same cells on a different hierarchy.
+        let mut bigger = cfg;
+        let l2_bytes = 2 * cfg.hierarchy.l2_slice.capacity_bytes();
+        bigger.hierarchy = cfg.hierarchy.with_l2_capacity(l2_bytes).unwrap();
+        let err = RunJournal::open(&dir, &bigger, &cells).unwrap_err();
         assert!(matches!(err, MorphError::Journal(_)), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }

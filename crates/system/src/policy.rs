@@ -209,7 +209,7 @@ mod tests {
         let cfg = SystemConfig::quick_test(4);
         if let Policy::Morph(mc) = Policy::morph(&cfg) {
             assert_eq!(mc.l2_slice_lines, cfg.l2_slice_lines());
-            assert_eq!(mc.acfv_bits, cfg.l3_slice_lines());
+            assert_eq!(mc.l3_slice_lines, cfg.l3_slice_lines());
         } else {
             panic!("expected Morph policy");
         }

@@ -2,7 +2,8 @@
 //! options it does not read (exit 2) instead of silently ignoring them,
 //! `compare` is gone in favour of `matrix`, `matrix` rows report
 //! throughput relative to the first cell, `--resume` needs a journal
-//! to resume, and a reader that stops early ends `morph` quietly.
+//! recorded for the same cells, a topology string never panics, and a
+//! reader that stops early ends `morph` quietly.
 
 use std::io::BufRead;
 use std::process::{Child, Command, Output, Stdio};
@@ -102,6 +103,58 @@ fn resume_needs_an_existing_journal() {
     assert!(err.contains("journal error: nothing to resume"), "{err}");
     assert!(out.stdout.is_empty(), "no cell ran");
     assert!(!dir.exists(), "a failed resume creates nothing");
+}
+
+#[test]
+fn resume_refuses_another_app_list_of_the_same_length() {
+    let dir = std::env::temp_dir().join(format!("morph-cli-apps-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.to_str().expect("a UTF-8 temp path");
+    let matrix = |apps: &str, journal: &str| {
+        morph(&[
+            "matrix",
+            "--apps",
+            apps,
+            "--cores",
+            "4",
+            "--epochs",
+            "1",
+            "--cycles",
+            "100000",
+            "--jobs",
+            "1",
+            "--policies",
+            "4:1:1,1:1:4",
+            journal,
+            path,
+        ])
+    };
+    let first = matrix("gcc,mcf,hmmer,libquantum", "--run-dir");
+    assert_eq!(first.status.code(), Some(0), "{}", stderr(&first));
+    // Both lists are "4 apps"; the journal must still tell them apart.
+    let second = matrix("lbm,milc,astar,sjeng", "--resume");
+    let err = stderr(&second);
+    assert_eq!(second.status.code(), Some(2), "{err}");
+    assert!(err.contains("manifest mismatch"), "{err}");
+    assert!(second.stdout.is_empty(), "no cell is cached or run");
+    std::fs::remove_dir_all(&dir).expect("the run directory is removable");
+}
+
+#[test]
+fn an_overflowing_topology_is_a_usage_error() {
+    // (2^63 + 8)·2·1 wraps around to the 16 cores in unchecked arithmetic.
+    let out = morph(&[
+        "run",
+        "--mix",
+        "1",
+        "--policy",
+        "9223372036854775816:2:1",
+        "--validate-only",
+    ]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("invalid topology"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
 }
 
 /// Starts `morph` with standard output and standard error piped.
