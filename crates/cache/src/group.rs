@@ -150,6 +150,28 @@ impl Grouping {
         })
     }
 
+    /// Whether each slice's group loses a member when `self` is replaced
+    /// by `next`, indexed by slice. A group of `self` whose members all
+    /// land in one group of `next` grows or stays; one split across
+    /// several groups of `next` shrinks for every member. Only a slice
+    /// whose group shrank can stop reaching a line it reached before.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `next` covers fewer slices than `self`.
+    pub(crate) fn shrinks_into(&self, next: &Grouping) -> Vec<bool> {
+        let mut shrunk = vec![false; self.n_slices()];
+        for members in &self.groups {
+            let g0 = next.group_of(members[0]);
+            if members.iter().any(|&s| next.group_of(s) != g0) {
+                for &s in members {
+                    shrunk[s] = true;
+                }
+            }
+        }
+        shrunk
+    }
+
     /// A canonical string such as `[0-3][4-5][6][7]` describing the
     /// partition, with non-contiguous groups listed element-wise.
     pub fn describe(&self) -> String {
@@ -230,6 +252,27 @@ mod tests {
         let straddle =
             Grouping::from_groups(8, vec![vec![3, 4], vec![0, 1, 2], vec![5, 6, 7]]).unwrap();
         assert!(!straddle.refines(&l3));
+    }
+
+    #[test]
+    fn shrinking_groups_are_the_split_ones() {
+        let quads = Grouping::contiguous(8, 4).unwrap();
+        let pairs = Grouping::contiguous(8, 2).unwrap();
+        // Merging shrinks nothing; splitting shrinks every member.
+        assert_eq!(pairs.shrinks_into(&quads), vec![false; 8]);
+        assert_eq!(quads.shrinks_into(&pairs), vec![true; 8]);
+        // Splitting one quad leaves the other's slices alone.
+        let half =
+            Grouping::from_groups(8, vec![vec![0, 1], vec![2, 3], vec![4, 5, 6, 7]]).unwrap();
+        let want = [true, true, true, true, false, false, false, false];
+        assert_eq!(quads.shrinks_into(&half), want);
+        // A group that trades members shrinks even at equal size.
+        let swap = Grouping::from_groups(8, vec![vec![0, 1, 2, 4], vec![3, 5, 6, 7]]).unwrap();
+        assert_eq!(quads.shrinks_into(&swap), vec![true; 8]);
+        // No slice shrinks exactly when the old grouping refines the new.
+        for (a, b) in [(&pairs, &quads), (&quads, &half), (&half, &pairs)] {
+            assert_eq!(a.refines(b), !a.shrinks_into(b).contains(&true));
+        }
     }
 
     #[test]

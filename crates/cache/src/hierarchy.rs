@@ -208,6 +208,11 @@ impl Hierarchy {
     /// well"). L1 lines that lose their L2 reachability (possible when an
     /// L2 group splits) are back-invalidated.
     ///
+    /// Only the L1s of cores whose L2 group lost a member are swept, in
+    /// core order. Inclusion holds on entry and regrouping moves no L2
+    /// line, so a core whose group kept every member still reaches each
+    /// line that backed its L1: a merge-only change removes nothing.
+    ///
     /// # Errors
     ///
     /// Returns [`ConfigError::InclusionViolation`] if the new L2 grouping
@@ -220,10 +225,11 @@ impl Hierarchy {
                 self.l3.grouping()
             )));
         }
+        let shrunk = self.l2.grouping().shrinks_into(&g);
         self.l2.set_grouping(g)?;
         // Restore L1 ⊆ L2-group(core): evict L1 lines that are no longer
-        // reachable through the core's (possibly shrunken) L2 group.
-        for core in 0..self.params.n_cores {
+        // reachable through the core's shrunken L2 group.
+        for core in (0..self.params.n_cores).filter(|&c| shrunk[c]) {
             let members = self.l2.grouping().group_members(core).to_vec();
             let mut lost: Vec<Entry> = Vec::new();
             self.l1[core]
@@ -248,6 +254,13 @@ impl Hierarchy {
     /// can be split"). L2 and L1 lines whose L3 backing becomes
     /// unreachable (possible when an L3 group splits) are back-invalidated.
     ///
+    /// Only the L2 slices whose L3 group lost a member are swept, in slice
+    /// order, and the L2 residency index is rebuilt only if a sweep
+    /// removed a line. Inclusion holds on entry and regrouping moves no
+    /// L3 line, so a slice whose group kept every member still reaches
+    /// the backing of each of its lines: a merge-only change removes
+    /// nothing.
+    ///
     /// # Errors
     ///
     /// Returns [`ConfigError::InclusionViolation`] if the current L2
@@ -260,9 +273,11 @@ impl Hierarchy {
                 g
             )));
         }
+        let shrunk = self.l3.grouping().shrinks_into(&g);
         self.l3.set_grouping(g)?;
         // Restore L2-slice ⊆ L3-group(slice).
-        for s in 0..self.params.n_cores {
+        let mut removed_any = false;
+        for s in (0..self.params.n_cores).filter(|&s| shrunk[s]) {
             let l3_members = self.l3.grouping().group_members(s).to_vec();
             let mut lost: Vec<Entry> = Vec::new();
             {
@@ -273,6 +288,7 @@ impl Hierarchy {
                     |e| lost.push(e),
                 );
             }
+            removed_any |= !lost.is_empty();
             for e in lost {
                 self.l2.slice_stats_mut(s).back_invalidations += 1;
                 if e.dirty {
@@ -291,7 +307,9 @@ impl Hierarchy {
         // The sweep above removed L2 entries through
         // `retain_slice_entries`, behind the back of the level's
         // residency index (a no-op while the level keeps none).
-        self.l2.rebuild_index();
+        if removed_any {
+            self.l2.rebuild_index();
+        }
         Ok(())
     }
 
@@ -696,6 +714,169 @@ mod tests {
             }
             h.check_inclusion().unwrap();
         }
+    }
+
+    /// Every entry and counter a regrouping may touch.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Snapshot {
+        l1: Vec<Vec<Entry>>,
+        l2: Vec<Vec<Entry>>,
+        l3: Vec<Vec<Entry>>,
+        l1_stats: Vec<crate::stats::SliceStats>,
+        l2_stats: Vec<crate::stats::SliceStats>,
+        l3_stats: Vec<crate::stats::SliceStats>,
+        memory_writebacks: u64,
+    }
+
+    impl Snapshot {
+        fn of(h: &Hierarchy) -> Self {
+            let n = h.params.n_cores;
+            Self {
+                l1: (0..n).map(|c| h.l1[c].iter_entries().collect()).collect(),
+                l2: (0..n)
+                    .map(|s| h.l2.iter_slice_entries(s).collect())
+                    .collect(),
+                l3: (0..n)
+                    .map(|s| h.l3.iter_slice_entries(s).collect())
+                    .collect(),
+                l1_stats: (0..n).map(|c| h.l1[c].stats.clone()).collect(),
+                l2_stats: (0..n).map(|s| h.l2.slice_stats(s).clone()).collect(),
+                l3_stats: (0..n).map(|s| h.l3.slice_stats(s).clone()).collect(),
+                memory_writebacks: h.memory_writebacks,
+            }
+        }
+
+        /// The lines of each slice of a level.
+        fn lines(level: &[Vec<Entry>]) -> Vec<std::collections::HashSet<Line>> {
+            level
+                .iter()
+                .map(|es| es.iter().map(|e| e.line).collect())
+                .collect()
+        }
+
+        /// What `set_l2_grouping(l2)` must leave: each L1 keeps exactly
+        /// the lines some L2 slice of its core's new group holds, and
+        /// each line it drops is a back-invalidation, and a memory
+        /// writeback if dirty.
+        fn after_l2_regroup(&self, l2: &Grouping) -> Self {
+            let (mut after, l2_lines) = (self.clone(), Self::lines(&self.l2));
+            for (c, l1) in after.l1.iter_mut().enumerate() {
+                let backed = |e: &Entry| {
+                    let group = l2.group_members(c);
+                    group.iter().any(|&s| l2_lines[s].contains(&e.line))
+                };
+                for e in l1.iter().filter(|e| !backed(e)) {
+                    after.l1_stats[c].back_invalidations += 1;
+                    after.memory_writebacks += u64::from(e.dirty);
+                }
+                l1.retain(backed);
+            }
+            after
+        }
+
+        /// What `set_l3_grouping(l3)` under L2 grouping `l2` must leave:
+        /// each L2 slice keeps exactly the lines some L3 slice of its new
+        /// group holds; each line it drops is a back-invalidation (and a
+        /// memory writeback if dirty) and leaves the L1 of every core of
+        /// the slice's L2 group.
+        fn after_l3_regroup(&self, l2: &Grouping, l3: &Grouping) -> Self {
+            let (mut after, l3_lines) = (self.clone(), Self::lines(&self.l3));
+            for s in 0..self.l2.len() {
+                let group = l3.group_members(s);
+                let (kept, lost): (Vec<Entry>, Vec<Entry>) = self.l2[s]
+                    .iter()
+                    .partition(|e| group.iter().any(|&t| l3_lines[t].contains(&e.line)));
+                after.l2[s] = kept;
+                for e in lost {
+                    after.l2_stats[s].back_invalidations += 1;
+                    after.memory_writebacks += u64::from(e.dirty);
+                    for &c in l2.group_members(s) {
+                        if let Some(i) = after.l1[c].iter().position(|x| x.line == e.line) {
+                            after.l1[c].remove(i);
+                            after.l1_stats[c].back_invalidations += 1;
+                        }
+                    }
+                }
+            }
+            after
+        }
+    }
+
+    /// A random buddy partition of `lo..lo + size`, each block split in
+    /// half with probability `p_split`.
+    fn buddy_blocks(
+        rng: &mut morphcache::Xoshiro256pp,
+        lo: usize,
+        size: usize,
+        p_split: f64,
+    ) -> Vec<Vec<usize>> {
+        if size == 1 || !rng.gen_bool(p_split) {
+            return vec![(lo..lo + size).collect()];
+        }
+        let mut blocks = buddy_blocks(rng, lo, size / 2, p_split);
+        blocks.extend(buddy_blocks(rng, lo + size / 2, size / 2, p_split));
+        blocks
+    }
+
+    /// Drives random traffic between random (L2, L3) buddy grouping
+    /// pairs, installed in the inclusion-safe order of the system's
+    /// `apply_groups`, and checks each regrouping call against a
+    /// brute-force reference computed from the entries before it.
+    #[test]
+    fn regrouping_removes_exactly_the_lines_that_lost_their_backing() {
+        const N: usize = 8;
+        let mut rng = morphcache::Xoshiro256pp::seed_from_u64(26);
+        let mut h = Hierarchy::new(HierarchyParams::scaled_down(N));
+        let (mut merge_only, mut removed) = (0, 0);
+        let mut check = |h: &mut Hierarchy, level: Level, g: Vec<Vec<usize>>| {
+            let g = Grouping::from_groups(N, g).unwrap();
+            let before = Snapshot::of(h);
+            let (old, expected) = if level == Level::L2 {
+                let old = h.l2.grouping().clone();
+                h.set_l2_grouping(g.clone()).unwrap();
+                (old, before.after_l2_regroup(&g))
+            } else {
+                let old = h.l3.grouping().clone();
+                h.set_l3_grouping(g.clone()).unwrap();
+                (old, before.after_l3_regroup(h.l2.grouping(), &g))
+            };
+            let after = Snapshot::of(h);
+            assert_eq!(after, expected, "{level:?} regrouping {old} -> {g}");
+            if old.refines(&g) {
+                merge_only += 1;
+                assert_eq!(
+                    after, before,
+                    "merge-only {level:?} regrouping {old} -> {g}"
+                );
+            }
+            let lines = |s: &Snapshot| s.l1.iter().chain(&s.l2).map(Vec::len).sum::<usize>();
+            removed += usize::from(lines(&after) < lines(&before));
+            h.check_inclusion().unwrap();
+        };
+        for _ in 0..80 {
+            let l3 = buddy_blocks(&mut rng, 0, N, 0.5);
+            let l2: Vec<Vec<usize>> = l3
+                .iter()
+                .flat_map(|g| buddy_blocks(&mut rng, g[0], g.len(), 0.5))
+                .collect();
+            let current_l3: Vec<Vec<usize>> = h.l3.grouping().iter().map(<[_]>::to_vec).collect();
+            check(
+                &mut h,
+                Level::L2,
+                morphcache::topology::meet(&l2, &current_l3),
+            );
+            check(&mut h, Level::L3, l3);
+            check(&mut h, Level::L2, l2);
+            for _ in 0..rng.range_usize(0, 2000) {
+                let (core, line) = (rng.range_usize(0, N), rng.range_u64(0, 1 << 14));
+                h.access(core, line, rng.gen_bool(0.3), &mut NoopSink);
+            }
+        }
+        // Both kinds of call occur often (163 and 77 at this seed).
+        assert!(
+            merge_only > 80 && removed > 40,
+            "{merge_only} merge-only, {removed} removing"
+        );
     }
 
     #[test]

@@ -272,14 +272,22 @@ struct Probation {
 impl MorphEngine {
     /// Creates an engine for `n` slices per level (== cores), with
     /// `apps[c]` giving the address-space id of core `c` (threads of one
-    /// multithreaded application share an id).
+    /// multithreaded application share an id). `l2_slice_lines` and
+    /// `l3_slice_lines` are the managed hierarchy's lines per slice: the
+    /// denominators of the utilization estimates.
     ///
     /// # Errors
     ///
     /// Returns [`MorphError::InvalidConfig`] if `n` or either slice line
     /// count is not a nonzero power of two, and [`MorphError::Mismatch`]
     /// if `apps.len() != n`.
-    pub fn new(n: usize, apps: Vec<usize>, config: MorphConfig) -> Result<Self, MorphError> {
+    pub fn new(
+        n: usize,
+        apps: Vec<usize>,
+        l2_slice_lines: usize,
+        l3_slice_lines: usize,
+        config: MorphConfig,
+    ) -> Result<Self, MorphError> {
         if !n.is_power_of_two() {
             return Err(MorphError::InvalidConfig {
                 field: "n_slices",
@@ -294,17 +302,17 @@ impl MorphEngine {
                 right: n,
             });
         }
-        if !config.l2_slice_lines.is_power_of_two() {
+        if !l2_slice_lines.is_power_of_two() {
             return Err(MorphError::InvalidConfig {
                 field: "l2_slice_lines",
-                value: config.l2_slice_lines as u64,
+                value: l2_slice_lines as u64,
                 constraint: "must be a nonzero power of two",
             });
         }
-        if !config.l3_slice_lines.is_power_of_two() {
+        if !l3_slice_lines.is_power_of_two() {
             return Err(MorphError::InvalidConfig {
                 field: "l3_slice_lines",
-                value: config.l3_slice_lines as u64,
+                value: l3_slice_lines as u64,
                 constraint: "must be a nonzero power of two",
             });
         }
@@ -315,12 +323,12 @@ impl MorphEngine {
         // correction `n̂ = -bits·ln(1-f)` before comparing against the
         // MSAT, because hash collisions make the raw ones-fraction
         // saturate.
-        let bits = config.l2_slice_lines.max(config.l3_slice_lines);
+        let bits = l2_slice_lines.max(l3_slice_lines);
         Ok(Self {
             n,
             apps,
-            l2: LevelState::new(n, bits, config.l2_slice_lines),
-            l3: LevelState::new(n, bits, config.l3_slice_lines),
+            l2: LevelState::new(n, bits, l2_slice_lines),
+            l3: LevelState::new(n, bits, l3_slice_lines),
             config,
             // With the reuse-based estimator, measured utilizations land
             // on the Table 4 ACF scale, whose published low/high class
@@ -865,14 +873,15 @@ mod tests {
         }
     }
 
-    /// Engine whose decision vectors are one-to-one with a 128-line
-    /// slice, so `fill(frac)` lands at utilization ≈ `frac`.
-    fn cfg() -> MorphConfig {
-        MorphConfig::calibrated(128, 128)
+    /// Engine over 128-line slices, so its decision vectors are
+    /// one-to-one with a slice and `fill(frac)` lands at utilization ≈
+    /// `frac`.
+    fn engine(apps: Vec<usize>, config: MorphConfig) -> MorphEngine {
+        MorphEngine::new(apps.len(), apps, 128, 128, config).unwrap()
     }
 
     fn fresh(n: usize) -> MorphEngine {
-        MorphEngine::new(n, (0..n).collect(), cfg()).unwrap()
+        engine((0..n).collect(), MorphConfig::paper())
     }
 
     #[test]
@@ -966,7 +975,7 @@ mod tests {
     fn both_high_with_sharing_merges() {
         // Cores 0 and 1 run threads of the same app touching the same
         // lines.
-        let mut e = MorphEngine::new(4, vec![7, 7, 8, 9], cfg()).unwrap();
+        let mut e = engine(vec![7, 7, 8, 9], MorphConfig::paper());
         let bits = e.l2.bits;
         for i in 0..((0.9 * bits as f64) as u64) {
             let line = i * 8191;
@@ -1085,9 +1094,9 @@ mod tests {
             .iter()
             .any(|g| g.contains(&1) && g.contains(&2)));
         // In arbitrary-contiguous mode the same signal merges {1,2}.
-        let mut c = cfg();
+        let mut c = MorphConfig::paper();
         c.grouping = GroupingMode::ArbitraryContiguous;
-        let mut e2 = MorphEngine::new(4, (0..4).collect(), c).unwrap();
+        let mut e2 = engine((0..4).collect(), c);
         fill(&mut e2, CacheLevelId::L2, 1, 1, 0.9);
         fill(&mut e2, CacheLevelId::L2, 2, 2, 0.05);
         fill(&mut e2, CacheLevelId::L3, 1, 1, 0.9);
@@ -1108,9 +1117,9 @@ mod tests {
 
     #[test]
     fn non_neighbor_mode_merges_distant_slices() {
-        let mut c = cfg();
+        let mut c = MorphConfig::paper();
         c.grouping = GroupingMode::NonNeighbor;
-        let mut e = MorphEngine::new(4, (0..4).collect(), c).unwrap();
+        let mut e = engine((0..4).collect(), c);
         fill(&mut e, CacheLevelId::L2, 0, 0, 0.9);
         fill(&mut e, CacheLevelId::L2, 3, 3, 0.05);
         fill(&mut e, CacheLevelId::L3, 0, 0, 0.9);
@@ -1131,8 +1140,11 @@ mod tests {
 
     #[test]
     fn qos_throttles_msat_after_harmful_merge() {
-        let mut e =
-            MorphEngine::new(4, (0..4).collect(), MorphConfig { qos: true, ..cfg() }).unwrap();
+        let qos = MorphConfig {
+            qos: true,
+            ..MorphConfig::paper()
+        };
+        let mut e = engine((0..4).collect(), qos);
         let h0 = e.msat.high();
         // Round 1 with a merge.
         fill(&mut e, CacheLevelId::L2, 0, 0, 0.9);
@@ -1172,7 +1184,7 @@ mod tests {
     fn sharing_merge_fires_for_moderate_replicated_pairs() {
         // Threads of one app with replicated footprints measure only Mid
         // per slice; the sharing rule must still merge them.
-        let mut e = MorphEngine::new(4, vec![7, 7, 8, 9], cfg()).unwrap();
+        let mut e = engine(vec![7, 7, 8, 9], MorphConfig::paper());
         let bits = e.l2.bits;
         for i in 0..((0.42 * bits as f64) as u64) {
             let line = i * 8191;
@@ -1279,8 +1291,7 @@ mod tests {
         use crate::topology::{is_partition, refines};
         for seed in 0..32 {
             let mut rng = crate::Xoshiro256pp::seed_from_u64(seed);
-            let mut e =
-                MorphEngine::new(4, (0..4).collect(), MorphConfig::calibrated(128, 128)).unwrap();
+            let mut e = fresh(4);
             let fills: Vec<(usize, u64)> = (0..rng.range_usize(0, 40))
                 .map(|_| (rng.range_usize(0, 4), rng.range_u64(0, 120)))
                 .collect();

@@ -3,11 +3,10 @@
 //! Ramakrishna et al. \[22\]).
 
 /// Which hash maps a cache tag to an ACFV bit index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HashKind {
     /// XOR-fold the tag into `log2(bits)` bits. The paper's better
     /// performer (Fig. 5).
-    #[default]
     Xor,
     /// `tag mod bits`. Cheap but more collision-prone for strided tags.
     Modulo,

@@ -25,7 +25,8 @@
 //!   arbitration of §2.4 (merges first), with the decision thresholds
 //!   the paper fixes as constants;
 //! * [`config`] — what a run varies, in one [`config::MorphConfig`]: the
-//!   grouping mode, QoS throttling and the slice geometry.
+//!   grouping mode and QoS throttling. The slice geometry is the managed
+//!   hierarchy's, passed to [`MorphEngine::new`] beside it.
 //!
 //! This crate is deliberately free of cache-simulator dependencies: it
 //! consumes abstract insertion/eviction/touch events and produces slice
@@ -37,10 +38,10 @@
 //! ```
 //! use morphcache::{MorphConfig, MorphEngine, CacheLevelId};
 //!
-//! // 4 slices per level, one single-threaded app per core.
-//! let config = MorphConfig::calibrated(4096, 16384);
-//! let mut engine =
-//!     MorphEngine::new(4, vec![0, 1, 2, 3], config).expect("valid engine config");
+//! // 4 slices per level of the paper's geometry (4096 lines per L2
+//! // slice, 16384 per L3 slice), one single-threaded app per core.
+//! let mut engine = MorphEngine::new(4, vec![0, 1, 2, 3], 4096, 16384, MorphConfig::paper())
+//!     .expect("valid engine config");
 //! // Feed footprint events: core 0 inserts many lines, core 1 few.
 //! for line in 0..3000u64 {
 //!     engine.on_inserted(CacheLevelId::L2, 0, 0, line);

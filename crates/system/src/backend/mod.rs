@@ -150,6 +150,26 @@ mod tests {
         }
     }
 
+    /// The engine's utilization denominators are the run's slice line
+    /// counts: on `quick_test(4)`'s 512-line L2 slices, 128 distinct
+    /// lines reused by core 0 read back as a quarter of its slice.
+    #[test]
+    fn morph_engine_takes_the_runs_slice_geometry() {
+        use morph_cache::{MemorySubsystem, NoopSink};
+        use morphcache::{CacheLevelId, MorphConfig};
+        let cfg = SystemConfig::quick_test(4);
+        assert_eq!(cfg.l2_slice_lines(), 512);
+        let mut b = MorphBackend::new(&cfg, vec![0, 1, 2, 3], MorphConfig::paper()).unwrap();
+        // The first pass fills L2; the second misses the 64-line L1
+        // every time and hits L2, which is what sets ACFV bits.
+        for i in (0..128).chain(0..128) {
+            b.access(0, i * 7919, false, &mut NoopSink);
+        }
+        let engine = b.engine().unwrap();
+        let u = engine.group_utilization(CacheLevelId::L2, 0);
+        assert!((u - 0.25).abs() < 0.02, "L2 utilization {u}");
+    }
+
     #[test]
     fn an_overflowing_topology_literal_is_a_typed_error() {
         // (2^(BITS-1) + 2)·2·1 wraps around to 4 in unchecked arithmetic.

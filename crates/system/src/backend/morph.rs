@@ -26,7 +26,8 @@ pub struct MorphBackend {
 }
 
 impl MorphBackend {
-    /// Builds the hierarchy (pipelined-bus latencies) and the engine.
+    /// Builds the hierarchy (pipelined-bus latencies) and the engine,
+    /// whose utilization estimates take `cfg`'s slice line counts.
     ///
     /// # Errors
     ///
@@ -39,7 +40,13 @@ impl MorphBackend {
         let mut hp = cfg.hierarchy;
         hp.latency.l2_merged = hp.latency.l2_local + 10;
         hp.latency.l3_merged = hp.latency.l3_local + 10;
-        let engine = MorphEngine::new(cfg.n_cores(), app_ids, mc)?;
+        let engine = MorphEngine::new(
+            cfg.n_cores(),
+            app_ids,
+            cfg.l2_slice_lines(),
+            cfg.l3_slice_lines(),
+            mc,
+        )?;
         Ok(Self {
             hier: Box::new(Hierarchy::new(hp)),
             engine: Box::new(engine),

@@ -145,28 +145,27 @@ impl Policy {
         )
     }
 
-    /// MorphCache with paper defaults, decision vectors calibrated to the
-    /// configured slice geometry (see `MorphConfig::calibrated`).
-    pub fn morph(cfg: &SystemConfig) -> Self {
-        Policy::Morph(MorphConfig::calibrated(
-            cfg.l2_slice_lines(),
-            cfg.l3_slice_lines(),
-        ))
+    /// MorphCache as the paper runs it ([`MorphConfig::paper`]). `_cfg`
+    /// is not read, here or in the other `morph` constructors: the
+    /// engine takes its slice geometry from the configuration of the run
+    /// the policy is used in.
+    pub fn morph(_cfg: &SystemConfig) -> Self {
+        Policy::Morph(MorphConfig::paper())
     }
 
     /// MorphCache with QoS throttling enabled (§5.3).
-    pub fn morph_qos(cfg: &SystemConfig) -> Self {
+    pub fn morph_qos(_cfg: &SystemConfig) -> Self {
         Policy::Morph(MorphConfig {
             qos: true,
-            ..MorphConfig::calibrated(cfg.l2_slice_lines(), cfg.l3_slice_lines())
+            ..MorphConfig::paper()
         })
     }
 
     /// MorphCache with a relaxed grouping mode (§5.5).
-    pub fn morph_with_grouping(cfg: &SystemConfig, grouping: GroupingMode) -> Self {
+    pub fn morph_with_grouping(_cfg: &SystemConfig, grouping: GroupingMode) -> Self {
         Policy::Morph(MorphConfig {
             grouping,
-            ..MorphConfig::calibrated(cfg.l2_slice_lines(), cfg.l3_slice_lines())
+            ..MorphConfig::paper()
         })
     }
 
@@ -202,16 +201,5 @@ mod tests {
             Policy::morph_with_grouping(&cfg, GroupingMode::NonNeighbor).name(),
             "MorphCache(nn)"
         );
-    }
-
-    #[test]
-    fn morph_config_is_calibrated() {
-        let cfg = SystemConfig::quick_test(4);
-        if let Policy::Morph(mc) = Policy::morph(&cfg) {
-            assert_eq!(mc.l2_slice_lines, cfg.l2_slice_lines());
-            assert_eq!(mc.l3_slice_lines, cfg.l3_slice_lines());
-        } else {
-            panic!("expected Morph policy");
-        }
     }
 }

@@ -206,7 +206,7 @@ mod tests {
     use morphcache::MorphConfig;
 
     fn engine() -> MorphEngine {
-        MorphEngine::new(4, (0..4).collect(), MorphConfig::calibrated(128, 128)).unwrap()
+        MorphEngine::new(4, (0..4).collect(), 128, 128, MorphConfig::paper()).unwrap()
     }
 
     #[test]

@@ -126,6 +126,43 @@ const WARM_TURNOVER: f64 = 0.125;
 /// Ring size multiplier over the L3 slice size for private address spaces.
 const RING_FACTOR: u64 = 8;
 
+/// A divisor that stays fixed while many remainders are taken by it,
+/// with the multiplier that takes them without a hardware division: the
+/// direct remainder of Lemire, Kaser and Kurz ("Faster Remainder by
+/// Direct Computation", 2019), `((M·a mod 2^64)·d) >> 64` with
+/// `M = ⌊(2^64 − 1)/d⌋ + 1`. The formula is exact while `a` and `d` are
+/// below 2^32; larger operands take the hardware remainder.
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    d: u64,
+    m: u64,
+}
+
+impl Divisor {
+    /// Precomputes the multiplier of `d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is zero.
+    fn new(d: u64) -> Self {
+        Self {
+            d,
+            m: (u64::MAX / d).wrapping_add(1),
+        }
+    }
+
+    /// `a % d`.
+    #[inline]
+    fn rem(self, a: u64) -> u64 {
+        if (a | self.d) >> 32 == 0 {
+            let low = self.m.wrapping_mul(a);
+            ((u128::from(low) * u128::from(self.d)) >> 64) as u64
+        } else {
+            a % self.d
+        }
+    }
+}
+
 /// The synthetic phased working-set stream. See the module docs.
 #[derive(Debug, Clone)]
 pub struct SyntheticStream {
@@ -136,21 +173,26 @@ pub struct SyntheticStream {
     private_base: u64,
     shared_base: u64,
     stream_base: u64,
-    ring: u64,
+    ring: Divisor,
     // Spatial (per-thread, fixed) factors.
     fs2: f64,
     fs3: f64,
     // Temporal phase factors (AR(1) state).
     ft2: f64,
     ft3: f64,
-    // Current-epoch region geometry (private).
-    hot_size: u64,
-    warm_size: u64,
+    // Current-epoch region geometry (private). Each size `next_access`
+    // takes a remainder by is a `Divisor`, replaced whenever it changes.
+    hot_size: Divisor,
+    /// The hot core: the first eighth of the hot window.
+    hot_core: Divisor,
+    warm_size: Divisor,
     hot_off: u64,
     warm_off: u64,
     // Shared region geometry (constant; common to all threads of the app).
-    shared_hot: u64,
-    shared_warm: u64,
+    shared_hot: Divisor,
+    /// The first eighth of the shared hot region.
+    shared_core: Divisor,
+    shared_warm: Divisor,
     sharing_p8: u64,
     stream_ptr: u64,
     warm_ptr: u64,
@@ -182,7 +224,23 @@ impl SyntheticStream {
         } else {
             (1.0, 1.0)
         };
-        let ring = RING_FACTOR * config.l3_slice_lines;
+        let ring = Divisor::new(RING_FACTOR * config.l3_slice_lines);
+        let shared_hot = sized(
+            profile.sharing
+                * if profile.l2_high() {
+                    config.l2_slice_lines as f64 / profile.l2_acf
+                } else {
+                    profile.l2_acf * config.l2_slice_lines as f64
+                },
+        );
+        let shared_warm = sized(
+            profile.sharing
+                * if profile.l3_high() {
+                    config.l3_slice_lines as f64 / profile.l3_acf
+                } else {
+                    profile.l3_acf * config.l3_slice_lines as f64
+                },
+        );
         let app = (config.app_id as u64 + 1) << 40;
         let mut s = Self {
             profile,
@@ -196,26 +254,15 @@ impl SyntheticStream {
             fs3,
             ft2: 1.0,
             ft3: 1.0,
-            hot_size: 1,
-            warm_size: 2,
+            // Placeholders until `redraw_regions` below.
+            hot_size: Divisor::new(1),
+            hot_core: Divisor::new(1),
+            warm_size: Divisor::new(1),
             hot_off: 0,
             warm_off: 0,
-            shared_hot: sized(
-                profile.sharing
-                    * if profile.l2_high() {
-                        config.l2_slice_lines as f64 / profile.l2_acf
-                    } else {
-                        profile.l2_acf * config.l2_slice_lines as f64
-                    },
-            ),
-            shared_warm: sized(
-                profile.sharing
-                    * if profile.l3_high() {
-                        config.l3_slice_lines as f64 / profile.l3_acf
-                    } else {
-                        profile.l3_acf * config.l3_slice_lines as f64
-                    },
-            ),
+            shared_hot: Divisor::new(shared_hot),
+            shared_core: Divisor::new((shared_hot / 8).max(1)),
+            shared_warm: Divisor::new(shared_warm),
             sharing_p8: (profile.sharing * 256.0) as u64,
             stream_ptr: 0,
             warm_ptr: 0,
@@ -236,13 +283,13 @@ impl SyntheticStream {
     /// Current hot (L2-level) footprint in lines, including the shared
     /// portion. Exposed for calibration tests.
     pub fn hot_footprint(&self) -> u64 {
-        self.hot_size + self.shared_hot
+        self.hot_size.d + self.shared_hot.d
     }
 
     /// Current warm (L3-level) footprint in lines, including the shared
     /// portion.
     pub fn warm_footprint(&self) -> u64 {
-        self.warm_size + self.shared_warm
+        self.warm_size.d + self.shared_warm.d
     }
 
     fn redraw_regions(&mut self) {
@@ -283,12 +330,14 @@ impl SyntheticStream {
         );
         let private2 = (1.0 - p.sharing) * d2 * self.fs2 * ft2;
         let private3 = (1.0 - p.sharing) * d3 * self.fs3 * ft3;
-        self.hot_size = sized(private2);
-        self.warm_size = sized(private3).max(self.hot_size + self.hot_size / 4);
+        let hot = sized(private2);
+        let warm = sized(private3).max(hot + hot / 4);
+        self.hot_size = Divisor::new(hot);
+        self.hot_core = Divisor::new((hot / 8).max(1));
+        self.warm_size = Divisor::new(warm);
         // Windows drift so prior-epoch data goes stale.
-        self.hot_off = (self.hot_off + (HOT_TURNOVER * self.hot_size as f64) as u64) % self.ring;
-        self.warm_off =
-            (self.warm_off + (WARM_TURNOVER * self.warm_size as f64) as u64) % self.ring;
+        self.hot_off = (self.hot_off + (HOT_TURNOVER * hot as f64) as u64) % self.ring.d;
+        self.warm_off = (self.warm_off + (WARM_TURNOVER * warm as f64) as u64) % self.ring.d;
     }
 }
 
@@ -316,24 +365,22 @@ impl AccessStream for SyntheticStream {
         let to_shared = ((v >> 18) & 0xFF) < self.sharing_p8;
         let off = v >> 32;
         let line = if sel < self.p16_hot {
-            let span = if sel < self.p16_hot_core {
-                (self.hot_size / 8).max(1) // skewed locality: the hot core
-            } else {
-                self.hot_size
-            };
-            if to_shared && self.shared_hot > 0 {
-                let sspan = if sel < self.p16_hot_core {
-                    (self.shared_hot / 8).max(1)
+            // Skewed locality: part of the hot draws go to the hot core.
+            let core = sel < self.p16_hot_core;
+            if to_shared {
+                let span = if core {
+                    self.shared_core
                 } else {
                     self.shared_hot
                 };
-                self.shared_base + off % sspan
+                self.shared_base + span.rem(off)
             } else {
-                self.private_base + (self.warm_off + self.hot_off + off % span) % self.ring
+                let span = if core { self.hot_core } else { self.hot_size };
+                self.private_base + self.ring.rem(self.warm_off + self.hot_off + span.rem(off))
             }
         } else if sel < self.p16_warm_end {
-            if to_shared && self.shared_warm > 0 {
-                self.shared_base + off % self.shared_warm
+            if to_shared {
+                self.shared_base + self.shared_warm.rem(off)
             } else {
                 // The warm (L3-level) region alternates between a cyclic
                 // walk and uniform re-draws. The walk gives the region a
@@ -345,12 +392,12 @@ impl AccessStream for SyntheticStream {
                 // do.
                 let walk = (v >> 26) & 1 == 0;
                 let idx = if walk {
-                    self.warm_ptr = (self.warm_ptr + 1) % self.warm_size;
+                    self.warm_ptr = self.warm_size.rem(self.warm_ptr + 1);
                     self.warm_ptr
                 } else {
-                    off % self.warm_size
+                    self.warm_size.rem(off)
                 };
-                self.private_base + (self.warm_off + idx) % self.ring
+                self.private_base + self.ring.rem(self.warm_off + idx)
             }
         } else {
             self.stream_ptr += 1;
@@ -378,6 +425,27 @@ mod tests {
 
     fn unique_lines(s: &mut SyntheticStream, n: usize) -> BTreeSet<u64> {
         (0..n).map(|_| s.next_access().line).collect()
+    }
+
+    #[test]
+    fn direct_remainder_equals_the_hardware_remainder() {
+        let check = |a: u64, d: u64| assert_eq!(Divisor::new(d).rem(a), a % d, "{a} % {d}");
+        // The edges of the exact range, and operands past it (the
+        // hardware fallback).
+        let big = [1 << 32, (1 << 32) + 1, 1 << 63, u64::MAX];
+        for d in [1, 2, 3, 7, 1 << 31, (1 << 32) - 1].into_iter().chain(big) {
+            for a in [0, 1, d - 1, d, (1 << 32) - 1].into_iter().chain(big) {
+                check(a, d);
+            }
+        }
+        // Random pairs at every operand width.
+        let mut rng = morphcache::Xoshiro256pp::seed_from_u64(0xD1_5011);
+        for _ in 0..200_000 {
+            let d = (rng.next_u64() >> rng.range_u32(0, 64)).max(1);
+            let a = rng.next_u64() >> rng.range_u32(0, 64);
+            check(a, d);
+            check(a >> 32, (d >> 32) | 1);
+        }
     }
 
     #[test]
