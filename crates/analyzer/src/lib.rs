@@ -38,6 +38,6 @@ pub mod protocol;
 pub mod sarif;
 
 pub use lattice::{Lattice, LatticeReport, ReducedLattice, ReducedReport};
-pub use lint::{lint_source, lint_tree, Finding};
+pub use lint::Finding;
 pub use model::{build_workspace, Workspace};
 pub use passes::{AnalysisReport, PassManager, PASS_NAMES};

@@ -1,6 +1,7 @@
 //! The `morph-lint` rule engine: determinism and robustness lints over
 //! the workspace's library source, driven by the token stream of
-//! [`crate::lexer`].
+//! [`crate::lexer`]. [`PassManager`](crate::passes::PassManager) runs
+//! each rule as a pass and owns the exemption and suppression matching.
 //!
 //! # Rules
 //!
@@ -31,7 +32,7 @@
 //! under the pseudo-rule `bad-suppression` so silent typos cannot
 //! disable a rule.
 
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::{Token, TokenKind};
 
 /// Names of the five line-level lint rules, in reporting order.
 pub const RULE_NAMES: [&str; 5] = [
@@ -121,38 +122,6 @@ pub(crate) fn exempt_suffixes(rule: &str) -> &'static [&'static str] {
         ],
         _ => &[],
     }
-}
-
-/// Lints one file's source text. `path` is used for reporting and for the
-/// per-rule file exemptions.
-pub fn lint_source(path: &str, source: &str) -> Vec<Finding> {
-    let tokens = lex(source);
-    let mut findings = Vec::new();
-    let mut suppressions = Vec::new();
-    collect_suppressions(path, &tokens, &mut suppressions, &mut findings);
-    let test_lines = test_region_lines(&tokens);
-    let code: Vec<&Token> = tokens
-        .iter()
-        .filter(|t| {
-            !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment)
-                && !test_lines.contains(&t.line)
-        })
-        .collect();
-    let normalized = path.replace('\\', "/");
-    for raw in scan_rules(path, &code) {
-        if exempt_suffixes(&raw.rule)
-            .iter()
-            .any(|s| normalized.ends_with(s))
-        {
-            continue;
-        }
-        let suppressed = suppressions.iter().any(|s| s.covers(&raw.rule, raw.line));
-        if !suppressed {
-            findings.push(raw);
-        }
-    }
-    findings.sort();
-    findings
 }
 
 /// Extracts suppression directives from comment tokens; malformed
@@ -498,54 +467,48 @@ fn walk(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) -> Result<(), 
     Ok(())
 }
 
-/// Lints every library file under `root`.
-///
-/// # Errors
-///
-/// Returns a description of the first unreadable file or directory.
-pub fn lint_tree(root: &std::path::Path) -> Result<Vec<Finding>, String> {
-    let mut findings = Vec::new();
-    for file in collect_lint_files(root)? {
-        let source = std::fs::read_to_string(&file)
-            .map_err(|e| format!("reading {}: {e}", file.display()))?;
-        let display = file
-            .strip_prefix(root)
-            .unwrap_or(&file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        findings.extend(lint_source(&display, &source));
-    }
-    findings.sort();
-    Ok(findings)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::{parse_file, Workspace};
+    use crate::passes::PassManager;
+
+    /// What `morph-lint lint` reports for one file under the five line
+    /// rules.
+    fn lint(path: &str, source: &str) -> Vec<Finding> {
+        let ws = Workspace {
+            files: vec![parse_file(path, source)],
+        };
+        PassManager::with_passes(&RULE_NAMES)
+            .expect("line rules are passes")
+            .run(&ws, None)
+            .findings
+    }
+
+    /// `(line, rule)` of each finding, in report order.
+    fn lines_and_rules(findings: &[Finding]) -> Vec<(u32, &str)> {
+        findings.iter().map(|f| (f.line, f.rule.as_str())).collect()
+    }
 
     #[test]
     fn hashmap_flagged_btreemap_clean() {
-        let f = lint_source("x.rs", "use std::collections::HashMap;\n");
+        let f = lint("x.rs", "use std::collections::HashMap;\n");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "no-default-hasher-iteration");
         assert_eq!(f[0].line, 1);
-        assert!(lint_source("x.rs", "use std::collections::BTreeMap;\n").is_empty());
+        assert!(lint("x.rs", "use std::collections::BTreeMap;\n").is_empty());
     }
 
     #[test]
     fn test_modules_are_exempt() {
         let src = "fn lib() {}\n#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n    #[test]\n    fn t() { let _: HashMap<u8, u8> = HashMap::new(); x.unwrap(); }\n}\n";
-        assert!(
-            lint_source("x.rs", src).is_empty(),
-            "{:?}",
-            lint_source("x.rs", src)
-        );
+        assert!(lint("x.rs", src).is_empty(), "{:?}", lint("x.rs", src));
     }
 
     #[test]
     fn test_fn_exempt_but_surrounding_code_is_not() {
         let src = "pub fn bad() { y.unwrap(); }\n#[test]\nfn t() { x.unwrap(); }\npub fn bad2() { z.expect(\"boom\"); }\n";
-        let f = lint_source("x.rs", src);
+        let f = lint("x.rs", src);
         assert_eq!(f.len(), 2, "{f:?}");
         assert_eq!(f[0].line, 1);
         assert_eq!(f[1].line, 4);
@@ -554,36 +517,44 @@ mod tests {
     #[test]
     fn unwrap_or_is_not_a_panic() {
         let src = "fn f(x: Option<u8>) -> u8 { x.unwrap_or(0).min(x.unwrap_or_default()) }\n";
-        assert!(lint_source("x.rs", src).is_empty());
+        assert!(lint("x.rs", src).is_empty());
     }
 
     #[test]
     fn suppression_on_same_and_previous_line() {
         let above = "// morph-lint: allow(no-panic-in-lib, reason = \"provably non-empty\")\nfn f() { x.unwrap(); }\n";
-        assert!(lint_source("x.rs", above).is_empty());
+        assert!(lint("x.rs", above).is_empty());
         let inline =
             "fn f() { x.unwrap(); } // morph-lint: allow(no-panic-in-lib, reason = \"ok\")\n";
-        assert!(lint_source("x.rs", inline).is_empty());
-        // A suppression two lines up does not apply.
+        assert!(lint("x.rs", inline).is_empty());
+        // A suppression two lines up does not apply, and is stale.
         let far =
             "// morph-lint: allow(no-panic-in-lib, reason = \"ok\")\n\nfn f() { x.unwrap(); }\n";
-        assert_eq!(lint_source("x.rs", far).len(), 1);
+        let f = lint("x.rs", far);
+        assert_eq!(
+            lines_and_rules(&f),
+            [(1, "stale-allow"), (3, "no-panic-in-lib")]
+        );
     }
 
     #[test]
     fn suppression_for_other_rule_does_not_mask() {
         let src = "// morph-lint: allow(no-wallclock, reason = \"timing module\")\nfn f() { x.unwrap(); }\n";
-        assert_eq!(lint_source("x.rs", src).len(), 1);
+        let f = lint("x.rs", src);
+        assert_eq!(
+            lines_and_rules(&f),
+            [(1, "stale-allow"), (2, "no-panic-in-lib")]
+        );
     }
 
     #[test]
     fn malformed_suppressions_are_findings() {
         let missing_reason = "// morph-lint: allow(no-panic-in-lib)\nfn f() {}\n";
-        let f = lint_source("x.rs", missing_reason);
+        let f = lint("x.rs", missing_reason);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "bad-suppression");
         let unknown_rule = "// morph-lint: allow(no-such-rule, reason = \"x\")\nfn f() {}\n";
-        let f = lint_source("x.rs", unknown_rule);
+        let f = lint("x.rs", unknown_rule);
         assert_eq!(f.len(), 1);
         assert!(f[0].message.contains("no-such-rule"));
     }
@@ -591,10 +562,10 @@ mod tests {
     #[test]
     fn wallclock_exempt_in_timing_module() {
         let src = "use std::time::Instant;\n";
-        assert!(!lint_source("crates/metrics/src/timing.rs", src)
+        assert!(!lint("crates/metrics/src/timing.rs", src)
             .iter()
             .any(|f| f.rule == "no-wallclock"));
-        assert!(lint_source("crates/system/src/epoch.rs", src)
+        assert!(lint("crates/system/src/epoch.rs", src)
             .iter()
             .any(|f| f.rule == "no-wallclock"));
     }
@@ -602,37 +573,33 @@ mod tests {
     #[test]
     fn thread_state_exempt_in_experiment() {
         let src = "use std::sync::atomic::AtomicUsize;\nfn f() { std::thread::scope(|_| {}); }\n";
-        assert!(lint_source("crates/system/src/experiment.rs", src).is_empty());
-        assert!(lint_source("crates/system/src/supervisor.rs", src).is_empty());
-        assert!(!lint_source("crates/system/src/epoch.rs", src).is_empty());
+        assert!(lint("crates/system/src/experiment.rs", src).is_empty());
+        assert!(lint("crates/system/src/supervisor.rs", src).is_empty());
+        assert!(!lint("crates/system/src/epoch.rs", src).is_empty());
     }
 
     #[test]
     fn foreign_rng_flagged_vendored_rng_clean() {
         assert_eq!(
-            lint_source("x.rs", "let r = rand::thread_rng();\n").len(),
+            lint("x.rs", "let r = rand::thread_rng();\n").len(),
             2 // `rand` path and `thread_rng` ident
         );
-        assert!(lint_source(
+        assert!(lint(
             "x.rs",
             "let r = morphcache::Xoshiro256pp::seed_from_u64(7);\n"
         )
         .is_empty());
-        assert!(lint_source("crates/core/src/rng.rs", "fn f() { let _ = OsRng; }\n").is_empty());
+        assert!(lint("crates/core/src/rng.rs", "fn f() { let _ = OsRng; }\n").is_empty());
     }
 
     #[test]
     fn multi_rule_allow_covers_both_findings_on_one_line() {
         // One line trips two rules; one directive names them both.
         let src = "// morph-lint: allow(no-default-hasher-iteration, no-panic-in-lib, reason = \"fixture\")\nfn f() { let m: HashMap<u8, u8> = x.unwrap(); }\n";
-        assert!(
-            lint_source("x.rs", src).is_empty(),
-            "{:?}",
-            lint_source("x.rs", src)
-        );
+        assert!(lint("x.rs", src).is_empty(), "{:?}", lint("x.rs", src));
         // Naming only one of the two leaves the other loud.
         let partial = "// morph-lint: allow(no-panic-in-lib, reason = \"fixture\")\nfn f() { let m: HashMap<u8, u8> = x.unwrap(); }\n";
-        let f = lint_source("x.rs", partial);
+        let f = lint("x.rs", partial);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "no-default-hasher-iteration");
     }
@@ -641,22 +608,22 @@ mod tests {
     fn trailing_commas_are_tolerated() {
         let after_reason =
             "fn f() { x.unwrap(); } // morph-lint: allow(no-panic-in-lib, reason = \"ok\",)\n";
-        assert!(lint_source("x.rs", after_reason).is_empty());
+        assert!(lint("x.rs", after_reason).is_empty());
         let between =
             "// morph-lint: allow(no-panic-in-lib,, reason = \"ok\")\nfn f() { x.unwrap(); }\n";
-        assert!(lint_source("x.rs", between).is_empty());
+        assert!(lint("x.rs", between).is_empty());
     }
 
     #[test]
     fn reason_with_commas_is_one_reason() {
         let src = "fn f() { x.unwrap(); } // morph-lint: allow(no-panic-in-lib, reason = \"a, b, and c\")\n";
-        assert!(lint_source("x.rs", src).is_empty());
+        assert!(lint("x.rs", src).is_empty());
     }
 
     #[test]
     fn multi_rule_with_one_unknown_is_loud_and_registers_nothing() {
         let src = "// morph-lint: allow(no-panic-in-lib, no-such-rule, reason = \"x\")\nfn f() { x.unwrap(); }\n";
-        let f = lint_source("x.rs", src);
+        let f = lint("x.rs", src);
         // The typo is reported AND the would-be-suppressed finding fires.
         assert_eq!(f.len(), 2, "{f:?}");
         assert!(f.iter().any(|f| f.rule == "bad-suppression"));
@@ -668,13 +635,13 @@ mod tests {
         // Directives naming the interprocedural passes parse cleanly (no
         // bad-suppression) even though no line rule consumes them here.
         let src = "// morph-lint: allow(panic-reachability, reason = \"x\")\nfn f() {}\n";
-        assert!(lint_source("x.rs", src).is_empty());
+        assert!(lint("x.rs", src).is_empty());
     }
 
     #[test]
     fn text_after_reason_is_malformed() {
         let src = "// morph-lint: allow(no-panic-in-lib, reason = \"ok\" extra)\nfn f() {}\n";
-        let f = lint_source("x.rs", src);
+        let f = lint("x.rs", src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "bad-suppression");
     }
@@ -682,6 +649,6 @@ mod tests {
     #[test]
     fn comments_and_strings_never_fire() {
         let src = "// a HashMap of threads that panic!\nfn f() -> &'static str { \"Instant Mutex rand\" }\n";
-        assert!(lint_source("x.rs", src).is_empty());
+        assert!(lint("x.rs", src).is_empty());
     }
 }

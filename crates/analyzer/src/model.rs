@@ -105,8 +105,8 @@ pub struct Workspace {
     pub files: Vec<SourceFile>,
 }
 
-/// Builds the model for the workspace rooted at `root`, walking the same
-/// file set as [`crate::lint::lint_tree`].
+/// Builds the model for the workspace rooted at `root`, over the library
+/// files [`crate::lint::collect_lint_files`] lists.
 ///
 /// # Errors
 ///

@@ -5,7 +5,9 @@
 //! never compiled.
 
 use morph_analyzer::json::{findings_from_json, findings_to_json};
-use morph_analyzer::lint::{lint_source, RULE_NAMES};
+use morph_analyzer::lint::RULE_NAMES;
+use morph_analyzer::model::parse_file;
+use morph_analyzer::{Finding, PassManager, Workspace};
 
 fn fixture(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -14,12 +16,24 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
 }
 
+/// What `morph-lint lint` reports for one fixture under the five line
+/// rules.
+fn lint(name: &str) -> Vec<Finding> {
+    let ws = Workspace {
+        files: vec![parse_file(name, &fixture(name))],
+    };
+    PassManager::with_passes(&RULE_NAMES)
+        .expect("line rules are passes")
+        .run(&ws, None)
+        .findings
+}
+
 /// Positive fixtures fire their own rule — and nothing else.
 #[test]
 fn every_rule_fires_on_its_positive_fixture() {
     for rule in RULE_NAMES {
         let file = format!("{}_bad.rs", rule.replace('-', "_"));
-        let findings = lint_source(&file, &fixture(&file));
+        let findings = lint(&file);
         assert!(
             findings.iter().any(|f| f.rule == rule),
             "{file}: expected a {rule} finding, got {findings:?}"
@@ -36,7 +50,7 @@ fn every_rule_fires_on_its_positive_fixture() {
 fn every_rule_is_quiet_on_its_negative_fixture() {
     for rule in RULE_NAMES {
         let file = format!("{}_ok.rs", rule.replace('-', "_"));
-        let findings = lint_source(&file, &fixture(&file));
+        let findings = lint(&file);
         assert!(findings.is_empty(), "{file}: unexpected {findings:?}");
     }
 }
@@ -45,7 +59,7 @@ fn every_rule_is_quiet_on_its_negative_fixture() {
 /// finding entirely.
 #[test]
 fn allow_suppressions_silence_findings() {
-    let findings = lint_source("suppressed_ok.rs", &fixture("suppressed_ok.rs"));
+    let findings = lint("suppressed_ok.rs");
     assert!(findings.is_empty(), "unexpected {findings:?}");
 }
 
@@ -53,7 +67,7 @@ fn allow_suppressions_silence_findings() {
 /// silence the original finding.
 #[test]
 fn malformed_suppressions_are_reported_not_honored() {
-    let findings = lint_source("bad_suppression.rs", &fixture("bad_suppression.rs"));
+    let findings = lint("bad_suppression.rs");
     let rules: Vec<&str> = findings.iter().map(|f| f.rule.as_str()).collect();
     assert!(
         rules.iter().filter(|r| **r == "bad-suppression").count() == 2,
@@ -71,7 +85,7 @@ fn json_output_round_trips() {
     let mut findings = Vec::new();
     for rule in RULE_NAMES {
         let file = format!("{}_bad.rs", rule.replace('-', "_"));
-        findings.extend(lint_source(&file, &fixture(&file)));
+        findings.extend(lint(&file));
     }
     assert!(!findings.is_empty());
     let json = findings_to_json(&findings);

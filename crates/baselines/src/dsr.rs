@@ -89,7 +89,6 @@ impl DsrLevel {
         let set = self.params.set_index(line);
         if let Some(way) = self.slices[core].probe(line) {
             self.slices[core].touch(set, way, self.stamp);
-            self.slices[core].stats.local_hits += 1;
             return (true, false);
         }
         for s in 0..self.slices.len() {
@@ -129,7 +128,6 @@ impl DsrLevel {
         );
         let mut gone = Vec::new();
         if let Some(victim) = displaced {
-            self.slices[core].stats.evictions += 1;
             if self.should_spill(core, set) {
                 if let Some(receiver) = self.pick_receiver(core) {
                     self.spills += 1;

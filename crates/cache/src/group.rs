@@ -7,7 +7,8 @@
 //! private, dual-, quad-, oct- and all-shared — plus the asymmetric
 //! topologies of Fig. 3 are all expressible as groupings.
 
-use crate::{ConfigError, SliceId};
+use crate::SliceId;
+use morphcache::MorphError;
 
 /// A partition of `n` slices into shared groups.
 ///
@@ -45,11 +46,11 @@ impl Grouping {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::InvalidGrouping`] if `group_size` does not
-    /// divide `n` or is zero.
-    pub fn contiguous(n: usize, group_size: usize) -> Result<Self, ConfigError> {
+    /// Returns [`MorphError::Grouping`] if `group_size` does not divide
+    /// `n` or is zero.
+    pub fn contiguous(n: usize, group_size: usize) -> Result<Self, MorphError> {
         if group_size == 0 || !n.is_multiple_of(group_size) {
-            return Err(ConfigError::InvalidGrouping(format!(
+            return Err(MorphError::Grouping(format!(
                 "group size {group_size} does not divide slice count {n}"
             )));
         }
@@ -69,22 +70,24 @@ impl Grouping {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::InvalidGrouping`] if the lists are not a
-    /// partition of `0..n` or any group is empty.
-    pub fn from_groups(n: usize, groups: Vec<Vec<SliceId>>) -> Result<Self, ConfigError> {
+    /// Returns [`MorphError::Grouping`] if the lists are not a partition
+    /// of `0..n` or any group is empty.
+    pub fn from_groups(n: usize, groups: Vec<Vec<SliceId>>) -> Result<Self, MorphError> {
         let mut group_of = vec![usize::MAX; n];
         let mut sorted_groups = Vec::with_capacity(groups.len());
         for (g, mut members) in groups.into_iter().enumerate() {
             if members.is_empty() {
-                return Err(ConfigError::InvalidGrouping("empty group".into()));
+                return Err(MorphError::Grouping("empty group".into()));
             }
             members.sort_unstable();
             for &s in &members {
                 if s >= n {
-                    return Err(ConfigError::SliceOutOfRange(s, n));
+                    return Err(MorphError::Grouping(format!(
+                        "slice {s} out of range for level with {n} slices"
+                    )));
                 }
                 if group_of[s] != usize::MAX {
-                    return Err(ConfigError::InvalidGrouping(format!(
+                    return Err(MorphError::Grouping(format!(
                         "slice {s} appears in more than one group"
                     )));
                 }
@@ -93,9 +96,7 @@ impl Grouping {
             sorted_groups.push(members);
         }
         if let Some(s) = group_of.iter().position(|&g| g == usize::MAX) {
-            return Err(ConfigError::InvalidGrouping(format!(
-                "slice {s} is in no group"
-            )));
+            return Err(MorphError::Grouping(format!("slice {s} is in no group")));
         }
         Ok(Self {
             group_of,

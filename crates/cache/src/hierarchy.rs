@@ -11,14 +11,18 @@
 //! grouping (merging L2 requires the L3 merged; splitting L3 requires the
 //! L2 split). [`Hierarchy::set_l2_grouping`] and
 //! [`Hierarchy::set_l3_grouping`] validate this and evict any lines whose
-//! backing disappears across a reconfiguration.
+//! backing disappears across a reconfiguration; [`Hierarchy::regroup`]
+//! installs a target (L2, L3) pair through them in an inclusion-safe
+//! order, repairing a pair that breaks the rule.
 
 use crate::events::{CacheEventSink, Level};
 use crate::group::Grouping;
 use crate::params::{CacheParams, LatencyParams};
 use crate::slice::{CacheLevel, Entry, Slice};
 use crate::stats::LevelStats;
-use crate::{ConfigError, CoreId, Line, MAX_CORES};
+use crate::{CoreId, Line, MAX_CORES};
+use morphcache::topology::meet;
+use morphcache::MorphError;
 
 /// Anything that can serve memory accesses for a set of cores.
 ///
@@ -98,9 +102,10 @@ impl HierarchyParams {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if the implied geometry is invalid
-    /// (e.g. a capacity that does not divide into power-of-two sets).
-    pub fn with_l2_capacity(mut self, bytes: usize) -> Result<Self, ConfigError> {
+    /// Returns [`MorphError::InvalidConfig`] if the implied geometry is
+    /// invalid (e.g. a capacity that does not divide into power-of-two
+    /// sets).
+    pub fn with_l2_capacity(mut self, bytes: usize) -> Result<Self, MorphError> {
         self.l2_slice =
             CacheParams::from_capacity(bytes, self.l2_slice.ways(), self.l2_slice.block_bytes())?;
         Ok(self)
@@ -110,8 +115,9 @@ impl HierarchyParams {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if the implied geometry is invalid.
-    pub fn with_l3_capacity(mut self, bytes: usize) -> Result<Self, ConfigError> {
+    /// Returns [`MorphError::InvalidConfig`] if the implied geometry is
+    /// invalid.
+    pub fn with_l3_capacity(mut self, bytes: usize) -> Result<Self, MorphError> {
         self.l3_slice =
             CacheParams::from_capacity(bytes, self.l3_slice.ways(), self.l3_slice.block_bytes())?;
         Ok(self)
@@ -122,9 +128,10 @@ impl HierarchyParams {
     ///
     /// # Errors
     ///
-    /// Returns a [`ConfigError`] if the implied geometry is invalid
-    /// (doubling the ways halves the set count, which can reach zero).
-    pub fn with_doubled_associativity(mut self) -> Result<Self, ConfigError> {
+    /// Returns [`MorphError::InvalidConfig`] if the implied geometry is
+    /// invalid (doubling the ways halves the set count, which can reach
+    /// zero).
+    pub fn with_doubled_associativity(mut self) -> Result<Self, MorphError> {
         self.l2_slice = CacheParams::from_capacity(
             self.l2_slice.capacity_bytes(),
             self.l2_slice.ways() * 2,
@@ -215,11 +222,11 @@ impl Hierarchy {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::InclusionViolation`] if the new L2 grouping
-    /// does not refine the current L3 grouping.
-    pub fn set_l2_grouping(&mut self, g: Grouping) -> Result<(), ConfigError> {
+    /// Returns [`MorphError::Grouping`] if the new L2 grouping does not
+    /// refine the current L3 grouping, or covers another slice count.
+    pub fn set_l2_grouping(&mut self, g: Grouping) -> Result<(), MorphError> {
         if !g.refines(self.l3.grouping()) {
-            return Err(ConfigError::InclusionViolation(format!(
+            return Err(MorphError::Grouping(format!(
                 "L2 grouping {} does not refine L3 grouping {}",
                 g,
                 self.l3.grouping()
@@ -253,6 +260,9 @@ impl Hierarchy {
     /// "decide to split the L3 cache only if the corresponding L2 caches
     /// can be split"). L2 and L1 lines whose L3 backing becomes
     /// unreachable (possible when an L3 group splits) are back-invalidated.
+    /// A line that leaves an L2 slice costs one memory writeback if the L2
+    /// entry or any L1 copy it takes along was dirty, the rule an L3
+    /// eviction follows.
     ///
     /// Only the L2 slices whose L3 group lost a member are swept, in slice
     /// order, and the L2 residency index is rebuilt only if a sweep
@@ -263,11 +273,11 @@ impl Hierarchy {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::InclusionViolation`] if the current L2
-    /// grouping does not refine `g`.
-    pub fn set_l3_grouping(&mut self, g: Grouping) -> Result<(), ConfigError> {
+    /// Returns [`MorphError::Grouping`] if the current L2 grouping does
+    /// not refine `g`, or `g` covers another slice count.
+    pub fn set_l3_grouping(&mut self, g: Grouping) -> Result<(), MorphError> {
         if !self.l2.grouping().refines(&g) {
-            return Err(ConfigError::InclusionViolation(format!(
+            return Err(MorphError::Grouping(format!(
                 "L2 grouping {} does not refine new L3 grouping {}",
                 self.l2.grouping(),
                 g
@@ -291,17 +301,17 @@ impl Hierarchy {
             removed_any |= !lost.is_empty();
             for e in lost {
                 self.l2.slice_stats_mut(s).back_invalidations += 1;
-                if e.dirty {
-                    self.memory_writebacks += 1;
-                }
                 // Remove the line from the L1s of every core that could
-                // reach this L2 slice.
-                let cores = self.l2.grouping().group_members(s).to_vec();
-                for c in cores {
-                    if self.l1[c].invalidate(e.line).is_some() {
+                // reach this L2 slice; a dirty copy there is written back
+                // with it.
+                let mut dirty = e.dirty;
+                for &c in self.l2.grouping().group_members(s) {
+                    if let Some(copy) = self.l1[c].invalidate(e.line) {
                         self.l1[c].stats.back_invalidations += 1;
+                        dirty |= copy.dirty;
                     }
                 }
+                self.memory_writebacks += u64::from(dirty);
             }
         }
         // The sweep above removed L2 entries through
@@ -311,6 +321,45 @@ impl Hierarchy {
             self.l2.rebuild_index();
         }
         Ok(())
+    }
+
+    /// Installs the slice groupings `l2` and `l3` and returns the L2
+    /// grouping it installed.
+    ///
+    /// Both must partition the slices; a non-partition at either level is
+    /// rejected before anything changes. If `l2` does not refine `l3` (no
+    /// engine move produces such a pair, a forced L3 split does), the meet
+    /// of the two is installed at L2 instead: it refines both, so
+    /// inclusion holds and every boundary either level asked for is kept.
+    ///
+    /// The pair goes in an inclusion-safe order: first the meet of the L2
+    /// target with the current L3 grouping (always a legal L2), then the
+    /// L3 target, then the L2 target.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MorphError::Grouping`] if `l2` or `l3` is not a partition
+    /// of the slices; the hierarchy is then unchanged.
+    pub fn regroup(
+        &mut self,
+        l2: &[Vec<usize>],
+        l3: &[Vec<usize>],
+    ) -> Result<Vec<Vec<usize>>, MorphError> {
+        let n = self.params.n_cores;
+        let mut l2_target = Grouping::from_groups(n, l2.to_vec())?;
+        let l3_target = Grouping::from_groups(n, l3.to_vec())?;
+        let l2 = if l2_target.refines(&l3_target) {
+            l2.to_vec()
+        } else {
+            let repaired = meet(l2, l3);
+            l2_target = Grouping::from_groups(n, repaired.clone())?;
+            repaired
+        };
+        let current_l3: Vec<Vec<usize>> = self.l3.grouping().iter().map(<[_]>::to_vec).collect();
+        self.set_l2_grouping(Grouping::from_groups(n, meet(&l2, &current_l3))?)?;
+        self.set_l3_grouping(l3_target)?;
+        self.set_l2_grouping(l2_target)?;
+        Ok(l2)
     }
 
     /// Performs one access, returning the latency in core cycles and
@@ -343,7 +392,6 @@ impl Hierarchy {
             if is_write {
                 self.l1[core].set_dirty(set, way);
             }
-            self.l1[core].stats.local_hits += 1;
             self.l1_stats.record(core, false);
             return cycles;
         }
@@ -454,7 +502,6 @@ impl Hierarchy {
             },
         );
         if let Some(e) = displaced {
-            self.l1[core].stats.evictions += 1;
             if e.dirty {
                 // Write-back into the L2 copy (present by inclusion).
                 self.l2.mark_dirty(core, e.line);
@@ -776,9 +823,9 @@ mod tests {
 
         /// What `set_l3_grouping(l3)` under L2 grouping `l2` must leave:
         /// each L2 slice keeps exactly the lines some L3 slice of its new
-        /// group holds; each line it drops is a back-invalidation (and a
-        /// memory writeback if dirty) and leaves the L1 of every core of
-        /// the slice's L2 group.
+        /// group holds; each line it drops is a back-invalidation, leaves
+        /// the L1 of every core of the slice's L2 group, and is a memory
+        /// writeback if the L2 entry or any of those L1 copies was dirty.
         fn after_l3_regroup(&self, l2: &Grouping, l3: &Grouping) -> Self {
             let (mut after, l3_lines) = (self.clone(), Self::lines(&self.l3));
             for s in 0..self.l2.len() {
@@ -789,13 +836,14 @@ mod tests {
                 after.l2[s] = kept;
                 for e in lost {
                     after.l2_stats[s].back_invalidations += 1;
-                    after.memory_writebacks += u64::from(e.dirty);
+                    let mut dirty = e.dirty;
                     for &c in l2.group_members(s) {
                         if let Some(i) = after.l1[c].iter().position(|x| x.line == e.line) {
-                            after.l1[c].remove(i);
+                            dirty |= after.l1[c].remove(i).dirty;
                             after.l1_stats[c].back_invalidations += 1;
                         }
                     }
+                    after.memory_writebacks += u64::from(dirty);
                 }
             }
             after
@@ -819,8 +867,8 @@ mod tests {
     }
 
     /// Drives random traffic between random (L2, L3) buddy grouping
-    /// pairs, installed in the inclusion-safe order of the system's
-    /// `apply_groups`, and checks each regrouping call against a
+    /// pairs, installed in the inclusion-safe order of
+    /// [`Hierarchy::regroup`], and checks each regrouping call against a
     /// brute-force reference computed from the entries before it.
     #[test]
     fn regrouping_removes_exactly_the_lines_that_lost_their_backing() {
@@ -877,6 +925,101 @@ mod tests {
             merge_only > 80 && removed > 40,
             "{merge_only} merge-only, {removed} removing"
         );
+    }
+
+    /// An L3 split that removes a clean L2 line takes a dirty L1 copy
+    /// along: one memory writeback, as an L3 eviction would count.
+    #[test]
+    fn l3_split_writes_back_a_dirty_l1_copy() {
+        let mut h = h4();
+        let pair = Grouping::from_groups(4, vec![vec![0, 1], vec![2], vec![3]]).unwrap();
+        h.set_l3_grouping(pair).unwrap();
+        h.access(0, 0x1000, false, &mut NoopSink);
+        h.access(1, 0x1000, false, &mut NoopSink);
+        h.access(1, 0x1000, true, &mut NoopSink);
+        h.set_l3_grouping(Grouping::private(4)).unwrap();
+        assert!(h.l1(1).probe(0x1000).is_none());
+        assert_eq!(h.memory_writebacks, 1);
+        h.check_inclusion().unwrap();
+    }
+
+    #[test]
+    fn regroup_handles_arbitrary_transitions() {
+        use morphcache::SymmetricTopology;
+        let mut h = Hierarchy::new(HierarchyParams::scaled_down(8));
+        let traffic = |h: &mut Hierarchy| {
+            for i in 0..4000u64 {
+                h.access((i % 8) as usize, i * 7919 % 3000, i % 3 == 0, &mut NoopSink);
+            }
+        };
+        for (x, y, z, l2, l3) in [
+            (2, 2, 2, "[0-1][2-3][4-5][6-7]", "[0-3][4-7]"),
+            // Straight to a conflicting shape.
+            (4, 1, 2, "[0-3][4-7]", "[0-3][4-7]"),
+            (
+                1,
+                1,
+                8,
+                "[0][1][2][3][4][5][6][7]",
+                "[0][1][2][3][4][5][6][7]",
+            ),
+            (8, 1, 1, "[0-7]", "[0-7]"),
+            (1, 8, 1, "[0][1][2][3][4][5][6][7]", "[0-7]"),
+        ] {
+            traffic(&mut h);
+            let t = SymmetricTopology::new(x, y, z, 8).unwrap();
+            let installed = h.regroup(&t.l2_groups(), &t.l3_groups()).unwrap();
+            assert_eq!(installed, t.l2_groups());
+            assert_eq!(h.l2().grouping().describe(), l2, "{t}");
+            assert_eq!(h.l3().grouping().describe(), l3, "{t}");
+            h.check_inclusion().unwrap();
+        }
+    }
+
+    #[test]
+    fn regroup_rejects_a_non_partition_and_changes_nothing() {
+        let mut h = h4();
+        let pair = vec![vec![0, 1], vec![2, 3]];
+        h.regroup(&pair, &pair).unwrap();
+        for i in 0..2000u64 {
+            h.access((i % 4) as usize, i * 31 % 700, i % 5 == 0, &mut NoopSink);
+        }
+        let before = Snapshot::of(&h);
+        let private = vec![vec![0], vec![1], vec![2], vec![3]];
+        for (l2, l3) in [
+            // Slice 3 missing from L2.
+            (vec![vec![0, 1], vec![2]], vec![vec![0, 1, 2, 3]]),
+            // Slice 1 in two L3 groups.
+            (private.clone(), vec![vec![0, 1], vec![1, 2, 3]]),
+            // An empty L2 group, and a slice out of range at L3.
+            (vec![vec![0, 1, 2, 3], vec![]], vec![vec![0, 1, 2, 3]]),
+            (private.clone(), vec![vec![0, 1, 2, 3, 4]]),
+        ] {
+            let err = h.regroup(&l2, &l3);
+            assert!(matches!(err, Err(MorphError::Grouping(_))), "{l2:?} {l3:?}");
+            assert_eq!(Snapshot::of(&h), before, "{l2:?} {l3:?}");
+            assert_eq!(h.l2().grouping().describe(), "[0-1][2-3]");
+            assert_eq!(h.l3().grouping().describe(), "[0-1][2-3]");
+        }
+    }
+
+    #[test]
+    fn regroup_repairs_refinement_with_the_meet() {
+        let mut h = h4();
+        let all = vec![vec![0, 1, 2, 3]];
+        h.regroup(&all, &all).unwrap();
+        for i in 0..2000u64 {
+            h.access((i % 4) as usize, i * 31 % 700, i % 5 == 0, &mut NoopSink);
+        }
+        // L2 group [0,1] spans the L3 groups [0] and [1]: the meet splits
+        // it, and every boundary either level asked for is kept.
+        let l2 = vec![vec![0, 1], vec![2, 3]];
+        let l3 = vec![vec![0], vec![1], vec![2, 3]];
+        let installed = h.regroup(&l2, &l3).unwrap();
+        assert_eq!(installed, vec![vec![0], vec![1], vec![2, 3]]);
+        assert_eq!(h.l2().grouping().describe(), "[0][1][2-3]");
+        assert_eq!(h.l3().grouping().describe(), "[0][1][2-3]");
+        h.check_inclusion().unwrap();
     }
 
     #[test]

@@ -39,7 +39,6 @@ pub mod events;
 pub mod group;
 pub mod hierarchy;
 pub mod index;
-pub mod mshr;
 pub mod params;
 pub mod slice;
 pub mod stats;
@@ -48,7 +47,6 @@ pub use events::{CacheEventSink, Level, NoopSink};
 pub use group::Grouping;
 pub use hierarchy::{Hierarchy, HierarchyParams, MemorySubsystem};
 pub use index::{CopySet, LineIndex};
-pub use mshr::MshrFile;
 pub use params::{CacheParams, LatencyParams};
 pub use slice::{CacheLevel, Slice};
 pub use stats::{LevelStats, SliceStats};
@@ -92,33 +90,3 @@ pub const MAX_CORES: usize = 1 << 16;
 /// many of them, at least 32,766 stamps pass between two renumberings of
 /// one set. Allows 2048 cores at 16 ways per slice.
 pub const MAX_SET_WAYS: usize = 1 << 15;
-
-/// Errors produced when configuring cache structures.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConfigError {
-    /// A parameter that must be a nonzero power of two was not.
-    NotPowerOfTwo(&'static str, usize),
-    /// A grouping did not form a partition of the slice set.
-    InvalidGrouping(String),
-    /// A grouping referenced a slice outside the level.
-    SliceOutOfRange(SliceId, usize),
-    /// Hierarchy-level inconsistency (e.g. L2 grouping does not refine L3).
-    InclusionViolation(String),
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::NotPowerOfTwo(what, v) => {
-                write!(f, "{what} must be a nonzero power of two, got {v}")
-            }
-            ConfigError::InvalidGrouping(why) => write!(f, "invalid grouping: {why}"),
-            ConfigError::SliceOutOfRange(s, n) => {
-                write!(f, "slice {s} out of range for level with {n} slices")
-            }
-            ConfigError::InclusionViolation(why) => write!(f, "inclusion violation: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}

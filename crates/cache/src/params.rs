@@ -4,7 +4,7 @@
 //! sixteen 256 KB 8-way L2 slices (10 cycles local / 25 merged), sixteen
 //! 1 MB 16-way L3 slices (30 cycles local / 45 merged), 300-cycle memory.
 
-use crate::ConfigError;
+use morphcache::MorphError;
 
 /// Geometry of one cache (or cache slice): `sets × ways × block_bytes`.
 ///
@@ -24,19 +24,12 @@ impl CacheParams {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::NotPowerOfTwo`] if any argument is zero or not
-    /// a power of two.
-    pub fn new(sets: usize, ways: usize, block_bytes: usize) -> Result<Self, ConfigError> {
-        for (name, v) in [("sets", sets), ("ways", ways), ("block_bytes", block_bytes)] {
-            if v == 0 || !v.is_power_of_two() {
-                return Err(ConfigError::NotPowerOfTwo(
-                    match name {
-                        "sets" => "sets",
-                        "ways" => "ways",
-                        _ => "block_bytes",
-                    },
-                    v,
-                ));
+    /// Returns [`MorphError::InvalidConfig`] naming the first argument
+    /// that is zero or not a power of two.
+    pub fn new(sets: usize, ways: usize, block_bytes: usize) -> Result<Self, MorphError> {
+        for (field, v) in [("sets", sets), ("ways", ways), ("block_bytes", block_bytes)] {
+            if !v.is_power_of_two() {
+                return Err(not_power_of_two(field, v));
             }
         }
         Ok(Self {
@@ -50,15 +43,16 @@ impl CacheParams {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::NotPowerOfTwo`] if the implied set count, the
-    /// associativity or the block size is not a nonzero power of two.
+    /// Returns [`MorphError::InvalidConfig`] if the implied set count, the
+    /// associativity or the block size is not a nonzero power of two (a
+    /// zero associativity or block size names `ways`).
     pub fn from_capacity(
         capacity_bytes: usize,
         ways: usize,
         block_bytes: usize,
-    ) -> Result<Self, ConfigError> {
+    ) -> Result<Self, MorphError> {
         if ways == 0 || block_bytes == 0 {
-            return Err(ConfigError::NotPowerOfTwo("ways", ways.max(block_bytes)));
+            return Err(not_power_of_two("ways", ways.max(block_bytes)));
         }
         let sets = capacity_bytes / (ways * block_bytes);
         Self::new(sets, ways, block_bytes)
@@ -107,6 +101,16 @@ impl CacheParams {
     /// Tag for a line address (the bits above the set index).
     pub fn tag(&self, line: u64) -> u64 {
         line >> self.sets.trailing_zeros()
+    }
+}
+
+/// The error for a geometry `field` whose `value` is not a nonzero power
+/// of two.
+fn not_power_of_two(field: &'static str, value: usize) -> MorphError {
+    MorphError::InvalidConfig {
+        field,
+        value: value as u64,
+        constraint: "must be a nonzero power of two",
     }
 }
 
@@ -190,9 +194,15 @@ mod tests {
 
     #[test]
     fn rejects_non_power_of_two() {
-        assert!(CacheParams::new(3, 4, 64).is_err());
-        assert!(CacheParams::new(4, 0, 64).is_err());
-        assert!(CacheParams::new(4, 4, 48).is_err());
+        let field = |r: Result<CacheParams, MorphError>| match r {
+            Err(MorphError::InvalidConfig { field, .. }) => field,
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        };
+        assert_eq!(field(CacheParams::new(3, 4, 64)), "sets");
+        assert_eq!(field(CacheParams::new(4, 0, 64)), "ways");
+        assert_eq!(field(CacheParams::new(4, 4, 48)), "block_bytes");
+        assert_eq!(field(CacheParams::from_capacity(4096, 0, 64)), "ways");
+        assert_eq!(field(CacheParams::from_capacity(3 * 4096, 4, 64)), "sets");
     }
 
     #[test]

@@ -23,7 +23,8 @@ use crate::index::{CopySet, LineIndex};
 use crate::params::CacheParams;
 use crate::prefetch;
 use crate::stats::{LevelStats, SliceStats};
-use crate::{ConfigError, CoreId, Line, SliceId, MAX_CORES, MAX_SET_WAYS};
+use crate::{CoreId, Line, SliceId, MAX_CORES, MAX_SET_WAYS};
+use morphcache::MorphError;
 
 /// One resident cache line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -397,7 +398,6 @@ impl Slice {
     /// first invalid way of the set is taken if there is one, else the
     /// least recently used way is replaced.
     pub fn fill(&mut self, set: usize, entry: Entry) -> Option<Entry> {
-        self.stats.insertions += 1;
         let (way, _) = self.store.victim(set);
         self.store
             .install(set, way, entry.line, entry.owner, entry.stamp, entry.dirty)
@@ -585,11 +585,11 @@ impl CacheLevel {
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError::InvalidGrouping`] if the grouping covers a
+    /// Returns [`MorphError::Grouping`] if the grouping covers a
     /// different number of slices.
-    pub fn set_grouping(&mut self, g: Grouping) -> Result<(), ConfigError> {
+    pub fn set_grouping(&mut self, g: Grouping) -> Result<(), MorphError> {
         if g.n_slices() != self.n_slices {
-            return Err(ConfigError::InvalidGrouping(format!(
+            return Err(MorphError::Grouping(format!(
                 "grouping covers {} slices, level has {}",
                 g.n_slices(),
                 self.n_slices
@@ -678,9 +678,7 @@ impl CacheLevel {
                     let stamp = self.next_stamp(set);
                     self.store.touch(row, way, stamp);
                     let local = s == core;
-                    if local {
-                        self.slice_stats[s].local_hits += 1;
-                    } else {
+                    if !local {
                         self.slice_stats[s].remote_hits += 1;
                     }
                     self.stats.record(core, false);
@@ -756,9 +754,7 @@ impl CacheLevel {
                 let stamp = self.next_stamp(set);
                 self.store.touch(self.row(set, s), way, stamp);
                 let local = s == core;
-                if local {
-                    self.slice_stats[s].local_hits += 1;
-                } else {
+                if !local {
                     self.slice_stats[s].remote_hits += 1;
                 }
                 self.stats.record(core, false);
@@ -834,7 +830,6 @@ impl CacheLevel {
             }
         }
         let stamp = self.next_stamp(set);
-        self.slice_stats[s].insertions += 1;
         let displaced = self
             .store
             .install(self.row(set, s), w, line, core, stamp, dirty);
@@ -846,7 +841,6 @@ impl CacheLevel {
         }
         sink.inserted(self.level, s, core, line);
         if let Some(e) = displaced {
-            self.slice_stats[s].evictions += 1;
             sink.evicted(self.level, s, e.owner, e.line);
             Some(Displaced { slice: s, entry: e })
         } else {

@@ -5,26 +5,15 @@ use crate::CoreId;
 /// Counters for one physical cache slice.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SliceStats {
-    /// Hits served by this slice for the core whose home slice it is.
-    pub local_hits: u64,
     /// Hits served by this slice for other cores of its merged group.
     pub remote_hits: u64,
-    /// Lines evicted from this slice by capacity replacement.
-    pub evictions: u64,
     /// Lines removed by inclusion back-invalidation.
     pub back_invalidations: u64,
     /// Duplicate copies removed by lazy invalidation after a merge (§2.2).
     pub lazy_invalidations: u64,
-    /// Lines inserted into this slice.
-    pub insertions: u64,
 }
 
 impl SliceStats {
-    /// Total hits (local + remote).
-    pub fn hits(&self) -> u64 {
-        self.local_hits + self.remote_hits
-    }
-
     /// Resets all counters to zero.
     pub fn reset(&mut self) {
         *self = SliceStats::default();
@@ -68,15 +57,6 @@ impl LevelStats {
         }
     }
 
-    /// Miss rate over all cores; zero when no accesses were made.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-
     /// Resets all counters, preserving the core count.
     pub fn reset(&mut self) {
         let n = self.accesses_by_core.len();
@@ -91,9 +71,8 @@ mod tests {
     #[test]
     fn slice_stats_accumulate_and_reset() {
         let mut s = SliceStats::default();
-        s.local_hits += 2;
         s.remote_hits += 1;
-        assert_eq!(s.hits(), 3);
+        s.back_invalidations += 2;
         s.reset();
         assert_eq!(s, SliceStats::default());
     }
@@ -107,14 +86,8 @@ mod tests {
         assert_eq!(s.accesses, 3);
         assert_eq!(s.misses, 2);
         assert_eq!(s.misses_by_core, vec![1, 1]);
-        assert!((s.miss_rate() - 2.0 / 3.0).abs() < 1e-12);
         s.reset();
         assert_eq!(s.accesses, 0);
         assert_eq!(s.accesses_by_core.len(), 2);
-    }
-
-    #[test]
-    fn empty_stats_have_zero_miss_rate() {
-        assert_eq!(LevelStats::new(4).miss_rate(), 0.0);
     }
 }

@@ -364,11 +364,6 @@ impl MorphEngine {
         &self.log
     }
 
-    /// Records a line installed into `slice` on behalf of `owner`.
-    pub fn on_inserted(&mut self, level: CacheLevelId, slice: usize, owner: usize, line: u64) {
-        self.level_mut(level).record_insert(slice, owner, line);
-    }
-
     /// Records an eviction of `owner`'s line from `slice`.
     pub fn on_evicted(&mut self, level: CacheLevelId, slice: usize, owner: usize, line: u64) {
         self.level_mut(level).record_evict(slice, owner, line);
@@ -447,16 +442,12 @@ impl MorphEngine {
     /// epoch. Returns the (possibly unchanged) groupings and the events
     /// performed.
     ///
-    /// # Errors
-    ///
-    /// Returns [`MorphError::Grouping`] if the round would leave either
-    /// level in a non-partition state — this is a simulator bug caught
-    /// before it can corrupt the hierarchy, not an expected condition. A
-    /// refinement (inclusion) violation between the levels is *repaired*
-    /// instead (L2 is re-derived as the meet of the two groupings), since
-    /// the meet always restores inclusion without losing either level's
-    /// capacity decisions.
-    pub fn reconfigure(&mut self, epoch: u64) -> Result<ReconfigOutcome, MorphError> {
+    /// Both groupings stay partitions of the slices with L2 refining L3:
+    /// every move merges two groups or splits one in halves, an L2 merge
+    /// first merges the L3 groups it spans, and an L3 split (or the
+    /// revert of an L3 merge) waits while an L2 group straddles the
+    /// halves.
+    pub fn reconfigure(&mut self, epoch: u64) -> ReconfigOutcome {
         let mut events = Vec::new();
         self.blacklist.retain(|(_, _, until)| *until > epoch);
         self.check_probation(epoch, &mut events);
@@ -467,33 +458,22 @@ impl MorphEngine {
         self.merged_last_round = events.iter().any(|e| e.kind == ReconfigKind::Merge);
         self.l2.reset();
         self.l3.reset();
-        if !is_partition(&self.l2.groups, self.n) {
-            return Err(MorphError::Grouping(format!(
-                "epoch {epoch}: L2 groups do not partition {} slices: {:?}",
-                self.n, self.l2.groups
-            )));
-        }
-        if !is_partition(&self.l3.groups, self.n) {
-            return Err(MorphError::Grouping(format!(
-                "epoch {epoch}: L3 groups do not partition {} slices: {:?}",
-                self.n, self.l3.groups
-            )));
-        }
-        if !topology::refines(&self.l2.groups, &self.l3.groups) {
-            // Repair: the meet refines both operands, so installing it at
-            // L2 restores inclusion while keeping every boundary both
-            // levels asked for.
-            self.l2.groups = topology::meet(&self.l2.groups, &self.l3.groups);
-            sort_groups(&mut self.l2.groups);
-        }
+        debug_assert!(
+            is_partition(&self.l2.groups, self.n)
+                && is_partition(&self.l3.groups, self.n)
+                && topology::refines(&self.l2.groups, &self.l3.groups),
+            "epoch {epoch}: L2 {:?} / L3 {:?}",
+            self.l2.groups,
+            self.l3.groups
+        );
         let asymmetric = !topology::is_symmetric(&self.l2.groups, &self.l3.groups);
         self.log.extend(events.iter().cloned());
-        Ok(ReconfigOutcome {
+        ReconfigOutcome {
             l2_groups: self.l2.groups.clone(),
             l3_groups: self.l3.groups.clone(),
             events,
             asymmetric,
-        })
+        }
     }
 
     /// Evaluates last round's merges against the per-slice miss registers:
@@ -862,14 +842,14 @@ mod tests {
     use super::*;
     use crate::config::MorphConfig;
 
-    /// Feeds `frac` of a slice's ACFV bits as distinct inserted lines at
-    /// both levels.
+    /// Feeds `frac` of a slice's ACFV bits at `level` as distinct
+    /// touched lines.
     fn fill(engine: &mut MorphEngine, level: CacheLevelId, slice: usize, owner: usize, frac: f64) {
         let bits = engine.l2.bits;
         let n = (frac * bits as f64) as u64;
         for i in 0..n {
             // Use spread-out tags so the hash sets ~distinct bits.
-            engine.on_inserted(level, slice, owner, i * 8191 + slice as u64 * 7);
+            engine.on_touched(level, slice, owner, i * 8191 + slice as u64 * 7);
         }
     }
 
@@ -892,7 +872,7 @@ mod tests {
             fill(&mut e, CacheLevelId::L2, s, s, 0.40);
             fill(&mut e, CacheLevelId::L3, s, s, 0.40);
         }
-        let out = e.reconfigure(0).unwrap();
+        let out = e.reconfigure(0);
         assert!(out.events.is_empty());
         assert_eq!(out.l2_groups.len(), 4);
         assert_eq!(out.l3_groups.len(), 4);
@@ -909,7 +889,7 @@ mod tests {
             fill(&mut e, CacheLevelId::L2, s, s, 0.40);
             fill(&mut e, CacheLevelId::L3, s, s, 0.40);
         }
-        let out = e.reconfigure(0).unwrap();
+        let out = e.reconfigure(0);
         assert!(
             out.l3_groups.contains(&vec![0, 1]),
             "L3 {:?}",
@@ -936,7 +916,7 @@ mod tests {
         }
         fill(&mut e, CacheLevelId::L2, 2, 2, 0.40);
         fill(&mut e, CacheLevelId::L2, 3, 3, 0.40);
-        let out = e.reconfigure(0).unwrap();
+        let out = e.reconfigure(0);
         assert!(
             out.l2_groups.contains(&vec![0, 1]),
             "L2 {:?}",
@@ -958,15 +938,15 @@ mod tests {
             // Distinct tag spaces: no overlap, different apps anyway.
             let bits = e.l2.bits;
             for i in 0..((0.9 * bits as f64) as u64) {
-                e.on_inserted(CacheLevelId::L2, s, s, i * 8191 + (s as u64) * 1_000_003);
-                e.on_inserted(CacheLevelId::L3, s, s, i * 8191 + (s as u64) * 1_000_003);
+                e.on_touched(CacheLevelId::L2, s, s, i * 8191 + (s as u64) * 1_000_003);
+                e.on_touched(CacheLevelId::L3, s, s, i * 8191 + (s as u64) * 1_000_003);
             }
         }
         fill(&mut e, CacheLevelId::L2, 2, 2, 0.40);
         fill(&mut e, CacheLevelId::L2, 3, 3, 0.40);
         fill(&mut e, CacheLevelId::L3, 2, 2, 0.40);
         fill(&mut e, CacheLevelId::L3, 3, 3, 0.40);
-        let out = e.reconfigure(0).unwrap();
+        let out = e.reconfigure(0);
         assert!(out.l2_groups.contains(&vec![0]), "{:?}", out.l2_groups);
         assert!(out.l2_groups.contains(&vec![1]));
     }
@@ -979,12 +959,12 @@ mod tests {
         let bits = e.l2.bits;
         for i in 0..((0.9 * bits as f64) as u64) {
             let line = i * 8191;
-            e.on_inserted(CacheLevelId::L2, 0, 0, line);
-            e.on_inserted(CacheLevelId::L2, 1, 1, line);
-            e.on_inserted(CacheLevelId::L3, 0, 0, line);
-            e.on_inserted(CacheLevelId::L3, 1, 1, line);
+            e.on_touched(CacheLevelId::L2, 0, 0, line);
+            e.on_touched(CacheLevelId::L2, 1, 1, line);
+            e.on_touched(CacheLevelId::L3, 0, 0, line);
+            e.on_touched(CacheLevelId::L3, 1, 1, line);
         }
-        let out = e.reconfigure(0).unwrap();
+        let out = e.reconfigure(0);
         assert!(out.l2_groups.contains(&vec![0, 1]), "{:?}", out.l2_groups);
     }
 
@@ -994,14 +974,14 @@ mod tests {
         // Round 1: force a merge via high/low.
         fill(&mut e, CacheLevelId::L2, 0, 0, 0.9);
         fill(&mut e, CacheLevelId::L3, 0, 0, 0.9);
-        let out = e.reconfigure(0).unwrap();
+        let out = e.reconfigure(0);
         assert!(out.l2_groups.contains(&vec![0, 1]), "{:?}", out.l2_groups);
         // Round 2: both halves now idle -> split back (L2 first, then L3).
         fill(&mut e, CacheLevelId::L2, 0, 0, 0.05);
         fill(&mut e, CacheLevelId::L2, 1, 1, 0.05);
         fill(&mut e, CacheLevelId::L3, 0, 0, 0.05);
         fill(&mut e, CacheLevelId::L3, 1, 1, 0.05);
-        let out2 = e.reconfigure(1).unwrap();
+        let out2 = e.reconfigure(1);
         assert!(out2.l2_groups.contains(&vec![0]), "{:?}", out2.l2_groups);
         assert!(out2.l3_groups.contains(&vec![0]), "{:?}", out2.l3_groups);
         assert!(out2.events.iter().any(|ev| ev.kind == ReconfigKind::Split));
@@ -1013,7 +993,7 @@ mod tests {
         // Merge both levels for {0,1} with a strong joint signal.
         fill(&mut e, CacheLevelId::L2, 0, 0, 0.9);
         fill(&mut e, CacheLevelId::L3, 0, 0, 0.9);
-        e.reconfigure(0).unwrap();
+        e.reconfigure(0);
         assert!(e.l2_groups().contains(&vec![0, 1]));
         // Now: L3 halves look idle (want split) but L2 halves look busy
         // enough to stay merged (one high one low keeps the L2 merged —
@@ -1022,7 +1002,7 @@ mod tests {
         fill(&mut e, CacheLevelId::L2, 1, 1, 0.05);
         fill(&mut e, CacheLevelId::L3, 0, 0, 0.05);
         fill(&mut e, CacheLevelId::L3, 1, 1, 0.05);
-        let out = e.reconfigure(1).unwrap();
+        let out = e.reconfigure(1);
         // L2 still merged; therefore L3 must remain merged (inclusion).
         assert!(out.l2_groups.contains(&vec![0, 1]), "{:?}", out.l2_groups);
         assert!(out.l3_groups.contains(&vec![0, 1]), "{:?}", out.l3_groups);
@@ -1037,7 +1017,7 @@ mod tests {
         fill(&mut e, CacheLevelId::L2, 2, 2, 0.9);
         fill(&mut e, CacheLevelId::L3, 0, 0, 0.9);
         fill(&mut e, CacheLevelId::L3, 2, 2, 0.9);
-        let out1 = e.reconfigure(0).unwrap();
+        let out1 = e.reconfigure(0);
         assert!(out1.l2_groups.contains(&vec![0, 1]));
         assert!(out1.l2_groups.contains(&vec![2, 3]));
         // Round 2 (Fig. 6): first pair both-high, second pair both-low.
@@ -1051,7 +1031,7 @@ mod tests {
             fill(&mut e, CacheLevelId::L2, s, s, 0.02);
             fill(&mut e, CacheLevelId::L3, s, s, 0.02);
         }
-        let out2 = e.reconfigure(1).unwrap();
+        let out2 = e.reconfigure(1);
         assert!(
             out2.l2_groups.contains(&vec![0, 1, 2, 3]),
             "{:?}",
@@ -1068,7 +1048,7 @@ mod tests {
             fill(&mut e, CacheLevelId::L2, s, s, 0.40);
             fill(&mut e, CacheLevelId::L3, s, s, 0.40);
         }
-        let out = e.reconfigure(0).unwrap();
+        let out = e.reconfigure(0);
         // {0,1} merged, everything else private: asymmetric.
         assert!(out.asymmetric);
         assert!(out.events.iter().all(|ev| ev.asymmetric_after));
@@ -1088,7 +1068,7 @@ mod tests {
         fill(&mut e, CacheLevelId::L2, 3, 3, 0.40);
         fill(&mut e, CacheLevelId::L3, 0, 0, 0.40);
         fill(&mut e, CacheLevelId::L3, 3, 3, 0.40);
-        let out = e.reconfigure(0).unwrap();
+        let out = e.reconfigure(0);
         assert!(!out
             .l2_groups
             .iter()
@@ -1105,7 +1085,7 @@ mod tests {
         fill(&mut e2, CacheLevelId::L2, 3, 3, 0.40);
         fill(&mut e2, CacheLevelId::L3, 0, 0, 0.40);
         fill(&mut e2, CacheLevelId::L3, 3, 3, 0.40);
-        let out2 = e2.reconfigure(0).unwrap();
+        let out2 = e2.reconfigure(0);
         assert!(
             out2.l3_groups
                 .iter()
@@ -1128,7 +1108,7 @@ mod tests {
         fill(&mut e, CacheLevelId::L2, 2, 2, 0.40);
         fill(&mut e, CacheLevelId::L3, 1, 1, 0.40);
         fill(&mut e, CacheLevelId::L3, 2, 2, 0.40);
-        let out = e.reconfigure(0).unwrap();
+        let out = e.reconfigure(0);
         assert!(
             out.l3_groups
                 .iter()
@@ -1150,7 +1130,7 @@ mod tests {
         fill(&mut e, CacheLevelId::L2, 0, 0, 0.9);
         fill(&mut e, CacheLevelId::L3, 0, 0, 0.9);
         e.note_epoch_misses(&[100, 100, 100, 100]);
-        let out = e.reconfigure(0).unwrap();
+        let out = e.reconfigure(0);
         assert!(out.events.iter().any(|ev| ev.kind == ReconfigKind::Merge));
         // Misses grew sharply for core 1 after the merge: throttle up.
         e.note_epoch_misses(&[100, 400, 100, 100]);
@@ -1166,7 +1146,7 @@ mod tests {
         let mut e = fresh(4);
         fill(&mut e, CacheLevelId::L2, 0, 0, 0.9);
         fill(&mut e, CacheLevelId::L3, 0, 0, 0.9);
-        e.reconfigure(0).unwrap();
+        e.reconfigure(0);
         assert!(!e.event_log().is_empty());
     }
 
@@ -1175,7 +1155,7 @@ mod tests {
         let mut e = fresh(4);
         fill(&mut e, CacheLevelId::L2, 0, 0, 0.9);
         fill(&mut e, CacheLevelId::L3, 0, 0, 0.9);
-        e.reconfigure(0).unwrap();
+        e.reconfigure(0);
         // With no new events, utilization is zero everywhere.
         assert_eq!(e.group_utilization(CacheLevelId::L2, 0), 0.0);
     }
@@ -1193,7 +1173,7 @@ mod tests {
             e.on_touched(CacheLevelId::L3, 0, 0, line);
             e.on_touched(CacheLevelId::L3, 1, 1, line);
         }
-        let out = e.reconfigure(0).unwrap();
+        let out = e.reconfigure(0);
         assert!(out.l2_groups.contains(&vec![0, 1]), "{:?}", out.l2_groups);
     }
 
@@ -1203,16 +1183,16 @@ mod tests {
         e.note_epoch_perf(&[1.0, 1.0, 1.0, 1.0]);
         fill(&mut e, CacheLevelId::L2, 0, 0, 0.9);
         fill(&mut e, CacheLevelId::L3, 0, 0, 0.9);
-        let out = e.reconfigure(0).unwrap();
+        let out = e.reconfigure(0);
         assert!(out.l3_groups.contains(&vec![0, 1]), "{:?}", out.l3_groups);
         // The merged pair's cores got much slower -> the L2 merge reverts
         // first (the L3 revert is inclusion-blocked while L2 straddles),
         // then the L3 merge reverts the round after.
         e.note_epoch_perf(&[0.4, 0.4, 1.0, 1.0]);
-        let out2 = e.reconfigure(1).unwrap();
+        let out2 = e.reconfigure(1);
         assert!(out2.l2_groups.contains(&vec![0]), "{:?}", out2.l2_groups);
         e.note_epoch_perf(&[0.4, 0.4, 1.0, 1.0]);
-        let out3 = e.reconfigure(2).unwrap();
+        let out3 = e.reconfigure(2);
         assert!(out3.l3_groups.contains(&vec![0]), "{:?}", out3.l3_groups);
         assert!(out3.l3_groups.contains(&vec![1]), "{:?}", out3.l3_groups);
         // And the pair is blacklisted: the same footprint signal does not
@@ -1220,7 +1200,7 @@ mod tests {
         fill(&mut e, CacheLevelId::L2, 0, 0, 0.9);
         fill(&mut e, CacheLevelId::L3, 0, 0, 0.9);
         e.note_epoch_perf(&[1.0, 1.0, 1.0, 1.0]);
-        let out4 = e.reconfigure(3).unwrap();
+        let out4 = e.reconfigure(3);
         assert!(
             !out4.l2_groups.iter().any(|g| g.len() > 1),
             "blacklisted pair must not re-merge: {:?}",
@@ -1234,7 +1214,7 @@ mod tests {
         e.note_epoch_perf(&[1.0, 1.0, 1.0, 1.0]);
         fill(&mut e, CacheLevelId::L2, 0, 0, 0.9);
         fill(&mut e, CacheLevelId::L3, 0, 0, 0.9);
-        e.reconfigure(0).unwrap();
+        e.reconfigure(0);
         e.note_epoch_perf(&[1.4, 1.1, 1.0, 1.0]);
         // Keep the group moderately busy so the idle-split rule stays out
         // of the picture.
@@ -1242,7 +1222,7 @@ mod tests {
         fill(&mut e, CacheLevelId::L3, 1, 1, 0.40);
         fill(&mut e, CacheLevelId::L2, 0, 0, 0.45);
         fill(&mut e, CacheLevelId::L2, 1, 1, 0.40);
-        let out = e.reconfigure(1).unwrap();
+        let out = e.reconfigure(1);
         assert!(out.l3_groups.contains(&vec![0, 1]), "{:?}", out.l3_groups);
     }
 
@@ -1257,7 +1237,7 @@ mod tests {
             // Never-touched lines evicted: dead churn only.
             e.on_evicted(CacheLevelId::L3, 1, 1, 1_000_000 + i * 13);
         }
-        let out = e.reconfigure(0).unwrap();
+        let out = e.reconfigure(0);
         assert!(
             !out.l3_groups
                 .iter()
@@ -1286,28 +1266,55 @@ mod tests {
         );
     }
 
+    /// Every move keeps both levels partitions with L2 refining L3, which
+    /// is why `reconfigure` has nothing to repair: random footprints, miss
+    /// counts and IPCs drive merges, splits and probation reverts in every
+    /// grouping mode, with and without QoS, at 4, 8 and 16 slices.
     #[test]
     fn reconfigurations_are_partitions_with_l2_refining_l3() {
         use crate::topology::{is_partition, refines};
-        for seed in 0..32 {
-            let mut rng = crate::Xoshiro256pp::seed_from_u64(seed);
-            let mut e = fresh(4);
-            let fills: Vec<(usize, u64)> = (0..rng.range_usize(0, 40))
-                .map(|_| (rng.range_usize(0, 4), rng.range_u64(0, 120)))
-                .collect();
-            for r in 0..rng.range_u64(1, 4) {
-                for &(slice, n) in &fills {
-                    for i in 0..n {
-                        e.on_touched(CacheLevelId::L2, slice, slice, i * 8191 + r);
-                        e.on_touched(CacheLevelId::L3, slice, slice, i * 6367 + r);
+        let modes = [
+            GroupingMode::BuddyPowerOfTwo,
+            GroupingMode::ArbitraryContiguous,
+            GroupingMode::NonNeighbor,
+        ];
+        // Merges and splits seen, per level.
+        let mut seen = [[0usize; 2]; 2];
+        for n in [4, 8, 16] {
+            for grouping in modes {
+                for qos in [false, true] {
+                    for seed in 0..8 {
+                        let mut rng = crate::Xoshiro256pp::seed_from_u64(seed);
+                        let pairs_share = rng.gen_bool(0.5);
+                        let apps = (0..n).map(|c| if pairs_share { c / 2 } else { c });
+                        let mut e = engine(apps.collect(), MorphConfig { grouping, qos });
+                        for round in 0..6 {
+                            for level in [CacheLevelId::L2, CacheLevelId::L3] {
+                                for s in 0..n {
+                                    let frac = rng.range_u64(0, 11) as f64 / 10.0;
+                                    fill(&mut e, level, s, s, frac);
+                                }
+                            }
+                            let misses: Vec<u64> = (0..n).map(|_| rng.range_u64(0, 1000)).collect();
+                            let ipcs: Vec<f64> =
+                                (0..n).map(|_| rng.range_u64(1, 11) as f64 / 10.0).collect();
+                            e.note_epoch_misses(&misses);
+                            e.note_epoch_perf(&ipcs);
+                            let out = e.reconfigure(round);
+                            let at = format!("{n} slices, {grouping:?}, qos {qos}, seed {seed}");
+                            assert!(is_partition(&out.l2_groups, n), "{at}: {out:?}");
+                            assert!(is_partition(&out.l3_groups, n), "{at}: {out:?}");
+                            assert!(refines(&out.l2_groups, &out.l3_groups), "{at}: {out:?}");
+                            for ev in &out.events {
+                                let level = usize::from(ev.level == CacheLevelId::L3);
+                                seen[level][usize::from(ev.kind == ReconfigKind::Split)] += 1;
+                            }
+                        }
                     }
                 }
-                let out = e.reconfigure(r).unwrap();
-                assert!(is_partition(&out.l2_groups, 4), "seed {seed}");
-                assert!(is_partition(&out.l3_groups, 4), "seed {seed}");
-                assert!(refines(&out.l2_groups, &out.l3_groups), "seed {seed}");
             }
         }
+        assert!(seen.iter().flatten().all(|&k| k > 0), "{seen:?}");
     }
 
     /// A slice only hears from its group's cores, so a 1024-slice engine
@@ -1319,14 +1326,14 @@ mod tests {
         for c in 0..1024 {
             let line = c as u64 * 8191;
             for level in [CacheLevelId::L2, CacheLevelId::L3] {
-                e.on_inserted(level, c, c, line);
+                e.on_touched(level, c, c, line);
                 e.on_touched(level, c, c, line + 1);
                 e.on_evicted(level, c, c, line);
             }
         }
         assert_eq!(e.materialized(CacheLevelId::L2), 1024);
         assert_eq!(e.materialized(CacheLevelId::L3), 1024);
-        e.reconfigure(0).unwrap();
+        e.reconfigure(0);
         assert_eq!(e.materialized(CacheLevelId::L2), 1024);
         assert_eq!(e.materialized(CacheLevelId::L3), 1024);
         assert_eq!(e.group_utilization(CacheLevelId::L2, 5), 0.0);

@@ -42,12 +42,12 @@
 //! // slice, 16384 per L3 slice), one single-threaded app per core.
 //! let mut engine = MorphEngine::new(4, vec![0, 1, 2, 3], 4096, 16384, MorphConfig::paper())
 //!     .expect("valid engine config");
-//! // Feed footprint events: core 0 inserts many lines, core 1 few.
+//! // Feed footprint events: core 0 reuses many lines, core 1 few.
 //! for line in 0..3000u64 {
-//!     engine.on_inserted(CacheLevelId::L2, 0, 0, line);
+//!     engine.on_touched(CacheLevelId::L2, 0, 0, line);
 //! }
-//! engine.on_inserted(CacheLevelId::L2, 1, 1, 1);
-//! let outcome = engine.reconfigure(1).expect("reconfiguration is safe");
+//! engine.on_touched(CacheLevelId::L2, 1, 1, 1);
+//! let outcome = engine.reconfigure(1);
 //! // Groupings remain valid partitions of the four slices.
 //! assert_eq!(outcome.l3_groups.iter().map(|g| g.len()).sum::<usize>(), 4);
 //! ```

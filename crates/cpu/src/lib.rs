@@ -10,8 +10,8 @@
 //!   benchmark profile fixes the instructions-per-memory-access ratio;
 //! * memory accesses, whose latency comes from the attached
 //!   [`MemorySubsystem`]; stall cycles beyond
-//!   the L1 latency are discounted by a memory-level-parallelism factor
-//!   (bounded by the 8-entry L1 MSHR file of the paper's configuration).
+//!   the L1 latency are divided by a constant memory-level-parallelism
+//!   factor (no MSHR file is modeled to bound it).
 //!
 //! The [`QuantumScheduler`] advances all cores round-robin in small cycle
 //! quanta so that concurrent cores interleave their traffic into shared
@@ -51,13 +51,13 @@ pub struct CoreParams {
     /// discounting.
     pub l1_latency: f64,
     /// Memory-level-parallelism factor: miss stall cycles are divided by
-    /// this, modeling overlapped misses (bounded by the 8 L1 MSHRs).
+    /// this constant, modeling overlapped misses.
     pub mlp: f64,
 }
 
 impl CoreParams {
     /// The paper's configuration: 4-way issue, 3-cycle L1, and a modest
-    /// MLP factor consistent with an 8-entry MSHR file.
+    /// MLP factor of 1.3.
     pub fn paper() -> Self {
         Self {
             issue_width: 4.0,

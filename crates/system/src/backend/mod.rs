@@ -29,9 +29,9 @@ use crate::config::SystemConfig;
 use crate::policy::{MemoryBackend, Policy};
 use crate::workload::Workload;
 use morph_baselines::{DsrSystem, PippSystem};
-use morph_cache::{Grouping, Hierarchy, LatencyParams};
+use morph_cache::{Hierarchy, LatencyParams};
 use morph_interconnect::NucaModel;
-use morphcache::topology::{max_covering_span, meet};
+use morphcache::topology::max_covering_span;
 use morphcache::MorphError;
 
 /// Builds the backend a [`Policy`] describes.
@@ -66,28 +66,6 @@ pub fn from_policy(
     })
 }
 
-/// Installs a target (L2, L3) grouping pair on the hierarchy in an
-/// inclusion-safe order: first the meet of the target L2 with the current
-/// L3 (always a legal L2), then the target L3, then the target L2.
-pub fn apply_groups(
-    hier: &mut Hierarchy,
-    l2_groups: &[Vec<usize>],
-    l3_groups: &[Vec<usize>],
-) -> Result<(), String> {
-    let n = hier.params().n_cores;
-    let current_l3: Vec<Vec<usize>> = hier.l3().grouping().iter().map(|g| g.to_vec()).collect();
-    let intermediate = meet(l2_groups, &current_l3);
-    let to_grouping =
-        |gs: &[Vec<usize>]| Grouping::from_groups(n, gs.to_vec()).map_err(|e| e.to_string());
-    hier.set_l2_grouping(to_grouping(&intermediate)?)
-        .map_err(|e| e.to_string())?;
-    hier.set_l3_grouping(to_grouping(l3_groups)?)
-        .map_err(|e| e.to_string())?;
-    hier.set_l2_grouping(to_grouping(l2_groups)?)
-        .map_err(|e| e.to_string())?;
-    Ok(())
-}
-
 /// Sets the hierarchy's merged latencies for the installed groups, per
 /// level: the local latency, plus `base`'s merged overhead scaled by the
 /// §5.5 span factor (relaxed groupings pay for distant members; 1.0 for
@@ -116,23 +94,6 @@ pub(crate) fn apply_merged_latencies(
 mod tests {
     use super::*;
     use morphcache::SymmetricTopology;
-
-    #[test]
-    fn apply_groups_handles_arbitrary_transitions() {
-        let mut h = Hierarchy::new(morph_cache::HierarchyParams::scaled_down(8));
-        let t1 = SymmetricTopology::new(2, 2, 2, 8).unwrap();
-        apply_groups(&mut h, &t1.l2_groups(), &t1.l3_groups()).unwrap();
-        assert_eq!(h.l2().grouping().describe(), "[0-1][2-3][4-5][6-7]");
-        // Jump straight to a conflicting shape.
-        let t2 = SymmetricTopology::new(4, 1, 2, 8).unwrap();
-        apply_groups(&mut h, &t2.l2_groups(), &t2.l3_groups()).unwrap();
-        assert_eq!(h.l2().grouping().describe(), "[0-3][4-7]");
-        // And back to private.
-        let t3 = SymmetricTopology::new(1, 1, 8, 8).unwrap();
-        apply_groups(&mut h, &t3.l2_groups(), &t3.l3_groups()).unwrap();
-        assert_eq!(h.l3().grouping().describe(), "[0][1][2][3][4][5][6][7]");
-        h.check_inclusion().unwrap();
-    }
 
     #[test]
     fn from_policy_covers_every_policy() {

@@ -2,9 +2,9 @@
 //! engine, with ACFV sampling on the access path and merge/split
 //! reconfiguration at every epoch boundary.
 
-use super::{apply_groups, apply_merged_latencies};
+use super::apply_merged_latencies;
 use crate::config::SystemConfig;
-use crate::epoch::{force_l3_merge, force_l3_split, validate_and_repair};
+use crate::epoch::{force_l3_merge, force_l3_split};
 use crate::policy::{BoundaryReport, EpochCtx, MemoryBackend};
 use crate::probes::EngineSink;
 use morph_cache::{CacheEventSink, CoreId, Hierarchy, LatencyParams, Line, MemorySubsystem};
@@ -87,21 +87,16 @@ impl MemoryBackend for MorphBackend {
         ipcs: &[f64],
         misses: &[u64],
     ) -> Result<BoundaryReport, MorphError> {
-        let n = self.hier.params().n_cores;
         self.engine.note_epoch_misses(misses);
         self.engine.note_epoch_perf(ipcs);
-        let mut outcome = self.engine.reconfigure(ctx.epoch)?;
+        let mut outcome = self.engine.reconfigure(ctx.epoch);
         if ctx.faults.force_merge() {
             force_l3_merge(&mut outcome);
         }
         if ctx.faults.force_split() {
             force_l3_split(&mut outcome);
         }
-        let (l2g, l3g) = validate_and_repair(ctx.epoch, n, outcome.l2_groups, outcome.l3_groups)?;
-        outcome.l2_groups = l2g;
-        outcome.l3_groups = l3g;
-        apply_groups(&mut self.hier, &outcome.l2_groups, &outcome.l3_groups)
-            .map_err(MorphError::Grouping)?;
+        outcome.l2_groups = self.hier.regroup(&outcome.l2_groups, &outcome.l3_groups)?;
         apply_merged_latencies(
             &mut self.hier,
             self.base_latency,

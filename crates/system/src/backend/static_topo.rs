@@ -1,7 +1,7 @@
 //! The static-topology backend: an LRU hierarchy pinned to one
 //! `(x:y:z)` grouping for the whole run.
 
-use super::{apply_groups, apply_merged_latencies};
+use super::apply_merged_latencies;
 use crate::config::SystemConfig;
 use crate::policy::{BoundaryReport, EpochCtx, MemoryBackend};
 use morph_cache::{CacheEventSink, CoreId, Hierarchy, Line, MemorySubsystem};
@@ -34,8 +34,8 @@ impl StaticBackend {
         let mut hp = cfg.hierarchy;
         hp.latency = hp.latency.paper_static();
         let mut hier = Hierarchy::new(hp);
-        let (l2g, l3g) = (t.l2_groups(), t.l3_groups());
-        apply_groups(&mut hier, &l2g, &l3g).map_err(MorphError::Grouping)?;
+        let l3g = t.l3_groups();
+        let l2g = hier.regroup(&t.l2_groups(), &l3g)?;
         // Past 16 tiles even a "static latency" topology pays the NUCA
         // hop distance for groups wider than one die; at 16 cores the
         // extras are zero and the §4 flat-latency assumption is exact.

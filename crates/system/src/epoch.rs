@@ -1,9 +1,10 @@
 //! The epoch loop: drives a [`MemoryBackend`](crate::policy::MemoryBackend)
 //! through the per-epoch protocol (begin → run → watchdog → boundary →
 //! close), fast-forwards the epochs representative-interval sampling
-//! skips, and holds the forward-progress watchdog and the
-//! post-reconfigure grouping validation/repair the MorphCache backend
-//! runs at every boundary.
+//! skips, and holds the forward-progress watchdog and the forced
+//! merge/split faults the MorphCache backend applies to an engine
+//! outcome before `Hierarchy::regroup` installs (and, if need be,
+//! repairs) it.
 //!
 //! Simulated and skipped epochs end in the same close step
 //! ([`close_epoch`]), the only code that moves the streams and the epoch
@@ -16,7 +17,6 @@ use crate::supervisor::CancelToken;
 use morph_cache::{CacheEventSink, NoopSink};
 use morph_cpu::{epoch_ipcs, take_epoch_progress, CoreProgress};
 use morph_trace::stream::AccessStream;
-use morphcache::topology::{is_partition, meet, refines};
 use morphcache::{MorphError, ReconfigOutcome, StallDiagnostic};
 
 /// Runs one epoch of `sim`, duplicating all cache events into `probe`.
@@ -24,9 +24,8 @@ use morphcache::{MorphError, ReconfigOutcome, StallDiagnostic};
 /// # Errors
 ///
 /// Returns [`MorphError::Stalled`] if the forward-progress watchdog
-/// detects a core below the per-epoch retirement floor, and
-/// [`MorphError::Grouping`] / [`MorphError::Topology`] if a
-/// reconfiguration produces a topology that cannot be repaired.
+/// detects a core below the per-epoch retirement floor, and any error
+/// the backend's epoch hooks return.
 pub(crate) fn run_epoch(
     sim: &mut SystemSim,
     probe: &mut dyn CacheEventSink,
@@ -138,8 +137,8 @@ fn close_epoch(sim: &mut SystemSim) -> (String, String) {
 /// The forward-progress watchdog: every core must retire at least
 /// `max(16, epoch_cycles / 10_000)` instructions per epoch. A healthy
 /// core, even one bound by memory latency on every access, retires orders
-/// of magnitude more; a core whose misses cannot complete (pinned MSHR
-/// entries, a wedged arbiter) retires at most one access's worth.
+/// of magnitude more; a core whose misses cannot complete (a pinned
+/// core, a wedged arbiter) retires at most one access's worth.
 pub(crate) fn check_forward_progress(
     epoch: u64,
     epoch_cycles: u64,
@@ -166,39 +165,6 @@ pub(crate) fn check_forward_progress(
     Ok(())
 }
 
-/// A pair of slice groupings, L2 first.
-type GroupPair = (Vec<Vec<usize>>, Vec<Vec<usize>>);
-
-/// Post-reconfigure invariant check with repair: both groupings must
-/// partition the slices (non-partitions are rejected — there is no safe
-/// repair for slices that vanished or appear twice), and L2 must refine
-/// L3 for inclusion to be maintainable. A refinement violation is
-/// repaired by installing the meet of the two groupings at L2, which
-/// refines both operands.
-pub fn validate_and_repair(
-    epoch: u64,
-    n: usize,
-    l2: Vec<Vec<usize>>,
-    l3: Vec<Vec<usize>>,
-) -> Result<GroupPair, MorphError> {
-    if !is_partition(&l2, n) {
-        return Err(MorphError::Grouping(format!(
-            "epoch {epoch}: L2 groups do not partition {n} slices: {l2:?}"
-        )));
-    }
-    if !is_partition(&l3, n) {
-        return Err(MorphError::Grouping(format!(
-            "epoch {epoch}: L3 groups do not partition {n} slices: {l3:?}"
-        )));
-    }
-    let l2 = if refines(&l2, &l3) {
-        l2
-    } else {
-        meet(&l2, &l3)
-    };
-    Ok((l2, l3))
-}
-
 /// Forces a merge of the first two L3 groups (fault injection). L3 only
 /// gets coarser, so L2 still refines it.
 pub(crate) fn force_l3_merge(outcome: &mut ReconfigOutcome) {
@@ -222,37 +188,8 @@ pub(crate) fn force_l3_split(outcome: &mut ReconfigOutcome) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn validate_and_repair_rejects_non_partitions() {
-        // Slice 3 missing from L2.
-        let err = validate_and_repair(0, 4, vec![vec![0, 1], vec![2]], vec![vec![0, 1, 2, 3]]);
-        assert!(matches!(err, Err(MorphError::Grouping(_))));
-        // Slice 1 duplicated in L3.
-        let err = validate_and_repair(
-            0,
-            4,
-            vec![vec![0], vec![1], vec![2], vec![3]],
-            vec![vec![0, 1], vec![1, 2, 3]],
-        );
-        assert!(matches!(err, Err(MorphError::Grouping(_))));
-    }
-
-    #[test]
-    fn validate_and_repair_restores_refinement() {
-        // L2 group [0,1] spans two L3 groups [0] and [1]: repaired by the
-        // meet, which splits the L2 group.
-        let (l2, l3) = validate_and_repair(
-            0,
-            4,
-            vec![vec![0, 1], vec![2, 3]],
-            vec![vec![0], vec![1], vec![2, 3]],
-        )
-        .unwrap();
-        assert!(refines(&l2, &l3));
-        assert!(is_partition(&l2, 4));
-        assert_eq!(l3, vec![vec![0], vec![1], vec![2, 3]]);
-    }
+    use morph_cache::{Hierarchy, HierarchyParams};
+    use morphcache::topology::{is_partition, refines};
 
     #[test]
     fn forced_merge_and_split_are_repaired_into_valid_topologies() {
@@ -266,9 +203,15 @@ mod tests {
         assert_eq!(outcome.l3_groups, vec![vec![0, 1, 2, 3]]);
         force_l3_split(&mut outcome);
         // The split broke nothing L2 refines, but must still be a
-        // partition and repairable.
-        let (l2, l3) = validate_and_repair(0, 4, outcome.l2_groups, outcome.l3_groups).unwrap();
-        assert!(is_partition(&l3, 4));
-        assert!(refines(&l2, &l3));
+        // partition and installable.
+        assert!(is_partition(&outcome.l3_groups, 4));
+        let mut h = Hierarchy::new(HierarchyParams::scaled_down(4));
+        let l2 = h.regroup(&outcome.l2_groups, &outcome.l3_groups).unwrap();
+        assert!(refines(&l2, &outcome.l3_groups));
+        // A split through an L2 group is repaired by the meet.
+        outcome.l3_groups = vec![vec![0], vec![1, 2, 3]];
+        let l2 = h.regroup(&outcome.l2_groups, &outcome.l3_groups).unwrap();
+        assert_eq!(l2, vec![vec![0], vec![1], vec![2, 3]]);
+        h.check_inclusion().unwrap();
     }
 }

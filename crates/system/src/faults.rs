@@ -2,7 +2,7 @@
 //!
 //! The resilience layer treats the simulator as a system under test: a
 //! [`FaultPlan`] schedules faults at chosen epochs — ACFV sample
-//! corruption, denied bus grants, pinned MSHR entries, forced merge/split
+//! corruption, denied bus grants, a pinned core, forced merge/split
 //! decisions — and threads them through [`crate::sim::SystemSim`] behind
 //! the [`FaultInjector`] trait. The no-op default ([`NoFaults`]) costs a
 //! single virtual call per epoch on the normal path; the faulted path
@@ -14,17 +14,19 @@
 //! a completed run with valid (degraded) statistics, or a structured
 //! [`MorphError`] — never a panic, never a hang. The forward-progress
 //! watchdog in the epoch loop (see `epoch.rs`) converts the
-//! otherwise-silent stalls (a pinned MSHR starving a core) into
-//! [`MorphError::Stalled`] diagnostics.
+//! otherwise-silent stalls (a pinned core starving) into
+//! [`MorphError::Stalled`] diagnostics. All fault arithmetic saturates,
+//! so even a `drop=` window of `u64::MAX` cycles ends in such a stall.
 //!
 //! Epoch indices in fault specs count *all* simulated epochs, warm-up
 //! included (warm-up epoch 0 is the first epoch a fault can hit).
 
-use morph_cache::{CacheEventSink, CoreId, Line, MemorySubsystem, MshrFile};
+use morph_cache::{CacheEventSink, CoreId, Line, MemorySubsystem};
 use morphcache::{MorphError, Xoshiro256pp};
 
-/// MSHR entries modeled per core for occupancy diagnostics.
-const MSHR_CAPACITY: usize = 16;
+/// The MSHR occupancy the stall diagnostic reports for a pinned core:
+/// every entry of its 16-entry file is held.
+const PINNED_MSHR_ENTRIES: usize = 16;
 
 /// A pinned core's per-access stall, in epochs: large enough that the
 /// core's retirement this epoch collapses to a single access's worth of
@@ -48,8 +50,9 @@ pub enum FaultKind {
         /// Length of the denied-grant window in cycles.
         cycles: u64,
     },
-    /// Pin every MSHR entry of `core` during `epoch`: its misses cannot
-    /// retire, so the core stops making forward progress.
+    /// Pin every MSHR entry of `core` during `epoch`: each of its
+    /// accesses stalls for 64 epochs, so the core stops making forward
+    /// progress.
     PinMshr {
         /// Epoch the pin is active in.
         epoch: u64,
@@ -102,7 +105,7 @@ pub trait FaultInjector: Send {
 
     /// Extra stall cycles charged to `core`'s access on top of the memory
     /// system's own latency. Called once per access on the faulted path.
-    fn access_overhead(&mut self, _core: CoreId, _line: Line, _inner_latency: u64) -> u64 {
+    fn access_overhead(&mut self, _core: CoreId, _inner_latency: u64) -> u64 {
         0
     }
 
@@ -157,7 +160,7 @@ pub struct FaultPlan {
     // Per-core state for the current epoch.
     elapsed: Vec<u64>,
     pending: Vec<usize>,
-    mshrs: Vec<MshrFile>,
+    issued: Vec<bool>,
 }
 
 impl FaultPlan {
@@ -176,7 +179,7 @@ impl FaultPlan {
             forced_split: false,
             elapsed: Vec::new(),
             pending: Vec::new(),
-            mshrs: Vec::new(),
+            issued: Vec::new(),
         }
     }
 
@@ -277,7 +280,7 @@ impl FaultInjector for FaultPlan {
     fn begin_epoch(&mut self, epoch: u64, epoch_cycles: u64, n_cores: usize) {
         self.elapsed = vec![0; n_cores];
         self.pending = vec![0; n_cores];
-        self.mshrs = (0..n_cores).map(|_| MshrFile::new(MSHR_CAPACITY)).collect();
+        self.issued = vec![false; n_cores];
         self.drop_window = 0;
         self.pinned_core = None;
         self.pin_stall = epoch_cycles.saturating_mul(PIN_STALL_EPOCHS);
@@ -302,35 +305,23 @@ impl FaultInjector for FaultPlan {
                 _ => {}
             }
         }
-        if let Some(core) = self.pinned_core {
-            if core < n_cores {
-                // Fill the core's MSHR file with entries that never
-                // complete, so diagnostics show the leak.
-                for i in 0..MSHR_CAPACITY {
-                    self.mshrs[core].allocate(0, 0xdead_0000 + i as u64, u64::MAX);
-                }
-            }
-        }
     }
 
-    fn access_overhead(&mut self, core: CoreId, line: Line, inner_latency: u64) -> u64 {
+    fn access_overhead(&mut self, core: CoreId, inner_latency: u64) -> u64 {
         let now = self.elapsed[core];
         let mut extra = 0;
         if now < self.drop_window {
             // The bus arbiter denies the grant; the access waits out the
             // remainder of the outage window.
-            extra += self.drop_window - now;
+            extra = self.drop_window - now;
             self.pending[core] += 1;
         }
         if self.pinned_core == Some(core) {
             // Every miss needs an MSHR entry; with all entries pinned the
             // access stalls far past the epoch boundary.
-            extra += self.pin_stall;
-        } else {
-            let mshr = &mut self.mshrs[core];
-            mshr.drain(now);
-            mshr.allocate(now, line, now + inner_latency + extra);
+            extra = extra.saturating_add(self.pin_stall);
         }
+        self.issued[core] = true;
         self.elapsed[core] = now.saturating_add(inner_latency).saturating_add(extra);
         extra
     }
@@ -348,7 +339,17 @@ impl FaultInjector for FaultPlan {
     }
 
     fn mshr_outstanding(&self) -> Vec<usize> {
-        self.mshrs.iter().map(MshrFile::outstanding).collect()
+        // All entries on a pinned core; elsewhere the miss of the core's
+        // last access, if it issued one this epoch (each access's entry
+        // drains at the next one).
+        let entries = |(c, &issued): (usize, &bool)| {
+            if self.pinned_core == Some(c) {
+                PINNED_MSHR_ENTRIES
+            } else {
+                usize::from(issued)
+            }
+        };
+        self.issued.iter().enumerate().map(entries).collect()
     }
 
     fn bus_pending(&self) -> Vec<usize> {
@@ -378,7 +379,7 @@ impl MemorySubsystem for FaultedMemory<'_> {
         sink: &mut dyn CacheEventSink,
     ) -> u64 {
         let lat = self.inner.access(core, line, is_write, sink);
-        lat.saturating_add(self.injector.access_overhead(core, line, lat))
+        lat.saturating_add(self.injector.access_overhead(core, lat))
     }
 
     fn n_cores(&self) -> usize {
@@ -459,24 +460,55 @@ mod tests {
         });
         p.begin_epoch(0, 1000, 2);
         // First access at elapsed 0 waits out the outage.
-        let extra = p.access_overhead(0, 1, 10);
+        let extra = p.access_overhead(0, 10);
         assert_eq!(extra, 100);
         // The same core is now past the window.
-        assert_eq!(p.access_overhead(0, 2, 10), 0);
+        assert_eq!(p.access_overhead(0, 10), 0);
         // The other core has its own clock.
-        assert_eq!(p.access_overhead(1, 3, 10), 100);
+        assert_eq!(p.access_overhead(1, 10), 100);
         assert_eq!(p.bus_pending(), vec![1, 1]);
         // Next epoch: no outage scheduled.
         p.begin_epoch(1, 1000, 2);
-        assert_eq!(p.access_overhead(0, 4, 10), 0);
+        assert_eq!(p.access_overhead(0, 10), 0);
     }
 
     #[test]
     fn pinned_core_stalls_past_epoch_and_reports_occupancy() {
         let mut p = FaultPlan::seeded(0).with_fault(FaultKind::PinMshr { epoch: 2, core: 1 });
         p.begin_epoch(2, 1000, 2);
-        assert!(p.access_overhead(1, 1, 10) >= 64 * 1000);
-        assert_eq!(p.access_overhead(0, 2, 10), 0, "other cores unaffected");
-        assert_eq!(p.mshr_outstanding()[1], MSHR_CAPACITY);
+        assert!(p.access_overhead(1, 10) >= 64 * 1000);
+        assert_eq!(p.access_overhead(0, 10), 0, "other cores unaffected");
+        assert_eq!(p.mshr_outstanding(), vec![1, PINNED_MSHR_ENTRIES]);
+    }
+
+    #[test]
+    fn occupancy_reads_one_per_core_that_issued_and_sixteen_when_pinned() {
+        let mut p = FaultPlan::seeded(0).with_fault(FaultKind::PinMshr { epoch: 1, core: 2 });
+        p.begin_epoch(0, 1000, 3);
+        assert_eq!(p.mshr_outstanding(), vec![0, 0, 0]);
+        p.access_overhead(1, 0);
+        p.access_overhead(1, 300);
+        assert_eq!(p.mshr_outstanding(), vec![0, 1, 0]);
+        p.begin_epoch(1, 1000, 3);
+        assert_eq!(p.mshr_outstanding(), vec![0, 0, PINNED_MSHR_ENTRIES]);
+    }
+
+    #[test]
+    fn extreme_windows_saturate() {
+        let mut p = FaultPlan::parse("drop=18446744073709551615@0;pin=0@0").unwrap();
+        p.begin_epoch(0, u64::MAX, 2);
+        assert_eq!(p.access_overhead(0, 10), u64::MAX);
+        assert_eq!(
+            p.access_overhead(0, 10),
+            u64::MAX,
+            "a pinned core stays pinned"
+        );
+        assert_eq!(p.access_overhead(1, 10), u64::MAX);
+        assert_eq!(
+            p.access_overhead(1, 10),
+            0,
+            "the clock saturates past the window"
+        );
+        assert_eq!(p.bus_pending(), vec![1, 1]);
     }
 }

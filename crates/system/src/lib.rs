@@ -75,8 +75,6 @@ pub mod sim;
 pub mod supervisor;
 pub mod workload;
 
-pub use epoch::validate_and_repair;
-
 /// Convenient glob-import surface for examples, figures and tests.
 pub mod prelude {
     pub use crate::backend::from_policy;

@@ -14,8 +14,6 @@ use morph_cpu::{Core, QuantumScheduler};
 use morph_trace::stream::SyntheticStream;
 use morphcache::{MorphEngine, MorphError};
 
-pub use crate::backend::apply_groups;
-
 /// Results of one simulated epoch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EpochResult {

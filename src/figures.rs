@@ -16,7 +16,6 @@
 //! characterization studies with fixed configurations and probed runs of
 //! their own.
 
-use morph_cache::{ConfigError, HierarchyParams};
 use morph_interconnect::{ArbiterHierarchyModel, Floorplan, SynthesisParams};
 use morph_metrics::{fair_speedup, mean, pearson, std_dev, weighted_speedup, Table};
 use morph_system::prelude::*;
@@ -629,22 +628,6 @@ fn sec53(cfg: &SystemConfig, runs: &mut Runs) -> Result<String, MorphError> {
            performance at 8 bytes/slice overhead\n")
 }
 
-/// `cfg` with a §5.4 variant of its hierarchy.
-fn with_hierarchy(
-    cfg: &SystemConfig,
-    hierarchy: Result<HierarchyParams, ConfigError>,
-) -> Result<SystemConfig, MorphError> {
-    match hierarchy {
-        Ok(hierarchy) => Ok(SystemConfig { hierarchy, ..*cfg }),
-        Err(ConfigError::NotPowerOfTwo(field, value)) => Err(MorphError::InvalidConfig {
-            field,
-            value: value as u64,
-            constraint: "must be a nonzero power of two",
-        }),
-        Err(e) => Err(MorphError::Grouping(e.to_string())),
-    }
-}
-
 /// §5.4: the sensitivity of MorphCache's gain over the `(n:1:1)`
 /// baseline to the L2 and L3 slice sizes, doubled associativity, and an
 /// 8-core CMP, on MIX 02, 05 and 08.
@@ -656,21 +639,22 @@ fn sec54(cfg: &SystemConfig, runs: &mut Runs) -> Result<String, MorphError> {
     let mut eight = *cfg;
     eight.hierarchy.n_cores = 8;
     let h = cfg.hierarchy;
+    let with = |hierarchy| SystemConfig { hierarchy, ..*cfg };
     let variants = [
         ("default (256KB L2 / 1MB L3, 16 cores)", *cfg, &mixes),
         (
             "512KB L2 slices",
-            with_hierarchy(cfg, h.with_l2_capacity(512 * 1024))?,
+            with(h.with_l2_capacity(512 * 1024)?),
             &mixes,
         ),
         (
             "2MB L3 slices",
-            with_hierarchy(cfg, h.with_l3_capacity(2 * 1024 * 1024))?,
+            with(h.with_l3_capacity(2 * 1024 * 1024)?),
             &mixes,
         ),
         (
             "2x associativity",
-            with_hierarchy(cfg, h.with_doubled_associativity())?,
+            with(h.with_doubled_associativity()?),
             &mixes,
         ),
         ("8 cores", eight, &halves),

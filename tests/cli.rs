@@ -2,7 +2,8 @@
 //! options it does not read (exit 2) instead of silently ignoring them,
 //! `compare` is gone in favour of `matrix`, `matrix` rows report
 //! throughput relative to the first cell, `--resume` needs a journal
-//! recorded for the same cells, a topology string never panics, and a
+//! recorded for the same cells, a topology string never panics, a
+//! fault-injected `run` stalls or completes as its spec says, and a
 //! reader that stops early ends `morph` quietly.
 
 use std::io::BufRead;
@@ -155,6 +156,28 @@ fn an_overflowing_topology_is_a_usage_error() {
     assert_eq!(out.status.code(), Some(2), "{err}");
     assert!(err.contains("invalid topology"), "{err}");
     assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn a_faulted_run_stalls_on_a_pinned_core_and_completes_otherwise() {
+    let faulted = |spec: &str| {
+        morph(&[
+            "run", "--mix", "1", "--cores", "4", "--epochs", "4", "--cycles", "100000", "--faults",
+            spec,
+        ])
+    };
+    let pinned = faulted("pin=1@0");
+    let err = stderr(&pinned);
+    assert_eq!(pinned.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("stalled at epoch 0 on core 1")
+            && err.contains("mshr outstanding [1, 16, 1, 1]; bus pending [0, 0, 0, 0]"),
+        "{err}"
+    );
+    let every_other_class = faulted("seed=5;acfv@1;drop=5000@2;merge@3;split@4");
+    let err = stderr(&every_other_class);
+    assert_eq!(every_other_class.status.code(), Some(0), "{err}");
+    assert!(err.is_empty(), "{err}");
 }
 
 /// Starts `morph` with standard output and standard error piped.

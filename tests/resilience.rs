@@ -105,6 +105,26 @@ fn pinned_mshr_yields_stalled_error_with_diagnostics() {
     }
 }
 
+/// A `u64::MAX`-cycle outage, alone or on a pinned core, saturates the
+/// fault arithmetic: the run stalls with its diagnostic (or completes),
+/// and never panics on an overflow.
+#[test]
+fn extreme_drop_windows_end_in_a_stall_not_an_overflow() {
+    for spec in [
+        "drop=18446744073709551615@0",
+        "drop=18446744073709551615@0;pin=0@0",
+    ] {
+        match run_faulted(spec) {
+            Ok(_) => {}
+            Err(MorphError::Stalled { diagnostic, .. }) => {
+                assert_eq!(diagnostic.mshr_outstanding.len(), 4, "{spec}");
+                assert_eq!(diagnostic.bus_pending, vec![1; 4], "{spec}");
+            }
+            Err(other) => panic!("{spec}: unexpected error {other}"),
+        }
+    }
+}
+
 #[test]
 fn fault_injection_is_deterministic_per_seed() {
     let run = |seed: u64| run_faulted(&format!("seed={seed};acfv@1;drop=8000@2;merge@3")).unwrap();
