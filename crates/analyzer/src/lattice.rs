@@ -25,20 +25,23 @@
 //!    every non-base state has at least one legal split, so every state
 //!    drains back to the all-private base topology.
 //!
-//! The transition rules mirror `morph-core::engine` exactly:
+//! The transitions are the engine's own moves from
+//! [`morphcache::topology`], in the `BuddyPowerOfTwo` grouping mode, so a
+//! change to them changes what this check enumerates:
 //!
-//! * *L3 merge* of two buddy-sibling L3 groups (L2 unchanged).
-//! * *L2 merge* of two buddy-sibling L2 groups; if the merged span
-//!   straddles two L3 groups, the engine's merge-aggressive
-//!   `force_l3_cover` merges those L3 groups in the same transition
-//!   (they are necessarily buddy siblings — see
-//!   `Lattice::successors`).
+//! * *L3 merge* of two merge candidates at L3 (L2 unchanged).
+//! * *L2 merge* of two merge candidates at L2, followed by the L3 merges
+//!   its [`cover_step`]s force in the same transition (in a buddy state
+//!   at most one: the two L3 groups holding the halves).
 //! * *L2 split* of any non-singleton L2 group into its halves.
 //! * *L3 split* of a non-singleton L3 group into its halves, legal only
-//!   when no L2 group straddles the two halves (a split-first policy
+//!   when no L2 group [`straddles`] the two halves (a split-first policy
 //!   that forced the L2 split first would land in a state this model
 //!   also reaches via L2-split then L3-split, so the engine's merge-first
 //!   rule set spans both policies' reachable sets).
+//!
+//! [`cover_step`]: morphcache::topology::cover_step
+//! [`straddles`]: morphcache::topology::straddles
 //!
 //! # Closed-form cross-check
 //!
@@ -55,8 +58,8 @@
 
 use morph_interconnect::{ArbiterTree, SegmentedBus};
 use morphcache::symmetry::SymmetryGroup;
-use morphcache::topology::{buddy_siblings, is_buddy_partition, is_partition, refines};
-use morphcache::{SymmetricTopology, Xoshiro256pp};
+use morphcache::topology::{self, is_buddy_partition, is_partition, refines};
+use morphcache::{CacheLevelId, GroupingMode, SymmetricTopology, Xoshiro256pp};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// A lattice state: the L2 and L3 buddy partitions, encoded as the sizes
@@ -65,6 +68,10 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// doubles as the BFS visited-set key; `u16` block sizes cover the
 /// 64–1024-slice geometries the reduced check handles.
 type State = (Vec<u16>, Vec<u16>);
+
+/// A state's L2 and L3 groupings spelled out as slice lists, the form the
+/// engine's moves take.
+type Groups = (Vec<Vec<usize>>, Vec<Vec<usize>>);
 
 /// Expands a block-size encoding into explicit slice groups.
 fn expand(sizes: &[u16]) -> Vec<Vec<usize>> {
@@ -77,16 +84,15 @@ fn expand(sizes: &[u16]) -> Vec<Vec<usize>> {
     groups
 }
 
-/// Canonicalizes explicit groups back into the block-size encoding.
+/// Encodes explicit groups, listed in slice order as the engine's moves
+/// return them, back into the block-size encoding.
 ///
-/// Returns `None` if the groups are not contiguous aligned blocks in
-/// order — which would itself be an invariant violation.
+/// Returns `None` if the groups are not contiguous blocks in slice order
+/// — which would itself be an invariant violation.
 fn encode(groups: &[Vec<usize>]) -> Option<Vec<u16>> {
     let mut sizes = Vec::with_capacity(groups.len());
-    let mut sorted: Vec<&Vec<usize>> = groups.iter().collect();
-    sorted.sort_by_key(|g| g.first().copied());
     let mut next = 0usize;
-    for g in sorted {
+    for g in groups {
         if g.first().copied()? != next || g.windows(2).any(|w| w[1] != w[0] + 1) {
             return None;
         }
@@ -197,159 +203,77 @@ impl Lattice {
         (vec![1u16; self.n], vec![1u16; self.n])
     }
 
-    /// All successor states of `state`, with per-edge bookkeeping.
+    /// All successor states of `state`, with per-edge bookkeeping: every
+    /// move the engine can take from it in `BuddyPowerOfTwo` mode.
     ///
     /// For merge edges, `reversible` records whether the constructive
-    /// reversing split path (one direct split for a pure merge; split L2
-    /// then split L3 for a forced-cover merge) is legal and lands back
+    /// reversing split path (one split in halves for a pure merge; split
+    /// L2 then split L3 for a forced-cover merge) is legal and lands back
     /// on `state` — invariant 4a.
     fn successors(&self, state: &State) -> Vec<Edge> {
-        let l2 = expand(&state.0);
-        let l3 = expand(&state.1);
+        let here: Groups = (expand(&state.0), expand(&state.1));
+        let (l2, l3) = &here;
+        let mode = GroupingMode::BuddyPowerOfTwo;
         let mut out = Vec::new();
-
-        // L3 merges: buddy-sibling L3 groups (L2 unchanged — merging the
-        // coarser level can never break refinement). Reverse: split the
-        // merged L3 group; legal because the pre-merge L2 grouping had no
-        // group straddling the seam between the two siblings.
-        for i in 0..l3.len() {
-            for j in i + 1..l3.len() {
-                if buddy_siblings(&l3[i], &l3[j]) {
-                    if let Some(next_l3) = merge_encoded(&state.1, i, j) {
-                        let next = (state.0.clone(), next_l3);
-                        let reversible = self
-                            .split_l3(&next, l3[i.min(j)][0])
-                            .is_some_and(|back| back == *state);
-                        out.push(Edge {
-                            next,
-                            is_merge: true,
-                            forced: false,
-                            reversible,
-                        });
-                    }
-                }
+        let mut push = |next: Groups, is_merge: bool, forced: bool, reversible: bool| {
+            if let (Some(n2), Some(n3)) = (encode(&next.0), encode(&next.1)) {
+                out.push(Edge {
+                    next: (n2, n3),
+                    is_merge,
+                    forced,
+                    reversible,
+                });
             }
+        };
+        // The state after splitting the `level` group holding `slice`.
+        let undo = |from: &Groups, level: CacheLevelId, slice: usize| {
+            let groups = match level {
+                CacheLevelId::L2 => &from.0,
+                CacheLevelId::L3 => &from.1,
+            };
+            let i = groups.iter().position(|g| g.contains(&slice))?;
+            split_in_halves(from, level, i)
+        };
+
+        // L3 merges (L2 unchanged: merging the coarser level can never
+        // break refinement). Reverse: split the merged L3 group.
+        for (i, j) in topology::merge_candidates(l3, mode) {
+            let (next_l3, members) = topology::merge(l3, i, j);
+            let next = (l2.clone(), next_l3);
+            let reversible = undo(&next, CacheLevelId::L3, members[0]).as_ref() == Some(&here);
+            push(next, true, false, reversible);
         }
 
-        // L2 merges: buddy-sibling L2 groups. If the merged span is not
-        // inside one L3 group, the engine's force_l3_cover merges the two
-        // L3 groups. Those are exactly the original L2 groups promoted to
-        // L3 (an L3 group of size ≥ 2·|span half| containing one half
-        // would, by buddy nesting, contain the whole span), so the cover
-        // is a single buddy-sibling L3 merge. Reverse: split the merged
-        // L2 group (always legal), then — for a forced cover — split the
+        // L2 merges, each with the L3 merges its cover forces. Reverse:
+        // split the merged L2 group, then, after a forced cover, the
         // merged L3 group, which no L2 group straddles any more.
-        for i in 0..l2.len() {
-            for j in i + 1..l2.len() {
-                if !buddy_siblings(&l2[i], &l2[j]) {
-                    continue;
-                }
-                let Some(next_l2) = merge_encoded(&state.0, i, j) else {
-                    continue;
-                };
-                let span_start = l2[i.min(j)][0];
-                let span_end = l2[i.max(j)][l2[i.max(j)].len() - 1];
-                let covered = l3
-                    .iter()
-                    .any(|g| g.contains(&span_start) && g.contains(&span_end));
-                if covered {
-                    let next = (next_l2, state.1.clone());
-                    let reversible = self
-                        .split_l2(&next, span_start)
-                        .is_some_and(|back| back == *state);
-                    out.push(Edge {
-                        next,
-                        is_merge: true,
-                        forced: false,
-                        reversible,
-                    });
-                } else {
-                    let li = l3.iter().position(|g| g.contains(&span_start));
-                    let lj = l3.iter().position(|g| g.contains(&span_end));
-                    if let (Some(li), Some(lj)) = (li, lj) {
-                        if let Some(next_l3) = merge_encoded(&state.1, li, lj) {
-                            let next = (next_l2, next_l3);
-                            let reversible = self
-                                .split_l2(&next, span_start)
-                                .and_then(|mid| self.split_l3(&mid, span_start))
-                                .is_some_and(|back| back == *state);
-                            out.push(Edge {
-                                next,
-                                is_merge: true,
-                                forced: true,
-                                reversible,
-                            });
-                        }
-                    }
-                }
+        for (i, j) in topology::merge_candidates(l2, mode) {
+            let (next_l2, span) = topology::merge(l2, i, j);
+            let mut next_l3 = l3.clone();
+            let mut forced = false;
+            while let Some((a, b)) = topology::cover_step(&next_l3, &span) {
+                next_l3 = topology::merge(&next_l3, a, b).0;
+                forced = true;
             }
+            let next = (next_l2, next_l3);
+            let mut back = undo(&next, CacheLevelId::L2, span[0]);
+            if forced {
+                back = back.and_then(|mid| undo(&mid, CacheLevelId::L3, span[0]));
+            }
+            let reversible = back.as_ref() == Some(&here);
+            push(next, true, forced, reversible);
         }
 
-        // L2 splits: always legal (a finer L2 still refines L3).
-        for (i, g) in l2.iter().enumerate() {
-            if g.len() >= 2 {
-                if let Some(next_l2) = split_encoded(&state.0, i) {
-                    out.push(Edge {
-                        next: (next_l2, state.1.clone()),
-                        is_merge: false,
-                        forced: false,
-                        reversible: true,
-                    });
-                }
-            }
-        }
-
-        // L3 splits: legal only when no L2 group straddles the halves.
-        for (i, g) in l3.iter().enumerate() {
-            if g.len() < 2 {
-                continue;
-            }
-            let mid = g[0] + g.len() / 2;
-            let straddles = l2
-                .iter()
-                .any(|l2g| l2g.contains(&(mid - 1)) && l2g.contains(&mid));
-            if !straddles {
-                if let Some(next_l3) = split_encoded(&state.1, i) {
-                    out.push(Edge {
-                        next: (state.0.clone(), next_l3),
-                        is_merge: false,
-                        forced: false,
-                        reversible: true,
-                    });
+        // Splits in halves: always legal at L2 (a finer L2 still refines
+        // L3), at L3 only when no L2 group straddles the halves.
+        for (level, n_groups) in [(CacheLevelId::L2, l2.len()), (CacheLevelId::L3, l3.len())] {
+            for i in 0..n_groups {
+                if let Some(next) = split_in_halves(&here, level, i) {
+                    push(next, false, false, true);
                 }
             }
         }
         out
-    }
-
-    /// Applies the legal L2 split of the group containing `slice`, if any.
-    fn split_l2(&self, state: &State, slice: usize) -> Option<State> {
-        let l2 = expand(&state.0);
-        let i = l2.iter().position(|g| g.contains(&slice))?;
-        if l2[i].len() < 2 {
-            return None;
-        }
-        Some((split_encoded(&state.0, i)?, state.1.clone()))
-    }
-
-    /// Applies the legal L3 split of the group containing `slice`, if any
-    /// (`None` when an L2 group straddles the halves — the same rule the
-    /// engine enforces).
-    fn split_l3(&self, state: &State, slice: usize) -> Option<State> {
-        let l2 = expand(&state.0);
-        let l3 = expand(&state.1);
-        let i = l3.iter().position(|g| g.contains(&slice))?;
-        if l3[i].len() < 2 {
-            return None;
-        }
-        let mid = l3[i][0] + l3[i].len() / 2;
-        if l2
-            .iter()
-            .any(|g| g.contains(&(mid - 1)) && g.contains(&mid))
-        {
-            return None;
-        }
-        Some((state.0.clone(), split_encoded(&state.1, i)?))
     }
 
     /// Runs the breadth-first enumeration and all invariant checks.
@@ -372,50 +296,49 @@ impl Lattice {
         queue.push_back(base.clone());
 
         while let Some(state) = queue.pop_front() {
-            self.check_state_invariants(&state, &mut report.violations);
             l3_seen.insert(state.1.clone());
-            let succs = self.successors(&state);
-            let mut has_split = false;
-            for edge in succs {
-                report.transitions += 1;
-                if edge.forced {
-                    report.forced_covers += 1;
-                }
-                if edge.is_merge {
-                    // Invariant 4a: the merge must be reversible by
-                    // splits alone.
-                    if !edge.reversible {
-                        report.violations.push(Violation {
-                            invariant: 4,
-                            state: edge.next.clone(),
-                            message: format!(
-                                "merge from L2={:?} L3={:?} has no reversing split path",
-                                state.0, state.1
-                            ),
-                        });
-                    }
-                } else {
-                    has_split = true;
-                }
+            let edges = self.visit(&state, &base, &mut report.violations);
+            report.transitions += edges.len() as u64;
+            report.forced_covers += edges.iter().filter(|e| e.forced).count() as u64;
+            for edge in edges {
                 if visited.insert(edge.next.clone()) {
                     queue.push_back(edge.next);
                 }
-            }
-            // Invariant 4b: every non-base state has a legal split. Each
-            // split strictly increases the total group count, which is
-            // bounded by 2n, so by induction every reachable state drains
-            // to the all-private base in finitely many splits.
-            if state != base && !has_split {
-                report.violations.push(Violation {
-                    invariant: 4,
-                    state: state.clone(),
-                    message: "non-base state with no legal split (dead end)".into(),
-                });
             }
         }
         report.reachable_states = visited.len() as u64;
         report.l3_partitions = l3_seen.len() as u64;
         report
+    }
+
+    /// Checks one reachable state, invariants 1–3 on the state and 4 on
+    /// its edges, and returns the edges.
+    fn visit(&self, state: &State, base: &State, violations: &mut Vec<Violation>) -> Vec<Edge> {
+        self.check_state_invariants(state, violations);
+        let edges = self.successors(state);
+        // Invariant 4a: every merge is reversible by splits alone.
+        for edge in edges.iter().filter(|e| e.is_merge && !e.reversible) {
+            violations.push(Violation {
+                invariant: 4,
+                state: edge.next.clone(),
+                message: format!(
+                    "merge from L2={:?} L3={:?} has no reversing split path",
+                    state.0, state.1
+                ),
+            });
+        }
+        // Invariant 4b: every non-base state has a legal split. Each split
+        // strictly increases the total group count, which is bounded by
+        // 2n, so by induction every reachable state drains to the
+        // all-private base in finitely many splits.
+        if state != base && edges.iter().all(|e| e.is_merge) {
+            violations.push(Violation {
+                invariant: 4,
+                state: state.clone(),
+                message: "non-base state with no legal split (dead end)".into(),
+            });
+        }
+        edges
     }
 
     /// Invariants 1–3 for one state.
@@ -494,30 +417,23 @@ struct Edge {
     reversible: bool,
 }
 
-/// Merges groups `i` and `j` of a block-size encoding, returning the
-/// canonical successor encoding (or `None` if the merge would not form
-/// an aligned block — which never happens for buddy siblings).
-fn merge_encoded(sizes: &[u16], i: usize, j: usize) -> Option<Vec<u16>> {
-    let mut groups = expand(sizes);
-    let (a, b) = (i.min(j), i.max(j));
-    let mut merged = groups.swap_remove(b);
-    merged.extend(groups[a].iter().copied());
-    merged.sort_unstable();
-    groups[a] = merged;
-    encode(&groups)
-}
-
-/// Splits group `i` of a block-size encoding into its two halves.
-fn split_encoded(sizes: &[u16], i: usize) -> Option<Vec<u16>> {
-    let mut groups = expand(sizes);
-    let g = groups[i].clone();
-    if g.len() < 2 {
+/// The engine's split of group `i` at `level` into its halves, or `None`
+/// if the group is a singleton or, at L3, an L2 group straddles the
+/// halves.
+fn split_in_halves((l2, l3): &Groups, level: CacheLevelId, i: usize) -> Option<Groups> {
+    let groups = match level {
+        CacheLevelId::L2 => l2,
+        CacheLevelId::L3 => l3,
+    };
+    let (a, b) = topology::halves(groups.get(i)?)?;
+    if level == CacheLevelId::L3 && topology::straddles(l2, &a, &b) {
         return None;
     }
-    let mid = g.len() / 2;
-    groups[i] = g[..mid].to_vec();
-    groups.insert(i + 1, g[mid..].to_vec());
-    encode(&groups)
+    let next = topology::split(groups, i, &a, &b);
+    Some(match level {
+        CacheLevelId::L2 => (next, l3.clone()),
+        CacheLevelId::L3 => (l2.clone(), next),
+    })
 }
 
 /// Union-find check that the buddy arbitration edges of one group form a
@@ -604,9 +520,9 @@ pub fn refining_pair_count_checked(m: usize) -> Option<u128> {
 /// the enumerated orbits) must equal the closed-form `R(base)` — the
 /// same total the full enumeration produces, which is how the reduction
 /// is cross-checked. Above the base, verification is compositional:
-/// seam-decomposition and die-embedding checks run the *real* transition
-/// code and the *real* arbiter/bus on representative and seeded-random
-/// states at every doubling size up to `slices`.
+/// seam-decomposition and die-embedding checks run the engine's own
+/// merge and split moves and the *real* arbiter/bus on representative and
+/// seeded-random states at every doubling size up to `slices`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReducedReport {
     /// Slice count the verification covers.
@@ -676,7 +592,8 @@ impl ReducedReport {
 ///    and the only cross-seam transitions are the L3 merge of two
 ///    fully-merged halves and the L2 merge of two L2-whole halves (with
 ///    forced L3 cover). The check verifies this decomposition *against
-///    the real `successors` code*: for corner and seeded-random half
+///    the engine's moves*, hand-building the seam edges as the oracle:
+///    for corner and seeded-random half
 ///    states, the successor set of the composed state must equal the
 ///    union of embedded left-half edges, embedded right-half edges, and
 ///    the two seam edges — nothing more, nothing less.
@@ -750,40 +667,16 @@ impl ReducedLattice {
         visited.insert(canon_base.clone(), base_orbit as u64);
         queue.push_back(canon_base.clone());
         while let Some(state) = queue.pop_front() {
-            machine.check_state_invariants(&state, &mut report.violations);
             let (l3_rep, l3_orbit) = group.canonical_partition(&state.1);
             l3_orbits.insert(l3_rep, l3_orbit as u64);
-            let mut has_split = false;
-            for edge in machine.successors(&state) {
-                report.transitions += 1;
-                if edge.forced {
-                    report.forced_covers += 1;
-                }
-                if edge.is_merge {
-                    if !edge.reversible {
-                        report.violations.push(Violation {
-                            invariant: 4,
-                            state: edge.next.clone(),
-                            message: format!(
-                                "merge from canonical L2={:?} L3={:?} has no reversing split path",
-                                state.0, state.1
-                            ),
-                        });
-                    }
-                } else {
-                    has_split = true;
-                }
+            let edges = machine.visit(&state, &canon_base, &mut report.violations);
+            report.transitions += edges.len() as u64;
+            report.forced_covers += edges.iter().filter(|e| e.forced).count() as u64;
+            for edge in edges {
                 let (canon, orbit) = group.canonical_pair(&edge.next.0, &edge.next.1);
                 if visited.insert(canon.clone(), orbit as u64).is_none() {
                     queue.push_back(canon);
                 }
-            }
-            if state != canon_base && !has_split {
-                report.violations.push(Violation {
-                    invariant: 4,
-                    state: state.clone(),
-                    message: "non-base canonical state with no legal split (dead end)".into(),
-                });
             }
         }
         report.canonical_states = visited.len() as u64;

@@ -7,7 +7,8 @@
 //!   library crates ([`lexer`] provides the hand-rolled token stream;
 //!   no `syn`, no external dependencies, the workspace builds offline).
 //! * [`lattice`] — a model check of the merge/split reconfiguration
-//!   lattice: every reachable `(L2, L3)` topology state is proved to be
+//!   lattice over the engine's own moves from `morphcache::topology`:
+//!   every reachable `(L2, L3)` topology state is proved to be
 //!   a valid buddy partition, preserve inclusion capacity, keep the
 //!   arbitration graph a spanning tree, and remain reversible back to
 //!   the all-private base. Up to 16 slices the check is an exhaustive

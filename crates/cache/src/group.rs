@@ -8,6 +8,7 @@
 //! topologies of Fig. 3 are all expressible as groupings.
 
 use crate::SliceId;
+use morphcache::topology::{check_partition, contiguous_groups};
 use morphcache::MorphError;
 
 /// A partition of `n` slices into shared groups.
@@ -54,16 +55,7 @@ impl Grouping {
                 "group size {group_size} does not divide slice count {n}"
             )));
         }
-        let mut groups = Vec::with_capacity(n / group_size);
-        let mut group_of = vec![0; n];
-        for (g, start) in (0..n).step_by(group_size).enumerate() {
-            let members: Vec<SliceId> = (start..start + group_size).collect();
-            for &s in &members {
-                group_of[s] = g;
-            }
-            groups.push(members);
-        }
-        Ok(Self { group_of, groups })
+        Self::from_groups(n, contiguous_groups(n, group_size))
     }
 
     /// Builds a grouping from explicit member lists.
@@ -71,37 +63,17 @@ impl Grouping {
     /// # Errors
     ///
     /// Returns [`MorphError::Grouping`] if the lists are not a partition
-    /// of `0..n` or any group is empty.
-    pub fn from_groups(n: usize, groups: Vec<Vec<SliceId>>) -> Result<Self, MorphError> {
-        let mut group_of = vec![usize::MAX; n];
-        let mut sorted_groups = Vec::with_capacity(groups.len());
-        for (g, mut members) in groups.into_iter().enumerate() {
-            if members.is_empty() {
-                return Err(MorphError::Grouping("empty group".into()));
-            }
+    /// of `0..n` (see [`check_partition`]).
+    pub fn from_groups(n: usize, mut groups: Vec<Vec<SliceId>>) -> Result<Self, MorphError> {
+        check_partition(&groups, n)?;
+        let mut group_of = vec![0; n];
+        for (g, members) in groups.iter_mut().enumerate() {
             members.sort_unstable();
-            for &s in &members {
-                if s >= n {
-                    return Err(MorphError::Grouping(format!(
-                        "slice {s} out of range for level with {n} slices"
-                    )));
-                }
-                if group_of[s] != usize::MAX {
-                    return Err(MorphError::Grouping(format!(
-                        "slice {s} appears in more than one group"
-                    )));
-                }
+            for &s in members.iter() {
                 group_of[s] = g;
             }
-            sorted_groups.push(members);
         }
-        if let Some(s) = group_of.iter().position(|&g| g == usize::MAX) {
-            return Err(MorphError::Grouping(format!("slice {s} is in no group")));
-        }
-        Ok(Self {
-            group_of,
-            groups: sorted_groups,
-        })
+        Ok(Self { group_of, groups })
     }
 
     /// Number of slices covered.

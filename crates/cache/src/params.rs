@@ -45,16 +45,23 @@ impl CacheParams {
     ///
     /// Returns [`MorphError::InvalidConfig`] if the implied set count, the
     /// associativity or the block size is not a nonzero power of two (a
-    /// zero associativity or block size names `ways`).
+    /// zero associativity names `ways`, a zero block size `block_bytes`).
     pub fn from_capacity(
         capacity_bytes: usize,
         ways: usize,
         block_bytes: usize,
     ) -> Result<Self, MorphError> {
-        if ways == 0 || block_bytes == 0 {
-            return Err(not_power_of_two("ways", ways.max(block_bytes)));
+        if ways == 0 {
+            return Err(not_power_of_two("ways", ways));
         }
-        let sets = capacity_bytes / (ways * block_bytes);
+        if block_bytes == 0 {
+            return Err(not_power_of_two("block_bytes", block_bytes));
+        }
+        // A set too large for `usize` fits in no capacity: zero sets,
+        // which `new` rejects.
+        let sets = ways
+            .checked_mul(block_bytes)
+            .map_or(0, |set_bytes| capacity_bytes / set_bytes);
         Self::new(sets, ways, block_bytes)
     }
 
@@ -203,6 +210,24 @@ mod tests {
         assert_eq!(field(CacheParams::new(4, 4, 48)), "block_bytes");
         assert_eq!(field(CacheParams::from_capacity(4096, 0, 64)), "ways");
         assert_eq!(field(CacheParams::from_capacity(3 * 4096, 4, 64)), "sets");
+    }
+
+    #[test]
+    fn from_capacity_names_the_bad_argument_and_never_overflows() {
+        let field = |r: Result<CacheParams, MorphError>| match r {
+            Err(MorphError::InvalidConfig { field, value, .. }) => (field, value),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        };
+        assert_eq!(
+            field(CacheParams::from_capacity(4096, 4, 0)),
+            ("block_bytes", 0)
+        );
+        assert_eq!(field(CacheParams::from_capacity(4096, 0, 64)), ("ways", 0));
+        // 2^33 ways of 2^33-byte blocks overflow a set's byte count.
+        assert_eq!(
+            field(CacheParams::from_capacity(1, 1 << 33, 1 << 33)),
+            ("sets", 0)
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! returned groupings to the actual hierarchy and interconnect.
 
 use crate::acfv::Acfv;
-use crate::config::{GroupingMode, MorphConfig};
+use crate::config::MorphConfig;
 use crate::error::MorphError;
 use crate::hash::HashKind;
 use crate::msat::{Msat, Utilization};
@@ -490,42 +490,33 @@ impl MorphEngine {
             let mut span = p.half_a.clone();
             span.extend(p.half_b.iter().copied());
             span.sort_unstable();
-            let state = self.level(p.level);
             // Only check groups that still exist exactly as merged.
-            if !state.groups.contains(&span) {
+            let groups = &self.level(p.level).groups;
+            let Some(gi) = groups.iter().position(|g| *g == span) else {
                 continue;
-            }
+            };
             let post: f64 = span
                 .iter()
                 .map(|&c| perf.get(c).copied().unwrap_or(0.0))
                 .sum();
             if post < p.pre_perf * 0.95 {
-                // Revert. The L2 refinement is preserved: an L3 revert is
-                // skipped if an L2 group straddles the halves.
-                if p.level == CacheLevelId::L3 && straddles(&self.l2.groups, &p.half_a, &p.half_b) {
+                // Revert to the recorded halves. The L2 refinement is
+                // preserved: an L3 revert is skipped if an L2 group
+                // straddles the halves.
+                if p.level == CacheLevelId::L3
+                    && topology::straddles(&self.l2.groups, &p.half_a, &p.half_b)
+                {
                     // Cannot revert yet (inclusion); re-check next epoch —
                     // the straddling L2 merge has its own probation entry
                     // and may be reverted first.
                     self.probation.push(p);
                     continue;
                 }
-                let state = self.level_mut(p.level);
-                // The `contains` check above guarantees the position
-                // exists; guarded rather than unwrapped so a racing edit
-                // to that check can never panic an epoch.
-                let Some(gi) = state.groups.iter().position(|g| *g == span) else {
-                    continue;
-                };
-                state.groups[gi] = p.half_a.clone();
-                state.groups.push(p.half_b.clone());
-                sort_groups(&mut state.groups);
-                events.push(ReconfigEvent {
-                    epoch,
-                    level: p.level,
-                    kind: ReconfigKind::Split,
-                    members: span.clone(),
-                    asymmetric_after: !topology::is_symmetric(&self.l2.groups, &self.l3.groups),
-                });
+                let reverted = (
+                    topology::split(groups, gi, &p.half_a, &p.half_b),
+                    span.clone(),
+                );
+                self.record(events, epoch, p.level, ReconfigKind::Split, reverted);
                 self.blacklist.push((p.level, span, epoch + 8));
             }
         }
@@ -616,50 +607,46 @@ impl MorphEngine {
         false
     }
 
-    /// Candidate pairs of group indices that the grouping mode allows to
-    /// merge.
-    fn merge_candidates(&self, groups: &[Vec<usize>]) -> Vec<(usize, usize)> {
-        let mut pairs = Vec::new();
-        for i in 0..groups.len() {
-            for j in i + 1..groups.len() {
-                let (a, b) = (&groups[i], &groups[j]);
-                let allowed = match self.config.grouping {
-                    GroupingMode::BuddyPowerOfTwo => buddy_siblings(a, b),
-                    GroupingMode::ArbitraryContiguous => adjacent(a, b),
-                    GroupingMode::NonNeighbor => true,
-                };
-                if allowed {
-                    pairs.push((i, j));
-                }
-            }
-        }
-        pairs
+    /// Installs the grouping a move left at `level` and logs the move with
+    /// the group it concerns and whether the configuration it leaves is
+    /// asymmetric (§2.4).
+    fn record(
+        &mut self,
+        events: &mut Vec<ReconfigEvent>,
+        epoch: u64,
+        level: CacheLevelId,
+        kind: ReconfigKind,
+        (groups, members): (Vec<Vec<usize>>, Vec<usize>),
+    ) {
+        self.level_mut(level).groups = groups;
+        events.push(ReconfigEvent {
+            epoch,
+            level,
+            kind,
+            members,
+            asymmetric_after: !topology::is_symmetric(&self.l2.groups, &self.l3.groups),
+        });
     }
 
     fn do_merges(&mut self, level: CacheLevelId, epoch: u64, events: &mut Vec<ReconfigEvent>) {
         loop {
-            let groups = match level {
-                CacheLevelId::L2 => self.l2.groups.clone(),
-                CacheLevelId::L3 => self.l3.groups.clone(),
-            };
-            let candidate = self.merge_candidates(&groups).into_iter().find(|&(i, j)| {
-                let mut span = groups[i].clone();
-                span.extend(groups[j].iter().copied());
-                span.sort_unstable();
-                if self.blacklisted(level, &span) {
-                    return false;
-                }
-                self.mergeable(level, &groups[i], &groups[j])
-            });
+            let groups = self.level(level).groups.clone();
+            let candidate = topology::merge_candidates(&groups, self.config.grouping)
+                .into_iter()
+                .find(|&(i, j)| {
+                    let mut span = groups[i].clone();
+                    span.extend(groups[j].iter().copied());
+                    span.sort_unstable();
+                    !self.blacklisted(level, &span) && self.mergeable(level, &groups[i], &groups[j])
+                });
             let Some((i, j)) = candidate else { break };
+            let (merged, members) = topology::merge(&groups, i, j);
             if level == CacheLevelId::L2 {
                 // Inclusion safety: the merged L2 span must be covered by
-                // one L3 group. Merging at the last level is always safe
-                // (§2.2), so the covering L3 merge follows on demand.
-                let mut span = groups[i].clone();
-                span.extend(&groups[j]);
-                if !covered_by_one(&span, &self.l3.groups) {
-                    self.force_l3_cover(&span, epoch, events);
+                // one L3 group, so the L3 merges it forces come first.
+                while let Some((a, b)) = topology::cover_step(&self.l3.groups, &members) {
+                    let cover = topology::merge(&self.l3.groups, a, b);
+                    self.record(events, epoch, CacheLevelId::L3, ReconfigKind::Merge, cover);
                 }
             }
             // Put the merge on probation for next epoch's performance
@@ -677,95 +664,24 @@ impl MorphEngine {
                 half_b: groups[j].clone(),
                 pre_perf: pre,
             });
-            let (merged, new_members) = merge_groups(&groups, i, j);
-            match level {
-                CacheLevelId::L2 => self.l2.groups = merged,
-                CacheLevelId::L3 => self.l3.groups = merged,
-            }
-            events.push(ReconfigEvent {
-                epoch,
-                level,
-                kind: ReconfigKind::Merge,
-                members: new_members,
-                asymmetric_after: !topology::is_symmetric(&self.l2.groups, &self.l3.groups),
-            });
+            self.record(events, epoch, level, ReconfigKind::Merge, (merged, members));
         }
     }
 
     fn do_splits(&mut self, level: CacheLevelId, epoch: u64, events: &mut Vec<ReconfigEvent>) {
         loop {
-            let groups = match level {
-                CacheLevelId::L2 => self.l2.groups.clone(),
-                CacheLevelId::L3 => self.l3.groups.clone(),
-            };
-            let mut performed = false;
-            for (gi, g) in groups.iter().enumerate() {
-                if g.len() < 2 {
-                    continue;
-                }
-                let (a, b) = halves(g);
-                if !self.splittable(level, &a, &b) {
-                    continue;
-                }
-                // Inclusion safety: no L2 group may straddle an L3 split.
-                // The merge is kept and the split skipped.
-                if level == CacheLevelId::L3 && straddles(&self.l2.groups, &a, &b) {
-                    continue;
-                }
-                let mut new_groups = groups.clone();
-                new_groups[gi] = a.clone();
-                new_groups.push(b.clone());
-                sort_groups(&mut new_groups);
-                match level {
-                    CacheLevelId::L2 => self.l2.groups = new_groups,
-                    CacheLevelId::L3 => self.l3.groups = new_groups,
-                }
-                events.push(ReconfigEvent {
-                    epoch,
-                    level,
-                    kind: ReconfigKind::Split,
-                    members: g.clone(),
-                    asymmetric_after: !topology::is_symmetric(&self.l2.groups, &self.l3.groups),
-                });
-                performed = true;
-                break;
-            }
-            if !performed {
-                break;
-            }
-        }
-    }
-
-    /// Merges L3 groups until `span` is covered by one group, logging the
-    /// merges.
-    fn force_l3_cover(&mut self, span: &[usize], epoch: u64, events: &mut Vec<ReconfigEvent>) {
-        while !covered_by_one(span, &self.l3.groups) {
-            // Find two L3 groups both intersecting the span and merge them.
-            let idx: Vec<usize> = self
-                .l3
-                .groups
-                .iter()
-                .enumerate()
-                .filter(|(_, g)| g.iter().any(|s| span.contains(s)))
-                .map(|(i, _)| i)
-                .collect();
-            // Internal invariant: an uncovered span must intersect at
-            // least two groups. Guarded (not asserted) so a violation
-            // cannot loop forever or panic a release build.
-            if idx.len() < 2 {
-                debug_assert!(false, "span not covered but only one intersecting group");
-                break;
-            }
-            let (i, j) = (idx[0], idx[1]);
-            let (merged, new_members) = merge_groups(&self.l3.groups, i, j);
-            self.l3.groups = merged;
-            events.push(ReconfigEvent {
-                epoch,
-                level: CacheLevelId::L3,
-                kind: ReconfigKind::Merge,
-                members: new_members,
-                asymmetric_after: !topology::is_symmetric(&self.l2.groups, &self.l3.groups),
+            let groups = self.level(level).groups.clone();
+            // Inclusion safety: no L2 group may straddle an L3 split. The
+            // merge is kept and the split skipped.
+            let found = groups.iter().enumerate().find_map(|(gi, g)| {
+                let (a, b) = topology::halves(g)?;
+                let allowed = self.splittable(level, &a, &b)
+                    && !(level == CacheLevelId::L3 && topology::straddles(&self.l2.groups, &a, &b));
+                allowed.then_some((gi, a, b))
             });
+            let Some((gi, a, b)) = found else { break };
+            let split = (topology::split(&groups, gi, &a, &b), groups[gi].clone());
+            self.record(events, epoch, level, ReconfigKind::Split, split);
         }
     }
 }
@@ -789,58 +705,10 @@ fn corrected_overlap(a: &Acfv, b: &Acfv) -> f64 {
     ((and_frac - expected) / denom).clamp(0.0, 1.0)
 }
 
-// The buddy-sibling and adjacency predicates moved to
-// `crate::topology` so the static lattice model check (morph-analyzer)
-// and the runtime engine provably use the same transition rules.
-use crate::topology::{adjacent, buddy_siblings};
-
-/// True if a group of `groups` holds slices of both `a` and `b`.
-fn straddles(groups: &[Vec<usize>], a: &[usize], b: &[usize]) -> bool {
-    groups
-        .iter()
-        .any(|g| g.iter().any(|s| a.contains(s)) && g.iter().any(|s| b.contains(s)))
-}
-
-/// True if one group of `groups` contains every slice of `span`.
-fn covered_by_one(span: &[usize], groups: &[Vec<usize>]) -> bool {
-    groups.iter().any(|g| span.iter().all(|s| g.contains(s)))
-}
-
-/// Returns `groups` with groups `i` and `j` merged (sorted, canonical),
-/// along with the merged group's members — so callers never have to
-/// re-find (and unwrap) the group they just created.
-fn merge_groups(groups: &[Vec<usize>], i: usize, j: usize) -> (Vec<Vec<usize>>, Vec<usize>) {
-    let mut out: Vec<Vec<usize>> = Vec::with_capacity(groups.len() - 1);
-    let mut merged = groups[i].clone();
-    merged.extend(groups[j].iter().copied());
-    merged.sort_unstable();
-    for (k, g) in groups.iter().enumerate() {
-        if k != i && k != j {
-            out.push(g.clone());
-        }
-    }
-    out.push(merged.clone());
-    sort_groups(&mut out);
-    (out, merged)
-}
-
-/// Splits a group into its two halves by member order.
-fn halves(g: &[usize]) -> (Vec<usize>, Vec<usize>) {
-    let mid = g.len() / 2;
-    (g[..mid].to_vec(), g[mid..].to_vec())
-}
-
-fn sort_groups(groups: &mut [Vec<usize>]) {
-    for g in groups.iter_mut() {
-        g.sort_unstable();
-    }
-    groups.sort_by_key(|g| g[0]);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::MorphConfig;
+    use crate::config::{GroupingMode, MorphConfig};
 
     /// Feeds `frac` of a slice's ACFV bits at `level` as distinct
     /// touched lines.
@@ -1350,16 +1218,5 @@ mod tests {
         e.on_evicted(CacheLevelId::L2, 0, 1, 42);
         assert_eq!(e.materialized(CacheLevelId::L2), 1);
         assert_eq!((e.l2.total_churn[0], e.l2.reused_churn[0]), (2, 1));
-    }
-
-    #[test]
-    fn buddy_sibling_predicate() {
-        assert!(buddy_siblings(&[0, 1], &[2, 3]));
-        assert!(buddy_siblings(&[2, 3], &[0, 1]));
-        assert!(!buddy_siblings(&[1, 2], &[3, 4]), "unaligned");
-        assert!(!buddy_siblings(&[0, 1], &[4, 5]), "not adjacent");
-        assert!(!buddy_siblings(&[0], &[1, 2]), "size mismatch");
-        assert!(buddy_siblings(&[0, 1, 2, 3], &[4, 5, 6, 7]));
-        let _ = buddy_siblings(&[4, 5, 6, 7], &[8, 9, 10, 11]); // out-of-range ids must not panic
     }
 }

@@ -7,11 +7,19 @@
 //! `(1:1:n)`; the paper evaluates at `n = 16`, but every helper here is
 //! generic over any power-of-two slice count (16 through 1024 and beyond).
 //!
+//! It is also the one home of the moves that reconfigure a level (merge
+//! two groups, split one in two, and the L3 merges an L2 merge forces) and
+//! of the partition check. The engine decides which moves to take, the
+//! lattice model check in `morph-analyzer` enumerates all of them, and the
+//! cache's `Grouping` and the interconnect's bus and arbiter validate
+//! their groupings with [`check_partition`].
+//!
 //! The [`crate::symmetry`] module builds on these predicates: it exposes
 //! the slice rotation/reflection symmetry group over buddy partitions and
 //! the canonicalization layer the symmetry-reduced lattice model check
 //! uses at large core counts.
 
+use crate::config::GroupingMode;
 use crate::error::MorphError;
 
 /// A symmetric `(x : y : z)` topology for an `n`-core CMP.
@@ -148,21 +156,41 @@ pub fn contiguous_groups(n: usize, size: usize) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// True if `groups` is a partition of `0..n`.
-pub fn is_partition(groups: &[Vec<usize>], n: usize) -> bool {
+/// Checks that `groups` is a partition of `0..n`.
+///
+/// # Errors
+///
+/// Returns [`MorphError::Grouping`] naming the first defect, in group and
+/// member order: an empty group, a slice out of range, a slice in two
+/// groups, or (after all groups) a slice in no group.
+pub fn check_partition(groups: &[Vec<usize>], n: usize) -> Result<(), MorphError> {
     let mut seen = vec![false; n];
     for g in groups {
         if g.is_empty() {
-            return false;
+            return Err(MorphError::Grouping("empty group".into()));
         }
         for &s in g {
-            if s >= n || seen[s] {
-                return false;
+            if s >= n {
+                return Err(MorphError::Grouping(format!(
+                    "slice {s} out of range for level with {n} slices"
+                )));
             }
-            seen[s] = true;
+            if std::mem::replace(&mut seen[s], true) {
+                return Err(MorphError::Grouping(format!(
+                    "slice {s} appears in more than one group"
+                )));
+            }
         }
     }
-    seen.into_iter().all(|b| b)
+    match seen.iter().position(|&covered| !covered) {
+        Some(s) => Err(MorphError::Grouping(format!("slice {s} is in no group"))),
+        None => Ok(()),
+    }
+}
+
+/// True if `groups` is a partition of `0..n` (see [`check_partition`]).
+pub fn is_partition(groups: &[Vec<usize>], n: usize) -> bool {
+    check_partition(groups, n).is_ok()
 }
 
 /// True if every group of `finer` lies within one group of `coarser`.
@@ -233,25 +261,114 @@ pub fn max_covering_span(groups: &[Vec<usize>]) -> usize {
 /// `BuddyPowerOfTwo` grouping mode performs, which keeps every group a
 /// hardware-mappable aligned segment of the bus.
 pub fn buddy_siblings(a: &[usize], b: &[usize]) -> bool {
-    if a.len() != b.len() || !a.len().is_power_of_two() {
+    if a.len() != b.len() || !a.len().is_power_of_two() || !adjacent(a, b) {
         return false;
     }
-    let contiguous = |g: &[usize]| g.windows(2).all(|w| w[1] == w[0] + 1);
-    if !contiguous(a) || !contiguous(b) {
-        return false;
-    }
-    let (lo, hi) = if a[0] < b[0] { (a, b) } else { (b, a) };
-    hi[0] == lo[lo.len() - 1] + 1 && lo[0] % (2 * a.len()) == 0
+    a[0].min(b[0]).is_multiple_of(2 * a.len())
 }
 
 /// True if `a` and `b` are adjacent contiguous ranges (either order).
 pub fn adjacent(a: &[usize], b: &[usize]) -> bool {
-    let contiguous = |g: &[usize]| g.windows(2).all(|w| w[1] == w[0] + 1);
-    if !contiguous(a) || !contiguous(b) {
+    if !ascending_range(a) || !ascending_range(b) {
         return false;
     }
     let (lo, hi) = if a[0] < b[0] { (a, b) } else { (b, a) };
     hi[0] == lo[lo.len() - 1] + 1
+}
+
+/// True if `group` lists consecutive slices in ascending order.
+fn ascending_range(group: &[usize]) -> bool {
+    group.windows(2).all(|w| w[1] == w[0] + 1)
+}
+
+/// True if `group` is a *buddy block*: a contiguous ascending range of
+/// power-of-two length, aligned to its own size.
+pub fn is_buddy_block(group: &[usize]) -> bool {
+    group.len().is_power_of_two() && ascending_range(group) && group[0].is_multiple_of(group.len())
+}
+
+/// The pairs of group indices `(i, j)`, `i < j`, that `mode` allows to
+/// merge: buddy siblings, adjacent ranges, or any two groups.
+pub fn merge_candidates(groups: &[Vec<usize>], mode: GroupingMode) -> Vec<(usize, usize)> {
+    let mut pairs = Vec::new();
+    for i in 0..groups.len() {
+        for j in i + 1..groups.len() {
+            let (a, b) = (&groups[i], &groups[j]);
+            let allowed = match mode {
+                GroupingMode::BuddyPowerOfTwo => buddy_siblings(a, b),
+                GroupingMode::ArbitraryContiguous => adjacent(a, b),
+                GroupingMode::NonNeighbor => true,
+            };
+            if allowed {
+                pairs.push((i, j));
+            }
+        }
+    }
+    pairs
+}
+
+/// Groups `i` and `j` (`i != j`) of `groups` merged into one. Returns
+/// the new grouping in canonical order (members ascending, groups sorted
+/// by first member) and the merged group's members.
+pub fn merge(groups: &[Vec<usize>], i: usize, j: usize) -> (Vec<Vec<usize>>, Vec<usize>) {
+    let mut merged = [groups[i].as_slice(), &groups[j]].concat();
+    merged.sort_unstable();
+    let mut out = groups.to_vec();
+    out[i] = merged.clone();
+    out.remove(j);
+    (canonical(out), merged)
+}
+
+/// Group `i` of `groups` split into the parts `a` and `b`, which must
+/// partition it, in canonical order. A split in halves passes
+/// [`halves`]; reverting a merge passes the two groups it joined.
+pub fn split(groups: &[Vec<usize>], i: usize, a: &[usize], b: &[usize]) -> Vec<Vec<usize>> {
+    let mut out = groups.to_vec();
+    out[i] = a.to_vec();
+    out.push(b.to_vec());
+    canonical(out)
+}
+
+/// A group's two halves by member order, or `None` for a group of fewer
+/// than two slices, which has nothing to split.
+pub fn halves(group: &[usize]) -> Option<(Vec<usize>, Vec<usize>)> {
+    if group.len() < 2 {
+        return None;
+    }
+    let (a, b) = group.split_at(group.len() / 2);
+    Some((a.to_vec(), b.to_vec()))
+}
+
+/// True if a group of `groups` holds slices of both `a` and `b`. An L3
+/// group may not split into `a` and `b` while an L2 group straddles them:
+/// that L2 group would no longer lie within one L3 group (§2.3).
+pub fn straddles(groups: &[Vec<usize>], a: &[usize], b: &[usize]) -> bool {
+    groups
+        .iter()
+        .any(|g| g.iter().any(|s| a.contains(s)) && g.iter().any(|s| b.contains(s)))
+}
+
+/// The next L3 merge that an L2 merge of `span` forces: the first two
+/// groups of the partition `l3` that meet `span`, or `None` once one
+/// group covers it. Merging the returned pair until `None` leaves one L3
+/// group covering the span, which keeps L2 refining L3; merging at the
+/// last level is always safe (§2.2).
+pub fn cover_step(l3: &[Vec<usize>], span: &[usize]) -> Option<(usize, usize)> {
+    let mut meeting = l3
+        .iter()
+        .enumerate()
+        .filter(|(_, g)| g.iter().any(|s| span.contains(s)))
+        .map(|(k, _)| k);
+    Some((meeting.next()?, meeting.next()?))
+}
+
+/// Sorts each group's members, then the groups by first member.
+fn canonical(mut groups: Vec<Vec<usize>>) -> Vec<Vec<usize>> {
+    for g in &mut groups {
+        g.sort_unstable();
+    }
+    groups.sort_by_key(|g| g[0]);
+    groups
 }
 
 /// True if `groups` is a partition of `0..n` into *buddy blocks*:
@@ -259,12 +376,7 @@ pub fn adjacent(a: &[usize], b: &[usize]) -> bool {
 /// These are exactly the partitions reachable by buddy merges and splits,
 /// and exactly the group shapes the arbiter tree can be configured for.
 pub fn is_buddy_partition(groups: &[Vec<usize>], n: usize) -> bool {
-    is_partition(groups, n)
-        && groups.iter().all(|g| {
-            g.len().is_power_of_two()
-                && g.windows(2).all(|w| w[1] == w[0] + 1)
-                && g[0] % g.len() == 0
-        })
+    is_partition(groups, n) && groups.iter().all(|g| is_buddy_block(g))
 }
 
 #[cfg(test)]
@@ -500,11 +612,112 @@ mod tests {
     fn buddy_sibling_detection() {
         assert!(buddy_siblings(&[0, 1], &[2, 3]));
         assert!(buddy_siblings(&[2, 3], &[0, 1]));
+        assert!(buddy_siblings(&[0, 1, 2, 3], &[4, 5, 6, 7]));
         assert!(!buddy_siblings(&[2, 3], &[4, 5])); // halves of different parents
+        assert!(!buddy_siblings(&[1, 2], &[3, 4])); // unaligned
+        assert!(!buddy_siblings(&[0, 1], &[4, 5])); // not adjacent
         assert!(!buddy_siblings(&[0, 1], &[2, 3, 4, 5])); // size mismatch
+        assert!(!buddy_siblings(&[0], &[1, 2])); // size mismatch
         assert!(!buddy_siblings(&[0, 2], &[1, 3])); // not contiguous
+        let _ = buddy_siblings(&[4, 5, 6, 7], &[8, 9, 10, 11]); // out-of-range ids must not panic
         assert!(adjacent(&[2, 3], &[4, 5]));
         assert!(!adjacent(&[0, 1], &[4, 5]));
+    }
+
+    #[test]
+    fn check_partition_names_each_defect() {
+        for (groups, message) in [
+            (vec![vec![0, 1], vec![]], "empty group"),
+            (
+                vec![vec![0, 1], vec![2, 3, 9]],
+                "slice 9 out of range for level with 4 slices",
+            ),
+            (
+                vec![vec![0, 1], vec![1, 2, 3]],
+                "slice 1 appears in more than one group",
+            ),
+            (vec![vec![0, 1], vec![3]], "slice 2 is in no group"),
+        ] {
+            let err = Err(MorphError::Grouping(message.into()));
+            assert_eq!(check_partition(&groups, 4), err);
+            assert!(!is_partition(&groups, 4));
+        }
+        assert_eq!(check_partition(&[vec![2, 0], vec![1, 3]], 4), Ok(()));
+    }
+
+    #[test]
+    fn merge_returns_canonical_order_and_the_merged_members() {
+        let groups = vec![vec![0], vec![1, 2], vec![3], vec![4]];
+        let (merged, members) = merge(&groups, 3, 0);
+        assert_eq!(merged, vec![vec![0, 4], vec![1, 2], vec![3]]);
+        assert_eq!(members, vec![0, 4]);
+        let (merged, members) = merge(&groups, 1, 2);
+        assert_eq!(merged, vec![vec![0], vec![1, 2, 3], vec![4]]);
+        assert_eq!(members, vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn split_installs_the_two_given_parts() {
+        let groups = vec![vec![0, 1, 2, 3], vec![4, 5]];
+        assert_eq!(halves(&groups[0]), Some((vec![0, 1], vec![2, 3])));
+        assert_eq!(halves(&[7]), None);
+        assert_eq!(
+            split(&groups, 0, &[0, 1], &[2, 3]),
+            vec![vec![0, 1], vec![2, 3], vec![4, 5]]
+        );
+        // A probation revert restores recorded parts, which need not be
+        // positional halves.
+        let nn = vec![vec![0, 2, 3], vec![1]];
+        assert_eq!(
+            split(&nn, 0, &[0, 3], &[2]),
+            vec![vec![0, 3], vec![1], vec![2]]
+        );
+        // Splitting one of two merged groups undoes that merge.
+        let (merged, _) = merge(&groups, 0, 1);
+        assert_eq!(split(&merged, 0, &[4, 5], &[0, 1, 2, 3]), groups);
+    }
+
+    #[test]
+    fn straddles_finds_a_group_holding_both_parts() {
+        let l2 = vec![vec![0], vec![1, 2], vec![3]];
+        assert!(straddles(&l2, &[0, 1], &[2, 3]));
+        assert!(!straddles(&l2, &[0], &[1, 2, 3]));
+    }
+
+    #[test]
+    fn cover_step_merges_until_one_group_covers_the_span() {
+        assert_eq!(cover_step(&[vec![0, 1], vec![2, 3]], &[0, 1]), None);
+        assert_eq!(
+            cover_step(&[vec![0], vec![1], vec![2, 3]], &[1, 2]),
+            Some((1, 2))
+        );
+        let mut l3: Vec<Vec<usize>> = (0..5).map(|s| vec![s]).collect();
+        let span = [0, 2, 4];
+        let mut steps = 0;
+        while let Some((a, b)) = cover_step(&l3, &span) {
+            l3 = merge(&l3, a, b).0;
+            steps += 1;
+        }
+        assert_eq!(steps, 2);
+        assert_eq!(l3, vec![vec![0, 2, 4], vec![1], vec![3]]);
+    }
+
+    #[test]
+    fn merge_candidates_follow_the_grouping_mode() {
+        let groups = vec![vec![0, 1], vec![2, 3], vec![4], vec![5]];
+        for (mode, pairs) in [
+            (GroupingMode::BuddyPowerOfTwo, vec![(0, 1), (2, 3)]),
+            (
+                GroupingMode::ArbitraryContiguous,
+                vec![(0, 1), (1, 2), (2, 3)],
+            ),
+            (
+                GroupingMode::NonNeighbor,
+                vec![(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+            ),
+        ] {
+            assert_eq!(merge_candidates(&groups, mode), pairs, "{mode:?}");
+        }
     }
 
     #[test]

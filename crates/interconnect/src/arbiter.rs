@@ -8,6 +8,9 @@
 //! sharing group do not participate. A slice acquires the bus (`BusAcq`)
 //! only when every arbiter it is configured to share (Fig. 11) grants it.
 
+use morphcache::topology::{check_partition, is_buddy_block};
+use morphcache::MorphError;
+
 /// The two-input round-robin arbiter cell of Fig. 10.
 ///
 /// `last_grant` plays the role of the `Lastgnt` register: under contention
@@ -123,43 +126,26 @@ impl ArbiterTree {
     }
 
     /// Configures sharing groups. Each group must be a buddy-aligned
-    /// power-of-two range of consecutive leaves and the groups must
-    /// partition `0..n`.
+    /// power-of-two range of consecutive leaves, listed in ascending
+    /// order, and the groups must partition `0..n`.
     ///
     /// # Errors
     ///
-    /// Returns a description of the violation if the groups are not a
-    /// buddy-aligned partition.
-    pub fn configure_groups(&mut self, groups: &[Vec<usize>]) -> Result<(), String> {
-        let mut seen = vec![false; self.n];
+    /// Returns [`MorphError::Grouping`] if the groups are not a partition
+    /// (see [`check_partition`]) or a group is not such a range; the
+    /// configuration is then unchanged.
+    pub fn configure_groups(&mut self, groups: &[Vec<usize>]) -> Result<(), MorphError> {
+        check_partition(groups, self.n)?;
+        if let Some(g) = groups.iter().find(|g| !is_buddy_block(g)) {
+            return Err(MorphError::Grouping(format!(
+                "group {g:?} is not a buddy-aligned ascending range"
+            )));
+        }
         let mut active = vec![0usize; self.n];
         for g in groups {
-            let len = g.len();
-            if len == 0 || !len.is_power_of_two() {
-                return Err(format!("group size {len} is not a nonzero power of two"));
+            for &leaf in g {
+                active[leaf] = g.len().trailing_zeros() as usize;
             }
-            let first = *g.iter().min().ok_or("empty group")?;
-            if first % len != 0 {
-                return Err(format!(
-                    "group starting at {first} of size {len} is not aligned"
-                ));
-            }
-            for (i, &leaf) in g.iter().enumerate() {
-                if leaf >= self.n {
-                    return Err(format!("leaf {leaf} out of range"));
-                }
-                if leaf != first + i {
-                    return Err(format!("group {g:?} is not a contiguous ascending range"));
-                }
-                if seen[leaf] {
-                    return Err(format!("leaf {leaf} in two groups"));
-                }
-                seen[leaf] = true;
-                active[leaf] = len.trailing_zeros() as usize;
-            }
-        }
-        if seen.iter().any(|&s| !s) {
-            return Err("groups do not cover all leaves".into());
         }
         self.active_levels = active;
         Ok(())
@@ -347,14 +333,27 @@ mod tests {
     #[test]
     fn misaligned_groups_rejected() {
         let mut t = ArbiterTree::new(8);
-        assert!(t
-            .configure_groups(&[vec![1, 2], vec![0], vec![3, 4, 5, 6, 7]])
-            .is_err());
-        assert!(t.configure_groups(&[vec![0, 1, 2]]).is_err());
-        assert!(
-            t.configure_groups(&[vec![0, 1]]).is_err(),
-            "must cover all leaves"
-        );
+        for (groups, why) in [
+            (
+                vec![vec![1, 2], vec![0], vec![3], vec![4, 5, 6, 7]],
+                "misaligned",
+            ),
+            (
+                vec![vec![0, 1, 2], vec![3], vec![4, 5, 6, 7]],
+                "not a power of two",
+            ),
+            (vec![vec![1, 0], vec![2, 3], vec![4, 5, 6, 7]], "descending"),
+            (vec![vec![0, 1]], "must cover all leaves"),
+            (vec![vec![0, 1], vec![1, 2, 3], vec![4, 5, 6, 7]], "overlap"),
+            (vec![vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![]], "empty"),
+            (vec![vec![0, 1, 2, 3], vec![4, 5, 6, 8]], "out of range"),
+        ] {
+            let err = t.configure_groups(&groups);
+            assert!(
+                matches!(err, Err(MorphError::Grouping(_))),
+                "{why}: {err:?}"
+            );
+        }
     }
 
     #[test]

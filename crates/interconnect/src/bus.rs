@@ -8,7 +8,8 @@
 //! additionally allows non-power-of-two segment sizes via logical group
 //! IDs over a physical superset, which this model accepts directly).
 
-use crate::InterconnectError;
+use morphcache::topology::check_partition;
+use morphcache::MorphError;
 
 /// The switch configuration of a segmented bus.
 #[derive(Debug, Clone)]
@@ -34,38 +35,24 @@ impl SegmentedBus {
     ///
     /// # Errors
     ///
-    /// Returns [`InterconnectError::InvalidSegments`] for a non-partition
-    /// or a non-contiguous group, and
-    /// [`InterconnectError::ComponentOutOfRange`] for a bad index.
-    pub fn configure(&mut self, groups: &[Vec<usize>]) -> Result<(), InterconnectError> {
-        let mut covered = vec![false; self.n];
+    /// Returns [`MorphError::Grouping`] for a non-partition (see
+    /// [`check_partition`]) or a non-contiguous group; the configuration
+    /// is then unchanged.
+    pub fn configure(&mut self, groups: &[Vec<usize>]) -> Result<(), MorphError> {
+        check_partition(groups, self.n)?;
         for g in groups {
-            if g.is_empty() {
-                return Err(InterconnectError::InvalidSegments("empty segment".into()));
-            }
-            let mut sorted = g.clone();
-            sorted.sort_unstable();
-            if sorted.windows(2).any(|w| w[1] != w[0] + 1) {
-                return Err(InterconnectError::InvalidSegments(format!(
+            // A partition's members are distinct, so a group is contiguous
+            // exactly when it spans as many components as it holds.
+            let span = g
+                .iter()
+                .max()
+                .zip(g.iter().min())
+                .map(|(hi, lo)| hi - lo + 1);
+            if span != Some(g.len()) {
+                return Err(MorphError::Grouping(format!(
                     "segment {g:?} is not contiguous"
                 )));
             }
-            for &c in &sorted {
-                if c >= self.n {
-                    return Err(InterconnectError::ComponentOutOfRange(c, self.n));
-                }
-                if covered[c] {
-                    return Err(InterconnectError::InvalidSegments(format!(
-                        "component {c} in two segments"
-                    )));
-                }
-                covered[c] = true;
-            }
-        }
-        if let Some(c) = covered.iter().position(|&seen| !seen) {
-            return Err(InterconnectError::InvalidSegments(format!(
-                "component {c} is in no segment"
-            )));
         }
         self.n_segments = groups.len();
         Ok(())
@@ -79,22 +66,31 @@ mod tests {
     #[test]
     fn reconfigure_validates() {
         let mut bus = SegmentedBus::new(4);
-        assert!(
-            bus.configure(&[vec![0, 2], vec![1, 3]]).is_err(),
-            "non-contiguous"
-        );
-        assert!(
-            bus.configure(&[vec![0, 1], vec![1, 2, 3]]).is_err(),
-            "overlap"
-        );
-        assert!(bus.configure(&[vec![0, 1]]).is_err(), "uncovered");
-        assert!(
-            bus.configure(&[vec![0, 1], vec![2, 3, 9]]).is_err(),
-            "out of range"
+        for (groups, why) in [
+            (vec![vec![0, 2], vec![1, 3]], "non-contiguous"),
+            (vec![vec![0, 1], vec![1, 2, 3]], "overlap"),
+            (vec![vec![0, 1]], "uncovered"),
+            (vec![vec![0, 1], vec![2, 3, 9]], "out of range"),
+            (vec![vec![0, 1], vec![], vec![2, 3]], "empty"),
+        ] {
+            let err = bus.configure(&groups);
+            assert!(
+                matches!(err, Err(MorphError::Grouping(_))),
+                "{why}: {err:?}"
+            );
+        }
+        assert_eq!(
+            bus.n_segments(),
+            1,
+            "a rejected configuration changes nothing"
         );
         assert!(
             bus.configure(&[vec![0, 1, 2], vec![3]]).is_ok(),
             "non-power-of-two ok (§5.5)"
+        );
+        assert!(
+            bus.configure(&[vec![3, 1, 2], vec![0]]).is_ok(),
+            "any member order"
         );
     }
 }

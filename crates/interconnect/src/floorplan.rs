@@ -9,7 +9,7 @@
 //! segmented-bus overhead in core cycles (15 unpipelined, 10 with the
 //! footnote-2 overlap optimization).
 
-use crate::InterconnectError;
+use morphcache::MorphError;
 
 /// Technology and synthesis constants (Table 1, plus per-cell constants
 /// derived from Table 2).
@@ -98,14 +98,15 @@ impl Floorplan {
     ///
     /// # Errors
     ///
-    /// Returns [`InterconnectError::InvalidGeometry`] unless `n_cores`
-    /// is a power of two and at least 2 (one tile per column).
-    pub fn for_cores(n_cores: usize) -> Result<Self, InterconnectError> {
+    /// Returns [`MorphError::InvalidConfig`] for `n_cores` unless it is a
+    /// power of two and at least 2 (one tile per column).
+    pub fn for_cores(n_cores: usize) -> Result<Self, MorphError> {
         if !n_cores.is_power_of_two() || n_cores < 2 {
-            return Err(InterconnectError::InvalidGeometry(format!(
-                "core count {n_cores} must be a power of two >= 2 \
-                 (two columns of n/2 tiles)"
-            )));
+            return Err(MorphError::InvalidConfig {
+                field: "n_cores",
+                value: n_cores as u64,
+                constraint: "must be a power of two >= 2 (two columns of n/2 tiles)",
+            });
         }
         let paper = Self::paper();
         let tiles_per_column = n_cores / 2;
@@ -350,6 +351,10 @@ mod tests {
     fn for_cores_rejects_degenerate_counts() {
         for n in [0usize, 1, 3, 12, 100] {
             let err = Floorplan::for_cores(n).unwrap_err();
+            assert!(
+                matches!(err, MorphError::InvalidConfig { field: "n_cores", value, .. } if value == n as u64),
+                "error for n={n} should name the field: {err:?}"
+            );
             assert!(
                 err.to_string().contains("power of two"),
                 "error for n={n} should name the constraint: {err}"

@@ -29,6 +29,12 @@
 //!   cycles at or below the 16-tile threshold, one bus hop per further
 //!   doubling of the covering span.
 //!
+//! Errors are the workspace's [`morphcache::MorphError`]. The bus and the
+//! arbiter tree check a grouping with
+//! [`morphcache::topology::check_partition`], the check every grouping in
+//! the workspace goes through, and add only their own shape rule; the
+//! floorplan reports an unrealizable core count as `InvalidConfig`.
+//!
 //! # Example
 //!
 //! ```
@@ -52,29 +58,3 @@ pub use arbiter::{ArbiterTree, RoundRobinArbiter};
 pub use bus::SegmentedBus;
 pub use floorplan::{ArbiterHierarchyModel, Floorplan, SynthesisParams};
 pub use nuca::NucaModel;
-
-/// Errors from interconnect configuration.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InterconnectError {
-    /// Segment lists did not form a partition of contiguous components.
-    InvalidSegments(String),
-    /// A component index was out of range.
-    ComponentOutOfRange(usize, usize),
-    /// A floorplan geometry request was unrealizable (e.g. a
-    /// non-power-of-two core count).
-    InvalidGeometry(String),
-}
-
-impl std::fmt::Display for InterconnectError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            InterconnectError::InvalidSegments(why) => write!(f, "invalid segments: {why}"),
-            InterconnectError::ComponentOutOfRange(c, n) => {
-                write!(f, "component {c} out of range for bus with {n} components")
-            }
-            InterconnectError::InvalidGeometry(why) => write!(f, "invalid geometry: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for InterconnectError {}

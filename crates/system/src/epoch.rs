@@ -17,7 +17,7 @@ use crate::supervisor::CancelToken;
 use morph_cache::{CacheEventSink, NoopSink};
 use morph_cpu::{epoch_ipcs, take_epoch_progress, CoreProgress};
 use morph_trace::stream::AccessStream;
-use morphcache::{MorphError, ReconfigOutcome, StallDiagnostic};
+use morphcache::{topology, MorphError, ReconfigOutcome, StallDiagnostic};
 
 /// Runs one epoch of `sim`, duplicating all cache events into `probe`.
 ///
@@ -169,19 +169,21 @@ pub(crate) fn check_forward_progress(
 /// gets coarser, so L2 still refines it.
 pub(crate) fn force_l3_merge(outcome: &mut ReconfigOutcome) {
     if outcome.l3_groups.len() >= 2 {
-        let second = outcome.l3_groups.remove(1);
-        outcome.l3_groups[0].extend(second);
-        outcome.l3_groups[0].sort_unstable();
+        outcome.l3_groups = topology::merge(&outcome.l3_groups, 0, 1).0;
     }
 }
 
-/// Forces an L3-only split of the first non-singleton group (fault
-/// injection). Deliberately does NOT touch L2, so an L2 group spanning
-/// the split violates refinement and exercises the repair path.
+/// Forces an L3-only split of the first non-singleton group in halves
+/// (fault injection). Deliberately does NOT touch L2, so an L2 group
+/// spanning the split violates refinement and exercises the repair path.
 pub(crate) fn force_l3_split(outcome: &mut ReconfigOutcome) {
-    if let Some(g) = outcome.l3_groups.iter_mut().find(|g| g.len() >= 2) {
-        let tail = g.split_off(g.len() / 2);
-        outcome.l3_groups.push(tail);
+    let l3 = &outcome.l3_groups;
+    if let Some((i, (a, b))) = l3
+        .iter()
+        .enumerate()
+        .find_map(|(i, g)| Some((i, topology::halves(g)?)))
+    {
+        outcome.l3_groups = topology::split(l3, i, &a, &b);
     }
 }
 

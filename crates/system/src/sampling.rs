@@ -309,8 +309,10 @@ pub fn run_sampled(sim: &mut SystemSim, scfg: &SamplingConfig) -> Result<Sampled
     }
     let n_epochs = sim.config().n_epochs;
     let mut leaders: Vec<Leader> = Vec::new();
-    let mut epochs = Vec::with_capacity(n_epochs);
-    let mut simulated = Vec::with_capacity(n_epochs);
+    // Grown as epochs run, as the full-detail path does: `n_epochs` is
+    // only bounded by `usize`, so reserving it up front can abort.
+    let mut epochs = Vec::new();
+    let mut simulated = Vec::new();
     let mut extrapolated = sim.hierarchy().map(|_| [LevelExtrapolation::default(); 3]);
     let n_cores = sim.config().n_cores();
     for _ in 0..n_epochs {
@@ -421,6 +423,7 @@ mod tests {
     use super::*;
     use crate::config::SystemConfig;
     use crate::policy::Policy;
+    use crate::supervisor::{CancelToken, ShutdownFlag};
     use crate::workload::Workload;
 
     fn workload() -> Workload {
@@ -471,6 +474,22 @@ mod tests {
         assert_eq!(sampled.simulated_epochs(), 6);
         assert_eq!(sampled.phases, 6);
         assert_eq!(sampled.epochs, full);
+    }
+
+    /// An epoch count no run reaches reserves nothing: cancelled before
+    /// its first epoch, the run returns the typed error instead of
+    /// aborting on a huge allocation.
+    #[test]
+    fn an_unreachable_epoch_count_allocates_nothing_up_front() {
+        let mut cfg = SystemConfig::quick_test(4);
+        cfg.n_epochs = usize::MAX;
+        cfg.warmup_epochs = 0;
+        let elapsed = CancelToken::new(Some(0.0), ShutdownFlag::new());
+        let mut sim = SystemSim::new(cfg, &workload(), &Policy::baseline(4))
+            .unwrap()
+            .with_cancel(elapsed);
+        let err = run_sampled(&mut sim, &SamplingConfig::default()).unwrap_err();
+        assert_eq!(err, MorphError::Cancelled { epoch: 0 });
     }
 
     #[test]
