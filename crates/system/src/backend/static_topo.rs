@@ -88,6 +88,21 @@ impl MemoryBackend for StaticBackend {
         )
     }
 
+    /// The L3 groups. L2 groups refine them and the hierarchy is
+    /// inclusive, so no line, LRU decision or cache event crosses an L3
+    /// group, and a static grouping never changes. The level's per-set
+    /// recency clocks are shared by every slice, but a static grouping
+    /// only ever compares the stamps of one group, whose order the
+    /// classes' run order leaves as it is.
+    fn independent_core_classes(&self) -> Vec<Vec<usize>> {
+        self.hier
+            .l3()
+            .grouping()
+            .iter()
+            .map(<[usize]>::to_vec)
+            .collect()
+    }
+
     fn as_hierarchy(&self) -> Option<&Hierarchy> {
         Some(&self.hier)
     }

@@ -3,8 +3,9 @@
 //! `compare` is gone in favour of `matrix`, `matrix` rows report
 //! throughput relative to the first cell, `--resume` needs a journal
 //! recorded for the same cells, a topology string never panics, a
-//! fault-injected `run` stalls or completes as its spec says, and a
-//! reader that stops early ends `morph` quietly.
+//! fault-injected `run` stalls or completes as its spec says, a forced
+//! merge lasts one epoch and is not counted, and a reader that stops
+//! early ends `morph` quietly.
 
 use std::io::BufRead;
 use std::process::{Child, Command, Output, Stdio};
@@ -178,6 +179,37 @@ fn a_faulted_run_stalls_on_a_pinned_core_and_completes_otherwise() {
     let err = stderr(&every_other_class);
     assert_eq!(every_other_class.status.code(), Some(0), "{err}");
     assert!(err.is_empty(), "{err}");
+}
+
+/// A forced `merge@E` is a one-epoch perturbation of the installed
+/// grouping, not an engine decision (DESIGN §8): no epoch counts it as
+/// an event, the run counts no reconfiguration, and the engine's next
+/// boundary installs its own grouping again.
+#[test]
+fn a_forced_merge_lasts_one_epoch_and_is_not_counted() {
+    let out = morph(&[
+        "run", "--mix", "5", "--epochs", "4", "--cycles", "300000", "--faults", "merge@2",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let epochs: Vec<(u64, &str)> = stdout
+        .lines()
+        .filter_map(|l| l.trim_start().strip_prefix("epoch "))
+        .map(|l| {
+            assert!(l.contains("  events 0  "), "{l}");
+            let (epoch, rest) = l.split_once(':').expect("an epoch row");
+            let l3 = rest.split("  L3 ").nth(1).expect("an L3 label");
+            (epoch.trim().parse().expect("an epoch index"), l3)
+        })
+        .collect();
+    let private: String = (0..16).map(|s| format!("[{s}]")).collect();
+    let forced = format!("[0-1]{}", &private["[0][1]".len()..]);
+    let want: Vec<(u64, &str)> = vec![(2, &forced), (3, &private), (4, &private), (5, &private)];
+    assert_eq!(epochs, want, "{stdout}");
+    assert!(
+        stdout.contains("; 0 reconfigurations, 0% asymmetric"),
+        "{stdout}"
+    );
 }
 
 /// Starts `morph` with standard output and standard error piped.
