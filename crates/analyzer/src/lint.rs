@@ -11,7 +11,7 @@
 //! | `no-wallclock` | `std::time`, `Instant`, `SystemTime` | cell results must be pure functions of (config, workload, policy, seed); wall-clock belongs only in `morph-metrics::timing` |
 //! | `no-panic-in-lib` | `.unwrap(` / `.expect(` / `panic!` / `unreachable!` / `todo!` / `unimplemented!` | library crates report failures through `MorphError`; a panic in a worker poisons the whole matrix |
 //! | `no-foreign-rng` | `rand`, `thread_rng`, `OsRng`, ... | all randomness flows through the vendored `morph-core::rng` so a seed fully determines a run |
-//! | `no-unapproved-thread-state` | `std::thread`, `std::sync`, `Mutex`, atomics, ... | shared mutable state outside the audited matrix work queue (`experiment.rs`, `supervisor.rs`) can break the jobs=1 ≡ jobs=N guarantee |
+//! | `no-unapproved-thread-state` | `std::thread`, `std::sync`, `Mutex`, atomics, `thread_local!`, `static mut`, ... | shared or per-thread mutable state outside the audited matrix work queue (`experiment.rs`, `supervisor.rs`) can break the jobs=1 ≡ jobs=N guarantee |
 //!
 //! Test code (`#[test]` functions and `#[cfg(test)]` modules) is exempt:
 //! panicking asserts and ad-hoc hash containers are idiomatic there.
@@ -394,9 +394,25 @@ pub(crate) fn scan_rules(path: &str, code: &[&Token]) -> Vec<Finding> {
                 "no-unapproved-thread-state",
                 format!(
                     "{} is shared mutable thread state; only the audited \
-                     experiment.rs work queue may use it",
+                     work queue (experiment.rs, supervisor.rs) may use it",
                     t.text
                 ),
+            ),
+            "thread_local" if i + 1 < code.len() && code[i + 1].is_punct("!") => push(
+                t.line,
+                "no-unapproved-thread-state",
+                "thread_local! is per-thread mutable state; only the audited \
+                 work queue (experiment.rs, supervisor.rs) may use it"
+                    .into(),
+            ),
+            // `'static` lexes as a lifetime, so `&'static mut` never
+            // reaches this arm.
+            "static" if i + 1 < code.len() && code[i + 1].is_ident("mut") => push(
+                t.line,
+                "no-unapproved-thread-state",
+                "static mut is unsynchronized global state; only the audited \
+                 work queue (experiment.rs, supervisor.rs) may use it"
+                    .into(),
             ),
             "std"
                 if i + 3 < code.len()
@@ -408,7 +424,7 @@ pub(crate) fn scan_rules(path: &str, code: &[&Token]) -> Vec<Finding> {
                     "no-unapproved-thread-state",
                     format!(
                         "std::{} is thread machinery; only the audited \
-                         experiment.rs work queue may use it",
+                         work queue (experiment.rs, supervisor.rs) may use it",
                         code[i + 3].text
                     ),
                 );
@@ -518,6 +534,14 @@ mod tests {
     fn unwrap_or_is_not_a_panic() {
         let src = "fn f(x: Option<u8>) -> u8 { x.unwrap_or(0).min(x.unwrap_or_default()) }\n";
         assert!(lint("x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn thread_local_and_static_mut_are_thread_state() {
+        let src = "thread_local! { static P: Cell<u8> = Cell::new(0); }\nstatic mut N: u8 = 0;\n\
+                   fn f(n: &'static mut u8) {}\nstatic M: u8 = 0;\n";
+        let rule = "no-unapproved-thread-state";
+        assert_eq!(lines_and_rules(&lint("x.rs", src)), [(1, rule), (2, rule)]);
     }
 
     #[test]

@@ -11,3 +11,9 @@ pub struct SharedCounters {
 pub fn fan_out() {
     std::thread::spawn(|| {});
 }
+
+thread_local! {
+    static POSITION: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+static mut COUNTER: u64 = 0;

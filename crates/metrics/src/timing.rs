@@ -45,7 +45,7 @@ impl Stopwatch {
 ///
 /// Like [`Stopwatch`], this is quarantined here so the rest of the
 /// workspace never names `std::time`: sleeping is used only on the
-/// *reporting/supervision* side (retry backoff, deadline polling) and
+/// *supervision* side (a chaos stall waiting on its cancel token) and
 /// can never perturb simulated state.
 pub fn sleep_seconds(seconds: f64) {
     if seconds > 0.0 && seconds.is_finite() {
@@ -55,13 +55,17 @@ pub fn sleep_seconds(seconds: f64) {
 }
 
 /// Timing of one matrix run: how long each cell took on its worker
-/// thread, and how long the whole matrix took end to end.
+/// thread, how many cells the run completed, and how long the whole
+/// matrix took end to end.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MatrixTiming {
     /// Elapsed wall-clock seconds for the whole matrix.
     pub wall_seconds: f64,
     /// Per-cell compute seconds, in cell order.
     pub cell_seconds: Vec<f64>,
+    /// Cells this run computed to a result; cells loaded from a journal,
+    /// failed or interrupted are timed but not counted.
+    pub completed: usize,
 }
 
 impl MatrixTiming {
@@ -79,7 +83,7 @@ impl MatrixTiming {
     /// Cells completed per wall-clock second (0 for an empty matrix).
     pub fn cells_per_sec(&self) -> f64 {
         if self.wall_seconds > 0.0 {
-            self.cells() as f64 / self.wall_seconds
+            self.completed as f64 / self.wall_seconds
         } else {
             0.0
         }
@@ -105,11 +109,16 @@ mod tests {
         let t = MatrixTiming {
             wall_seconds: 2.0,
             cell_seconds: vec![1.0, 1.5, 1.5],
+            completed: 3,
         };
         assert_eq!(t.cells(), 3);
         assert_eq!(t.serial_seconds(), 4.0);
         assert_eq!(t.cells_per_sec(), 1.5);
         assert_eq!(t.parallel_speedup(), 2.0);
+        // A cell timed but not completed (cached, failed, interrupted)
+        // adds no throughput.
+        let partial = MatrixTiming { completed: 1, ..t };
+        assert_eq!(partial.cells_per_sec(), 0.5);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub(crate) fn run_epoch(
     sim: &mut SystemSim,
     probe: &mut dyn CacheEventSink,
 ) -> Result<EpochResult, MorphError> {
-    // Cooperative cancellation: the token fires once the attempt's
+    // Cooperative cancellation: the token fires once the cell's
     // deadline passes or a graceful shutdown is requested; the run aborts
     // at the next epoch boundary rather than being killed mid-epoch, so
     // no shared state is ever left half-updated.

@@ -35,12 +35,13 @@
 //!   the parallel matrix ([`experiment::run_cells`]) and the ideal
 //!   offline scheme composed from static runs
 //!   ([`experiment::ideal_offline_throughput`]);
-//! * [`supervisor`] — supervised matrix execution: panic isolation,
-//!   per-cell deadlines, retry with deterministic backoff, graceful
-//!   shutdown ([`supervisor::Supervisor`]), and the execution-level
-//!   chaos schedule that tests them ([`supervisor::ChaosPlan`]);
+//! * [`supervisor`] — supervised matrix execution: one run per cell,
+//!   panic isolation, per-cell deadlines, graceful shutdown
+//!   ([`supervisor::Supervisor`]), and the execution-level chaos
+//!   schedule that tests them ([`supervisor::ChaosPlan`]);
 //! * [`journal`] — the checkpoint journal supervised runs record to and
-//!   resume from ([`journal::RunJournal`]).
+//!   resume from ([`journal::RunJournal`]); resuming is how a degraded
+//!   or interrupted cell runs again.
 //!
 //! All public driver APIs return `Result<_, MorphError>`: configuration
 //! problems surface as [`morphcache::MorphError::InvalidConfig`] before a

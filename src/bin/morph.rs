@@ -8,7 +8,8 @@
 //! morph run --mix 1 --faults "pin=0@3"         # fault-injected run
 //! morph run --mix 1 --validate-only            # check config, don't run
 //! morph matrix --mix 5                         # all policies on one mix
-//! morph matrix --mix 5 --retries 2 --run-dir j # ... journalled, with retries
+//! morph matrix --mix 5 --run-dir j             # ... journalled
+//! morph matrix --mix 5 --resume j              # ... runs the cells j lacks
 //! morph figures fig13 sec24 --epochs 2         # the paper's figures
 //! ```
 
@@ -83,7 +84,7 @@ fn main() {
             eprintln!("  morph matrix --mix <1..12> | --parsec <name> | --apps a,b,c,...");
             eprintln!("            [--epochs N] [--cycles N] [--seed N] [--cores N]");
             eprintln!("            [--policies p1,p2,...] [--jobs N] [--cell-timeout SECS]");
-            eprintln!("            [--retries N] [--run-dir DIR | --resume DIR]");
+            eprintln!("            [--run-dir DIR | --resume DIR]");
             eprintln!("            [--chaos <spec>] [--chaos-verify]");
             eprintln!("  morph figures [ID ...] [--epochs N] [--cycles N] [--seed N] [--jobs N]");
             eprintln!();
@@ -103,22 +104,20 @@ fn main() {
             eprintln!("      of --cores, morph, pipp, dsr); rows compare to the first cell,");
             eprintln!("      and two or more statics add a row for the ideal offline scheme");
             eprintln!("      (each epoch on its best static topology)");
-            eprintln!("  --cell-timeout SECS: deadline per cell attempt");
-            eprintln!("  --retries N: retry a failed cell up to N times with");
-            eprintln!("      deterministic backoff before marking it degraded (default 2)");
+            eprintln!("  --cell-timeout SECS: deadline per cell; a cell past it degrades");
             eprintln!("  --run-dir DIR: journal completed cells to DIR as they finish;");
-            eprintln!("      --resume DIR reloads the journal DIR must already hold and");
-            eprintln!("      skips its bit-identical cached cells");
+            eprintln!("      --resume DIR reloads the journal DIR must already hold,");
+            eprintln!("      skips its bit-identical cached cells and runs the rest");
             eprintln!("  --chaos spec: injected execution faults, e.g.");
-            eprintln!("      panic=0@0;stall=2:30.0@0;kill=3");
-            eprintln!("  --chaos-verify: run the chaos matrix (resuming across injected");
-            eprintln!("      kills), then check results are bit-identical to a clean run");
+            eprintln!("      panic=0;stall=2:30.0;kill=3");
+            eprintln!("  --chaos-verify: run the chaos matrix, resume it (without panics and");
+            eprintln!("      stalls once cells degrade), check it matches a clean run");
             eprintln!();
             eprintln!("  figures IDs (none: all, in this order; fig05 and table04 use");
             eprintln!("      fixed configurations): {}", figure_ids());
             eprintln!();
             eprintln!("  matrix exit codes: 0 all cells completed, 1 degraded cells,");
-            eprintln!("      130 interrupted (SIGINT or injected kill; resume to finish)");
+            eprintln!("      130 interrupted (SIGINT or injected kill); resume to finish");
             2
         }
     };
@@ -154,7 +153,6 @@ struct Opts {
     jobs: Option<usize>,
     policies: Option<Vec<String>>,
     cell_timeout: Option<f64>,
-    retries: u32,
     run_dir: Option<String>,
     /// The journal at `run_dir` must exist (`--resume`, not `--run-dir`).
     resume: bool,
@@ -189,7 +187,6 @@ const MATRIX_OPTIONS: &[&str] = &[
     "--jobs",
     "--policies",
     "--cell-timeout",
-    "--retries",
     "--run-dir",
     "--resume",
     "--chaos",
@@ -220,7 +217,6 @@ fn parse_opts(
         jobs: None,
         policies: None,
         cell_timeout: None,
-        retries: 2,
         run_dir: None,
         resume: false,
         chaos: None,
@@ -286,11 +282,6 @@ fn parse_opts(
                     return Err("--cell-timeout must be a positive number of seconds".into());
                 }
                 o.cell_timeout = Some(secs);
-            }
-            "--retries" => {
-                o.retries = val("--retries")?
-                    .parse()
-                    .map_err(|e| format!("--retries: {e}"))?;
             }
             "--run-dir" | "--resume" => {
                 o.run_dir = Some(val(a)?);
@@ -542,7 +533,6 @@ fn cmd_matrix(args: &[String]) -> i32 {
     let options = SuperviseOptions {
         jobs: o.jobs.unwrap_or_else(default_jobs),
         cell_timeout_seconds: o.cell_timeout,
-        retries: o.retries,
     };
     // The journal opens before any cell runs, so `--resume` on a
     // directory without one fails here and creates nothing.
@@ -648,10 +638,11 @@ fn cmd_figures(args: &[String]) -> i32 {
     0
 }
 
-/// Prints one row per cell — its throughput also relative to the first
-/// cell's, when that cell has a result — then, when two or more static
-/// cells have results, the ideal offline scheme composed from them, and
-/// last the status summary and [`MatrixTiming`].
+/// Prints one row per cell — its throughput (also relative to the first
+/// cell's, when that cell has a result) or why it has none, and a journal
+/// write that failed — then, when two or more static cells have results,
+/// the ideal offline scheme composed from them, and last the status
+/// summary and [`MatrixTiming`].
 fn print_supervised(cells: &[MatrixCell], names: &[String], m: &SupervisedMatrix) {
     let base = m.results.first().and_then(Option::as_ref);
     for (i, (report, result)) in m.reports.iter().zip(&m.results).enumerate() {
@@ -662,18 +653,22 @@ fn print_supervised(cells: &[MatrixCell], names: &[String], m: &SupervisedMatrix
                 r.mean_throughput() / b.mean_throughput()
             ),
             (Some(r), None) => format!("throughput {:.3}", r.mean_throughput()),
-            (None, _) => match report.failures.first() {
+            (None, _) => match &report.failure {
                 Some(f) => format!("no result ({f})"),
                 None => "no result".to_string(),
             },
         };
+        // A cell with a result fails only in its journal write.
+        let journal = match (result, &report.failure) {
+            (Some(_), Some(f)) => format!("  not journalled: {f}"),
+            _ => String::new(),
+        };
         outln!(
-            "  {:<12} {:<11} {}  [{:.2}s, {} retries]",
+            "  {:<12} {:<11} {}  [{:.2}s]{journal}",
             names.get(i).map_or("?", String::as_str),
             report.status.label(),
             throughput,
-            report.seconds,
-            report.retries
+            report.seconds
         );
     }
     let statics: Vec<&RunResult> = cells
@@ -704,9 +699,12 @@ fn print_supervised(cells: &[MatrixCell], names: &[String], m: &SupervisedMatrix
     );
 }
 
-/// `--chaos-verify`: run the matrix under the chaos schedule — resuming
-/// across injected kills via a journal — and check the final results are
-/// bit-identical to an unfaulted serial run of the same cells.
+/// `--chaos-verify`: run the matrix under the chaos schedule, resuming
+/// from a journal, and check the final results are bit-identical to an
+/// unfaulted serial run of the same cells. An interrupted round resumes
+/// with the same schedule; a round that ends with degraded cells resumes
+/// once more without the panics and stalls, and if that round still
+/// leaves a cell degraded the verification fails.
 fn chaos_verify(
     cfg: &SystemConfig,
     cells: &[MatrixCell],
@@ -741,6 +739,11 @@ fn chaos_verify(
             return 1;
         }
     };
+    // The same schedule without its panics and stalls: only the kill.
+    let calm = chaos
+        .kill_after()
+        .map_or_else(ChaosPlan::new, |k| ChaosPlan::new().with_kill_after(k));
+    let mut plan = &chaos;
     let mut rounds = 0usize;
     let faulted = loop {
         rounds += 1;
@@ -753,7 +756,7 @@ fn chaos_verify(
         };
         let sup = Supervisor::new(options.clone())
             .with_journal(journal)
-            .with_chaos(&chaos);
+            .with_chaos(plan);
         let m = match sup.run(cfg, cells) {
             Ok(m) => m,
             Err(e) => {
@@ -764,15 +767,20 @@ fn chaos_verify(
         print_supervised(cells, names, &m);
         if m.was_interrupted() {
             outln!("chaos round {rounds} interrupted; resuming from the journal...");
-            continue;
+        } else if m.is_complete() || plan == &calm {
+            break m;
+        } else {
+            outln!("chaos round {rounds} degraded; resuming without panics and stalls...");
+            plan = &calm;
         }
-        break m;
     };
     if run_dir.is_none() {
         let _ = std::fs::remove_dir_all(&dir);
     }
     if !faulted.is_complete() {
-        eprintln!("chaos-verify FAILED: matrix degraded after {rounds} round(s)");
+        eprintln!(
+            "chaos-verify FAILED: cells degraded without panics or stalls after {rounds} round(s)"
+        );
         return 1;
     }
     let mismatches: Vec<usize> = golden

@@ -2,7 +2,8 @@
 //! options it does not read (exit 2) instead of silently ignoring them,
 //! `compare` is gone in favour of `matrix`, `matrix` rows report
 //! throughput relative to the first cell, `--resume` needs a journal
-//! recorded for the same cells, a topology string never panics, a
+//! recorded for the same cells and re-runs a degraded cell, a journal
+//! write that fails is reported, a topology string never panics, a
 //! fault-injected `run` stalls or completes as its spec says, a forced
 //! merge lasts one epoch and is not counted, and a reader that stops
 //! early ends `morph` quietly.
@@ -50,11 +51,11 @@ fn options_a_subcommand_does_not_read_are_usage_errors() {
         "{err}"
     );
 
-    let run = quick("run", &["--retries", "1"]);
+    let run = quick("run", &["--cell-timeout", "1"]);
     let err = stderr(&run);
     assert_eq!(run.status.code(), Some(2), "{err}");
     assert!(
-        err.contains("run takes only") && err.contains("not --retries"),
+        err.contains("run takes only") && err.contains("not --cell-timeout"),
         "{err}"
     );
 }
@@ -139,6 +140,62 @@ fn resume_refuses_another_app_list_of_the_same_length() {
     assert_eq!(second.status.code(), Some(2), "{err}");
     assert!(err.contains("manifest mismatch"), "{err}");
     assert!(second.stdout.is_empty(), "no cell is cached or run");
+    std::fs::remove_dir_all(&dir).expect("the run directory is removable");
+}
+
+/// The status column of a `matrix` row.
+fn status(row: &str) -> &str {
+    row.split_whitespace().nth(1).expect("a status")
+}
+
+#[test]
+fn a_degraded_cell_is_recovered_by_resume() {
+    let dir = std::env::temp_dir().join(format!("morph-cli-degraded-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.to_str().expect("a UTF-8 temp path");
+    let matrix = |extra: &[&str]| {
+        let out = quick(
+            "matrix",
+            &[&["--policies", "4:1:1,1:1:4,2:2:1"], extra].concat(),
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        (out.status.code(), stdout)
+    };
+    let (code, clean) = matrix(&[]);
+    assert_eq!(code, Some(0), "{clean}");
+    let (code, faulted) = matrix(&["--chaos", "panic=0", "--run-dir", path]);
+    assert_eq!(code, Some(1), "{faulted}");
+    assert_eq!(status(&faulted), "degraded", "{faulted}");
+
+    let (code, resumed) = matrix(&["--resume", path]);
+    assert_eq!(code, Some(0), "{resumed}");
+    let lines: Vec<&str> = resumed.lines().collect();
+    assert!(lines[0].contains("2 of 3 cells cached"), "{resumed}");
+    let statuses: Vec<&str> = lines[1..4].iter().map(|r| status(r)).collect();
+    assert_eq!(statuses, ["ok", "cached", "cached"], "{resumed}");
+    // Every cell row and the ideal offline row read as in the clean run.
+    for (row, clean_row) in lines[1..5].iter().zip(clean.lines()) {
+        assert_eq!(throughput(row), throughput(clean_row), "{resumed}");
+    }
+    std::fs::remove_dir_all(&dir).expect("the run directory is removable");
+}
+
+#[test]
+fn a_failed_journal_write_is_reported_on_the_cell_row() {
+    let dir = std::env::temp_dir().join(format!("morph-cli-unjournalled-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // A directory where cell 0's temporary file goes fails its write.
+    std::fs::create_dir_all(dir.join("cell_0.json.tmp")).expect("a scratch directory");
+    let path = dir.to_str().expect("a UTF-8 temp path");
+    let out = quick("matrix", &["--policies", "4:1:1,1:1:4", "--run-dir", path]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    // The cell's result stands; only its checkpoint is missing.
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(status(lines[0]), "ok", "{stdout}");
+    assert!(lines[0].contains("not journalled: journal error: writing"));
+    assert!(!lines[1].contains("not journalled"), "{stdout}");
+    assert!(!dir.join("cell_0.json").exists() && dir.join("cell_1.json").exists());
     std::fs::remove_dir_all(&dir).expect("the run directory is removable");
 }
 

@@ -151,7 +151,7 @@ fn small_matrix(n: usize) -> (SystemConfig, Vec<MatrixCell>) {
     (cfg, cells)
 }
 
-/// Supervision options with `jobs` workers and the default retries.
+/// Supervision options with `jobs` workers and no deadline.
 fn quick_supervision(jobs: usize) -> SuperviseOptions {
     SuperviseOptions {
         jobs,
@@ -169,14 +169,9 @@ fn scratch_dir(tag: &str) -> PathBuf {
 #[test]
 fn panicking_cell_is_isolated_and_the_matrix_completes_around_it() {
     let (cfg, cells) = small_matrix(4);
-    // Cell 2 panics on every attempt; with zero retries it degrades
-    // immediately — and every other cell still completes.
-    let chaos = ChaosPlan::new().with_panic(2, 0);
-    let options = SuperviseOptions {
-        retries: 0,
-        ..quick_supervision(2)
-    };
-    let m = Supervisor::new(options)
+    // Cell 2 panics and degrades — and every other cell still completes.
+    let chaos = ChaosPlan::new().with_panic(2);
+    let m = Supervisor::new(quick_supervision(2))
         .with_chaos(&chaos)
         .run(&cfg, &cells)
         .unwrap();
@@ -186,8 +181,8 @@ fn panicking_cell_is_isolated_and_the_matrix_completes_around_it() {
     assert_eq!(m.count(CellStatus::Degraded), 1, "{}", m.summary());
     assert!(m.results[2].is_none());
     assert!(matches!(
-        m.reports[2].failures[0],
-        CellFailure::Panicked { .. }
+        m.reports[2].failure,
+        Some(CellFailure::Panicked { .. })
     ));
     // The strict view preserves the historical panic contract.
     let err = m.into_matrix().unwrap_err();
@@ -198,27 +193,37 @@ fn panicking_cell_is_isolated_and_the_matrix_completes_around_it() {
 }
 
 #[test]
-fn deadline_expiry_is_retried_to_success() {
+fn deadline_expiry_degrades_the_cell_until_a_resume() {
     let (cfg, cells) = small_matrix(2);
-    // Cell 0 stalls far past the deadline on its first attempt only; the
-    // supervisor cancels it at an epoch boundary and the retry succeeds.
-    let chaos = ChaosPlan::new().with_stall(0, 0, 30.0);
+    let golden = run_cells(&cfg, &cells, 1).unwrap();
+    let dir = scratch_dir("resilience-deadline");
+    // Cell 0 stalls far past the deadline; the supervisor cancels it at
+    // an epoch boundary and the cell degrades.
+    let chaos = ChaosPlan::new().with_stall(0, 30.0);
     let options = SuperviseOptions {
         cell_timeout_seconds: Some(2.0),
-        retries: 1,
         ..quick_supervision(2)
     };
-    let m = Supervisor::new(options)
+    let m = Supervisor::new(options.clone())
+        .with_journal(RunJournal::open(&dir, &cfg, &cells).unwrap())
         .with_chaos(&chaos)
         .run(&cfg, &cells)
         .unwrap();
-    assert!(m.is_complete(), "{:?}", m.reports);
-    assert_eq!(m.reports[0].status, CellStatus::Recovered);
-    assert_eq!(m.reports[0].retries, 1);
+    assert_eq!(m.summary(), "2 cells: 1 ok, 1 degraded");
     assert!(matches!(
-        m.reports[0].failures[0],
-        CellFailure::DeadlineExpired { .. }
+        m.reports[0].failure,
+        Some(CellFailure::DeadlineExpired { .. })
     ));
+
+    // Resumed without the stall, the cell completes inside the deadline.
+    let m = Supervisor::new(options)
+        .with_journal(RunJournal::resume(&dir, &cfg, &cells).unwrap())
+        .run(&cfg, &cells)
+        .unwrap();
+    assert_eq!(m.summary(), "2 cells: 1 ok, 1 cached");
+    let resumed: Vec<RunResult> = m.results.into_iter().map(Option::unwrap).collect();
+    assert_eq!(resumed, golden.results, "resume must be bit-identical");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
